@@ -11,15 +11,13 @@ and edges examined.  The expected shape: indexes win by one to three
 orders of magnitude on selective queries, and never lose.
 """
 
-import gc
-import os
 import time
 
 import pytest
 
 from repro.repository import IndexStatistics
 from repro.struql import PlanCache, QueryEngine, parse_query
-from repro.workloads import bibliography_graph, build_mediator
+from repro.workloads import build_mediator
 
 QUERY_SUITE = [
     ("collection scan + copy", "where People(p), p -> l -> v"),
@@ -162,118 +160,6 @@ def _timed(thunk):
     start = time.perf_counter()
     thunk()
     return time.perf_counter() - start
-
-
-#: binding passes of the E4 homepage workload (Fig. 3 root block and
-#: nested blocks) plus a reachability query -- the shapes set-at-a-time
-#: execution targets: wide frontiers, shared join keys, batched paths
-BLOCKS_SUITE = [
-    ("attribute copy", "where Publications(x), x -> l -> v"),
-    ("year join", 'where Publications(x), x -> "year" -> y'),
-    ("category join", 'where Publications(x), x -> "category" -> c'),
-    ("same-year join",
-     'where Publications(x), x -> "year" -> y, '
-     'Publications(z), z -> "year" -> y'),
-    ("same-category join",
-     'where Publications(x), x -> "category" -> c, '
-     'Publications(z), z -> "category" -> c'),
-    ("selective same-year join",
-     'where Publications(x), x -> "year" -> y, y = "1995", '
-     'Publications(z), z -> "year" -> y'),
-    ("co-author join",
-     'where Publications(x), x -> "author" -> a, '
-     'Publications(z), z -> "author" -> a'),
-    ("path reachability", "where Publications(x), x -> * -> v"),
-]
-
-#: E5_PUBS scales the bibliography; CI smoke runs use a small value, the
-#: full run (default 500, the largest E4 size) is where the speedup
-#: floor is asserted
-E5_PUBS = int(os.environ.get("E5_PUBS", "500"))
-
-
-def test_e5_blocks_vs_rows(report, json_report, benchmark):
-    """Set-at-a-time ablation: one warm engine per mode over the E4
-    homepage-scaling bibliography.  Both modes have hot plan caches; the
-    measured difference is purely block operators (distinct-key probing,
-    hash joins, one batched path search per condition plus the
-    reachability memo) vs extending one row at a time."""
-    data = bibliography_graph(E5_PUBS, seed=21)
-    queries = [parse_query(text + " create Probe()") for _, text in BLOCKS_SUITE]
-
-    block_engine = QueryEngine(data, use_blocks=True, plan_cache=PlanCache())
-    row_engine = QueryEngine(data, use_blocks=False, plan_cache=PlanCache())
-
-    def block_pass():
-        return [block_engine.bindings(query.where) for query in queries]
-
-    def row_pass():
-        return [row_engine.bindings(query.where) for query in queries]
-
-    # correctness first: identical binding relations, rows and order
-    block_results = block_pass()  # cold: populates plan + path memo
-    row_results = row_pass()
-    for name_text, blocks, rows in zip(BLOCKS_SUITE, block_results, row_results):
-        assert blocks == rows, name_text[0]
-
-    memo_hits_before = block_engine.metrics.path_memo_hits
-    block_pass()  # warm: the reachability memo must serve this run
-    warm_memo_hits = block_engine.metrics.path_memo_hits - memo_hits_before
-
-    rounds = 3
-    # measure with the collector off: the passes hold ~100k result
-    # dicts, and generational GC pauses land arbitrarily across the
-    # (short) block pass and the (long) row pass
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        block_time = min(_timed(block_pass) for _ in range(rounds))
-        row_time = min(_timed(row_pass) for _ in range(rounds))
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    speedup = row_time / max(block_time, 1e-9)
-
-    metrics = block_engine.metrics
-    report(
-        "E5_blocks_vs_rows",
-        [{
-            "pass": "row-at-a-time (use_blocks=False)",
-            "suite ms": round(row_time * 1e3, 2),
-        }, {
-            "pass": "set-at-a-time (block operators)",
-            "suite ms": round(block_time * 1e3, 2),
-        }, {
-            "pass": f"speedup {speedup:.1f}x",
-            "suite ms": f"dedup {metrics.dedup_hits} / "
-                        f"probes {metrics.hash_join_probes} / "
-                        f"path memo {metrics.path_memo_hits}",
-        }],
-        note=f"E4 homepage workload binding passes over {E5_PUBS} "
-             "publications; both engines warm, so the delta is execution "
-             "strategy alone.",
-    )
-    json_report("E5_BLOCKS", {
-        "experiment": "E5 set-at-a-time vs tuple-at-a-time ablation",
-        "graph": {"nodes": data.node_count, "edges": data.edge_count},
-        "publications": E5_PUBS,
-        "suite_queries": len(queries),
-        "rounds": rounds,
-        "row_suite_s": round(row_time, 6),
-        "block_suite_s": round(block_time, 6),
-        "speedup": round(speedup, 2),
-        "dedup_hits": metrics.dedup_hits,
-        "hash_join_probes": metrics.hash_join_probes,
-        "path_memo_hits": metrics.path_memo_hits,
-        "path_memo_misses": metrics.path_memo_misses,
-        "warm_run_path_memo_hits": warm_memo_hits,
-    })
-    assert warm_memo_hits > 0, "warm run must be served by the path memo"
-    if E5_PUBS >= 500:
-        assert speedup >= 3.0, (
-            f"block execution only {speedup:.2f}x faster than row-at-a-time"
-        )
-    benchmark.pedantic(block_pass, rounds=3, iterations=1)
 
 
 def test_e5_index_maintenance_cost(report, data_graph, benchmark):

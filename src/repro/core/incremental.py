@@ -130,7 +130,6 @@ class DynamicSite:
         data_graph: Graph,
         cache: bool = True,
         lookahead: bool = False,
-        use_blocks: bool = True,
     ) -> None:
         if isinstance(program, str):
             program = parse(program)
@@ -142,9 +141,9 @@ class DynamicSite:
         self.cache_enabled = cache
         self.lookahead = lookahead
         self.metrics = ClickMetrics()
-        # set-at-a-time evaluation by default; use_blocks=False is the
-        # row-at-a-time ablation, end to end through the click path
-        self._engine = make_engine(data_graph, use_blocks=use_blocks)
+        # one warm engine for every click: plans, the statistics
+        # snapshot and the path-reachability memo carry across requests
+        self._engine = make_engine(data_graph)
         #: key -> (expanded edges, read footprint, owning instance)
         self._edge_cache: Dict[
             Tuple[int, InstanceArgs], Tuple[List[ExpandedEdge], Footprint, NodeInstance]

@@ -86,7 +86,6 @@ class SiteMaintainer:
         program: Union[Program, Query, str],
         data_graph: Graph,
         site_graph: Optional[Graph] = None,
-        use_blocks: bool = True,
     ) -> None:
         if isinstance(program, str):
             program = parse(program)
@@ -96,8 +95,8 @@ class SiteMaintainer:
         self.data_graph = data_graph
         # one warm engine for every maintenance pass: plans, the
         # statistics snapshot, and the path-reachability memo carry
-        # across updates (epoch-invalidated); set-at-a-time by default
-        self._engine = make_engine(data_graph, use_blocks=use_blocks)
+        # across updates (epoch-invalidated)
+        self._engine = make_engine(data_graph)
         if site_graph is None:
             site_graph = self._evaluate_all()
         self.site_graph = site_graph

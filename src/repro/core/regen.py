@@ -133,9 +133,8 @@ class RegeneratingSite:
         templates: TemplateSet,
         roots: Sequence[Union[Oid, str]],
         site_name: str = "site",
-        use_blocks: bool = True,
     ) -> None:
-        self.maintainer = SiteMaintainer(program, data_graph, use_blocks=use_blocks)
+        self.maintainer = SiteMaintainer(program, data_graph)
         self.templates = templates
         self.roots = list(roots)
         self.site_name = site_name

@@ -195,11 +195,8 @@ class PageServer(PageRegistry):
         templates: TemplateSet,
         cache: bool = True,
         lookahead: bool = False,
-        use_blocks: bool = True,
     ) -> None:
-        self.dynamic = DynamicSite(
-            program, data_graph, cache=cache, lookahead=lookahead, use_blocks=use_blocks
-        )
+        self.dynamic = DynamicSite(program, data_graph, cache=cache, lookahead=lookahead)
         self.templates = templates
         self.graph = LazySiteGraph(self.dynamic)
         self._renderer = Renderer(self.graph, registry=self)

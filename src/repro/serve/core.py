@@ -123,7 +123,6 @@ class ServeCore:
         templates: TemplateSet,
         roots: Optional[Sequence[str]] = None,
         dynamic: bool = False,
-        use_blocks: bool = True,
         site_name: str = "site",
     ) -> None:
         if isinstance(program, str):
@@ -134,7 +133,6 @@ class ServeCore:
         self.data_graph = data_graph
         self.templates = templates
         self.dynamic_mode = dynamic
-        self.use_blocks = use_blocks
         self.site_name = site_name
         self.roots = list(roots) if roots else default_roots(program)
         self.swap_lock = RWLock()
@@ -157,7 +155,6 @@ class ServeCore:
                 templates,
                 self.roots,
                 site_name=site_name,
-                use_blocks=use_blocks,
             )
             self.cache.publish(self._generation_from_regen("build"))
         else:
@@ -376,12 +373,7 @@ class ServeCore:
 
     def _engine(self, slot: _WorkerSlot) -> PageServer:
         if slot.engine is None:
-            slot.engine = PageServer(
-                self.program,
-                self.data_graph,
-                self.templates,
-                use_blocks=self.use_blocks,
-            )
+            slot.engine = PageServer(self.program, self.data_graph, self.templates)
         return slot.engine
 
     # ------------------------------------------------------------ #

@@ -6,9 +6,11 @@ Semantics follow paper section 2.2 exactly:
   defined by the set of assignments from variables in the query to oid
   and label values in the data graph that satisfy all conditions."
   :meth:`QueryEngine.bindings` computes that relation as a list of
-  binding dicts (deduplicated -- it is a set), by pipelining the
-  conditions in planner order (or written order in naive mode) as an
-  index-nested-loop join.
+  binding dicts (deduplicated -- it is a set).  The conditions run in
+  planner order (or written order with ``optimize=False``), each as one
+  set-at-a-time block operator over the whole frontier.  Rows and
+  their order follow the naive nested-loop reference evaluator in
+  ``tests/reference_eval.py``, which the test suite checks them against.
 
 * **Construction stage.**  "For each row in the relation, first
   construct all new node oids, as specified in the create clause ...
@@ -30,14 +32,13 @@ labels -- "elements of the graph's schema").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
 from typing import (
     Callable,
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -65,7 +66,6 @@ from ..resilience.chaos import maybe_fail
 from ..resilience.deadline import current_deadline
 from . import builtins
 from .ast import (
-    CollectClause,
     CollectionCond,
     ComparisonCond,
     Condition,
@@ -82,25 +82,9 @@ from .ast import (
     Var,
 )
 from .footprint import Footprint, path_alphabet
-from .optimizer import (
-    DedupFactors,
-    choose_path_direction,
-    learn_dedup_factor,
-    order_conditions,
-    shared_not_variables,
-    significant_dedup_factor,
-)
+from .optimizer import choose_path_direction, order_conditions, shared_not_variables
 from .parser import parse
-from .paths import (
-    NFA,
-    compile_path,
-    path_exists,
-    reverse_expr,
-    sources_to,
-    sources_to_many,
-    targets_from,
-    targets_from_many,
-)
+from .paths import NFA, sources_to_many, targets_from_many
 from .plancache import PlanCache, global_plan_cache
 
 #: A binding value: node oid, atomic value, or arc-variable label.
@@ -125,10 +109,10 @@ class Metrics:
     stats_snapshots: int = 0
     #: pages rendered by worker threads during parallel site generation
     pages_rendered_parallel: int = 0
-    #: block-mode rows answered from a per-distinct-key cache instead of
+    #: rows answered from a per-distinct-key cache instead of
     #: re-probing the indexes
     dedup_hits: int = 0
-    #: block-mode index probes actually executed (one per distinct key)
+    #: index probes actually executed (one per distinct key)
     hash_join_probes: int = 0
     #: path endpoints answered from the shared reachability memo
     path_memo_hits: int = 0
@@ -160,7 +144,7 @@ class Metrics:
 
 @dataclass
 class OperatorStats:
-    """Row counts of one block operator in a block-mode ``bindings`` call.
+    """Row counts of one block operator in a ``bindings`` call.
 
     ``probes`` is how many distinct-key index probes the operator ran;
     ``dedup_hits`` is how many input rows were answered from its per-key
@@ -233,8 +217,8 @@ def _record_edge_footprint(
     target_value: Optional[Value],
 ) -> None:
     """Semantic dependence of one edge-condition bound/unbound pattern;
-    recorded before any index-vs-scan branch so every execution mode
-    (row, block, naive) agrees on the footprint."""
+    recorded before any index-vs-scan branch, so the footprint is the
+    same with and without ``use_indexes``."""
     if source_value is not None:
         if isinstance(source_value, Oid):
             if label_value is not None:
@@ -344,20 +328,18 @@ class _FootprintScope:
 class QueryEngine:
     """Evaluates where-clauses over one graph.
 
-    ``optimize=False`` keeps the written condition order;
-    ``use_indexes=False`` additionally replaces index lookups with full
-    scans (the E5 ablation baseline).  ``use_blocks=False`` falls back
-    to tuple-at-a-time extension -- the set-at-a-time ablation baseline;
-    in block mode (the default) each planned condition consumes the
-    whole frontier at once, probing the indexes once per *distinct*
-    bound key and hash-joining the results back onto the rows, and path
+    Each planned condition runs as one block operator: it consumes the
+    whole frontier at once, probes the indexes once per *distinct*
+    bound key and hash-joins the results back onto the rows; path
     conditions batch all their endpoints into one origin-tagged
     product-automaton search backed by a per-``(NFA, graph epoch)``
-    reachability memo.  Both modes produce identical binding relations
-    (same rows, same order).  Block mode also *learns* per-condition
-    dedup factors (distinct keys / input rows); ``adaptive=True``
-    additionally feeds them back into clause ordering, trading
-    warm-vs-cold row-order determinism for batch-aware plans.
+    reachability memo.  The rows and their order are those of the
+    naive nested-loop evaluator in ``tests/reference_eval.py`` run over
+    the same condition order, so a warm engine reproduces a cold one.
+
+    ``optimize=False`` keeps the written condition order;
+    ``use_indexes=False`` additionally replaces index lookups with full
+    scans (the E5 ablation baseline).
 
     Construction is O(1): statistics come lazily from the shared
     epoch-stamped provider (:func:`~repro.repository.indexes.graph_statistics`)
@@ -376,27 +358,16 @@ class QueryEngine:
         stats: Optional[IndexStatistics] = None,
         metrics: Optional[Metrics] = None,
         plan_cache: Optional[PlanCache] = None,
-        use_blocks: bool = True,
-        adaptive: bool = False,
     ) -> None:
         self.graph = graph
         self.optimize = optimize
         self.use_indexes = use_indexes
-        self.use_blocks = use_blocks
-        #: feed learned dedup factors back into clause ordering.  Off by
-        #: default: replanning with learned factors can reorder the
-        #: binding relation (same set, different row order), and warm
-        #: engines are expected to reproduce a cold engine's output
-        #: byte-for-byte unless the caller opts into adaptivity.
-        self.adaptive = adaptive
         self._explicit_stats = stats
         self._seen_stats: Optional[IndexStatistics] = None
         self.metrics = metrics if metrics is not None else Metrics()
         self.plan_cache = plan_cache if plan_cache is not None else global_plan_cache()
-        #: learned per-condition dedup ratios, fed back into the planner
-        self.dedup_factors: DedupFactors = {}
-        #: per-operator row counts of the most recent block-mode
-        #: top-level ``bindings`` call (EXPLAIN renders these)
+        #: per-operator row counts of the most recent top-level
+        #: ``bindings`` call (EXPLAIN renders these)
         self.last_operator_stats: List[OperatorStats] = []
         #: when set, every condition evaluated records its semantic
         #: dependence here (see :mod:`repro.struql.footprint`)
@@ -456,24 +427,7 @@ class QueryEngine:
             ordered = self._plan(conditions, bound)
         else:
             ordered = list(conditions)
-        if self.use_blocks:
-            rows = self._run_blocks(ordered, rows, conditions, frame)
-        else:
-            for condition in ordered:
-                self.metrics.conditions_evaluated += 1
-                if deadline is not None:
-                    deadline.check("engine.condition")
-                next_rows: List[Row] = []
-                extend = self._extend
-                ticks = 0
-                for row in rows:
-                    ticks += 1
-                    if not (ticks & 1023) and deadline is not None:
-                        deadline.check("engine.rows")
-                    next_rows.extend(extend(condition, row, conditions, frame))
-                rows = next_rows
-                if not rows:
-                    break
+        rows = self._run_blocks(ordered, rows, conditions, frame)
         self.metrics.bindings_produced += len(rows)
         # every slot of a surviving row is bound unless a seed row left
         # one open or a negation carried inner-only variables into the
@@ -491,13 +445,28 @@ class QueryEngine:
         frame: _Frame,
     ) -> List[Row]:
         """Set-at-a-time pipeline: each condition consumes the whole
-        frontier as one block operator.  Output rows (values and order)
-        are identical to the tuple-at-a-time loop; only the probing
-        collapses -- once per distinct bound key instead of once per
-        row.  Per-operator row counts land in ``last_operator_stats``."""
+        frontier as one block operator.  Per-operator row counts land in
+        ``last_operator_stats``."""
+        ops: List[OperatorStats] = []
+        rows = self._run_operators(ordered, rows, conditions, frame, ops)
+        # assigned last so nested calls (negations) don't clobber it
+        self.last_operator_stats = ops
+        return rows
+
+    def _run_operators(
+        self,
+        ordered: Sequence[Condition],
+        rows: List[Row],
+        conditions: Sequence[Condition],
+        frame: _Frame,
+        ops: List[OperatorStats],
+    ) -> List[Row]:
+        """Apply ``ordered`` block operators to ``rows`` in turn, appending
+        one :class:`OperatorStats` per operator to ``ops``.  Checks the
+        ambient deadline before each operator and stops at the first
+        empty frontier."""
         metrics = self.metrics
         deadline = current_deadline()
-        ops: List[OperatorStats] = []
         for condition in ordered:
             metrics.conditions_evaluated += 1
             if deadline is not None:
@@ -517,8 +486,6 @@ class QueryEngine:
             )
             if not rows:
                 break
-        # assigned last so nested calls (negations) don't clobber it
-        self.last_operator_stats = ops
         return rows
 
     def _plan(
@@ -528,324 +495,30 @@ class QueryEngine:
 
         The key ties the plan to the exact condition objects, the seed
         binding pattern, the index mode, and the statistics fingerprint
-        ``(graph, epoch)`` -- so any graph mutation invalidates it.  In
-        *adaptive* block mode the learned dedup factors join the key
-        (quantized, so the plan refreshes when the learned ratios move
-        materially, not on every observation) and feed the greedy
-        ordering.
+        ``(graph, epoch)`` -- so any graph mutation invalidates it.
         """
         stats = self.stats
-        factors: Optional[DedupFactors] = None
-        signature: Tuple[Tuple[int, float], ...] = ()
-        if self.use_blocks and self.adaptive and self.dedup_factors:
-            factors = self.dedup_factors
-            pairs = []
-            for index, condition in enumerate(conditions):
-                quantized = significant_dedup_factor(factors.get(condition))
-                if quantized is not None:
-                    pairs.append((index, quantized))
-            signature = tuple(pairs)
-        key = PlanCache.plan_key(
-            conditions, bound, self.use_indexes, stats.fingerprint(), signature
-        )
+        key = PlanCache.plan_key(conditions, bound, self.use_indexes, stats.fingerprint())
         cached = self.plan_cache.get_plan(key)
         if cached is not None:
             self.metrics.plan_cache_hits += 1
             return cached
         self.metrics.plan_cache_misses += 1
-        ordered = order_conditions(conditions, bound, stats, self.use_indexes, factors)
+        ordered = order_conditions(conditions, bound, stats, self.use_indexes)
         self.plan_cache.put_plan(key, conditions, ordered)
         return ordered
 
     # ------------------------------------------------------------ #
-    # per-condition extension
-
-    def _extend(
-        self,
-        condition: Condition,
-        row: Row,
-        siblings: Sequence[Condition],
-        frame: _Frame,
-    ) -> Iterator[Row]:
-        if isinstance(condition, CollectionCond):
-            yield from self._extend_collection(condition, row, frame)
-        elif isinstance(condition, EdgeCond):
-            yield from self._extend_edge(condition, row, frame)
-        elif isinstance(condition, PathCond):
-            yield from self._extend_path(condition, row, frame)
-        elif isinstance(condition, ComparisonCond):
-            yield from self._extend_comparison(condition, row, frame)
-        elif isinstance(condition, PredicateCond):
-            yield from self._extend_predicate(condition, row, frame)
-        elif isinstance(condition, NotCond):
-            yield from self._extend_not(condition, row, siblings, frame)
-        else:
-            raise StruqlEvaluationError(f"unknown condition type: {condition!r}")
-
-    def _extend_collection(
-        self, condition: CollectionCond, row: Row, frame: _Frame
-    ) -> Iterator[Row]:
-        index = frame.slots[condition.var.name]
-        value = row[index]
-        footprint = self.footprint
-        if footprint is not None:
-            if value is _UNSET:
-                footprint.collection_scans.add(condition.collection)
-            elif isinstance(value, Oid):
-                footprint.membership_reads.add((condition.collection, value))
-        members = self.graph.collection(condition.collection)
-        if value is not _UNSET:
-            if self.use_indexes:
-                hit = isinstance(value, Oid) and self.graph.in_collection(
-                    condition.collection, value
-                )
-            else:
-                hit = value in members
-            if hit:
-                yield row
-            return
-        prefix, suffix = row[:index], row[index + 1:]
-        for member in members:
-            yield prefix + (member,) + suffix
-
-    def _resolve_label(
-        self, label: Union[str, Var], row: Row, frame: _Frame
-    ) -> Tuple[Optional[str], Optional[str]]:
-        """Returns (label string or None if unbound, arc-var name or None)."""
-        if isinstance(label, str):
-            return label, None
-        bound = frame.get(row, label.name)
-        if bound is None:
-            return None, label.name
-        if isinstance(bound, str):
-            return bound, None
-        if isinstance(bound, Atom):
-            return bound.as_string(), None
-        return None, None  # bound to an oid: can never label an edge
-
-    def _extend_edge(
-        self, condition: EdgeCond, row: Row, frame: _Frame
-    ) -> Iterator[Row]:
-        label_value, arc_var = self._resolve_label(condition.label, row, frame)
-        if label_value is None and arc_var is None:
-            return  # arc variable bound to a non-label value
-        slots = frame.slots
-        source_index = slots[condition.source.name]
-        source_value: Optional[Value] = None
-        if row[source_index] is not _UNSET:
-            source_value = row[source_index]  # type: ignore[assignment]
-        target = condition.target
-        target_index: Optional[int] = None
-        if isinstance(target, Const):
-            target_value: Optional[Value] = target.atom
-        else:
-            slot = slots[target.name]
-            if row[slot] is _UNSET:
-                target_value = None
-                target_index = slot
-            else:
-                target_value = row[slot]  # type: ignore[assignment]
-        arc_index = slots[arc_var] if arc_var is not None else None
-        set_source = source_value is None
-
-        footprint = self.footprint
-        if footprint is not None:
-            _record_edge_footprint(footprint, source_value, label_value, target_value)
-
-        def emit(source: Oid, label: str, edge_target: Target) -> Iterator[Row]:
-            new = list(row)
-            if set_source:
-                new[source_index] = source
-            if arc_index is not None:
-                new[arc_index] = label
-            if target_index is not None:
-                new[target_index] = edge_target
-            yield tuple(new)
-
-        if not self.use_indexes:
-            yield from self._edge_scan(
-                source_value, label_value, target_value, emit
-            )
-            return
-
-        if source_value is not None:
-            if not isinstance(source_value, Oid) or not self.graph.has_node(source_value):
-                return
-            if label_value is not None:
-                candidates: Iterable[Tuple[str, Target]] = (
-                    (label_value, t) for t in self.graph.targets(source_value, label_value)
-                )
-            else:
-                candidates = self.graph.out_edges(source_value)
-            for label, edge_target in candidates:
-                self.metrics.edges_examined += 1
-                if target_value is not None and not _values_equal(edge_target, target_value):
-                    continue
-                yield from emit(source_value, label, edge_target)
-            return
-
-        if target_value is not None:
-            probes: List[Target]
-            if isinstance(target_value, Oid):
-                probes = [target_value]
-            else:
-                probes = list(_coercion_probes(target_value))
-            seen: Set[Tuple[Oid, str]] = set()
-            for probe in probes:
-                for source, label in self.graph.in_edges(probe):
-                    self.metrics.edges_examined += 1
-                    if label_value is not None and label != label_value:
-                        continue
-                    if (source, label) in seen:
-                        continue
-                    seen.add((source, label))
-                    yield from emit(source, label, probe)
-            return
-
-        if label_value is not None:
-            for source, edge_target in self.graph.edges_with_label(label_value):
-                self.metrics.edges_examined += 1
-                yield from emit(source, label_value, edge_target)
-            return
-        for source, label, edge_target in self.graph.edges():
-            self.metrics.edges_examined += 1
-            yield from emit(source, label, edge_target)
-
-    def _edge_scan(
-        self,
-        source_value: Optional[Value],
-        label_value: Optional[str],
-        target_value: Optional[Value],
-        emit,
-    ) -> Iterator[Row]:
-        """Index-free full scan (naive mode)."""
-        for source, label, edge_target in self.graph.edges():
-            self.metrics.edges_examined += 1
-            if source_value is not None and source != source_value:
-                continue
-            if label_value is not None and label != label_value:
-                continue
-            if target_value is not None and not _values_equal(edge_target, target_value):
-                continue
-            yield from emit(source, label, edge_target)
+    # block operators (set-at-a-time execution)
+    #
+    # Each operator consumes the whole frontier, probes the graph once
+    # per *distinct* bound key, and hash-joins the materialized matches
+    # back onto the rows.  Match lists keep the reference evaluator's
+    # enumeration order and rows are processed in frontier order, so
+    # the output (values and order) is the reference's.
 
     def _nfas(self, path: PathExpr) -> Tuple[NFA, NFA]:
         return self.plan_cache.nfas(path)
-
-    def _extend_path(
-        self, condition: PathCond, row: Row, frame: _Frame
-    ) -> Iterator[Row]:
-        forward, backward = self._nfas(condition.path)
-        slots = frame.slots
-        source_index = slots[condition.source.name]
-        source_value: Optional[Value] = None
-        if row[source_index] is not _UNSET:
-            source_value = row[source_index]  # type: ignore[assignment]
-        target = condition.target
-        target_index: Optional[int] = None
-        if isinstance(target, Const):
-            target_value: Optional[Value] = target.atom
-        else:
-            slot = slots[target.name]
-            if row[slot] is _UNSET:
-                target_value = None
-                target_index = slot
-            else:
-                target_value = row[slot]  # type: ignore[assignment]
-
-        footprint = self.footprint
-        if footprint is not None:
-            # Conservative: a path depends on its whole label alphabet
-            # (any edge it could traverse) plus zero-length existence
-            # checks on its endpoints; wildcards widen to all edges.
-            if source_value is None and target_value is None:
-                footprint.all_edges = True
-            else:
-                alphabet = path_alphabet(condition.path)
-                if alphabet is None:
-                    footprint.all_edges = True
-                else:
-                    footprint.label_scans |= alphabet
-                if isinstance(source_value, Oid):
-                    footprint.node_checks.add(source_value)
-                if isinstance(target_value, Oid):
-                    footprint.node_checks.add(target_value)
-
-        if source_value is not None:
-            if not isinstance(source_value, Oid) or not self.graph.has_node(source_value):
-                return
-            if target_value is not None:
-                probes = (
-                    [target_value]
-                    if isinstance(target_value, Oid)
-                    else list(_coercion_probes(target_value))
-                )
-                if any(path_exists(self.graph, forward, source_value, p) for p in probes):
-                    yield row
-                return
-            assert target_index is not None
-            prefix, suffix = row[:target_index], row[target_index + 1:]
-            for reached in targets_from(self.graph, forward, source_value):
-                yield prefix + (reached,) + suffix
-            return
-
-        if target_value is not None:
-            probes = (
-                [target_value]
-                if isinstance(target_value, Oid)
-                else list(_coercion_probes(target_value))
-            )
-            found: Dict[Oid, None] = {}
-            if self.use_indexes:
-                for probe in probes:
-                    for source in sources_to(self.graph, backward, probe):
-                        found.setdefault(source, None)
-            else:
-                for source in self.graph.nodes():
-                    if any(path_exists(self.graph, forward, source, p) for p in probes):
-                        found.setdefault(source, None)
-            prefix, suffix = row[:source_index], row[source_index + 1:]
-            for source in found:
-                yield prefix + (source,) + suffix
-            return
-
-        for source in list(self.graph.nodes()):
-            for reached in targets_from(self.graph, forward, source):
-                new = list(row)
-                new[source_index] = source
-                assert target_index is not None
-                new[target_index] = reached
-                yield tuple(new)
-
-    def _extend_comparison(
-        self, condition: ComparisonCond, row: Row, frame: _Frame
-    ) -> Iterator[Row]:
-        left = self._term_value(condition.left, row, frame)
-        right = self._term_value(condition.right, row, frame)
-        if left is None and right is None:
-            raise StruqlEvaluationError(
-                f"comparison {condition} has no bound side; "
-                "reorder the query or enable the optimizer"
-            )
-        if left is None or right is None:
-            if condition.op != "=":
-                raise StruqlEvaluationError(
-                    f"order comparison {condition} requires both sides bound"
-                )
-            unbound = condition.left if left is None else condition.right
-            bound_value = right if left is None else left
-            assert isinstance(unbound, Var) and bound_value is not None
-            index = frame.slots[unbound.name]
-            yield row[:index] + (bound_value,) + row[index + 1:]
-            return
-        if self._compare(left, right, condition.op):
-            yield row
-
-    @staticmethod
-    def _term_value(term, row: Row, frame: _Frame) -> Optional[Value]:
-        if isinstance(term, Const):
-            return term.atom
-        return frame.get(row, term.name)
 
     @staticmethod
     def _compare(left: Value, right: Value, op: str) -> bool:
@@ -858,45 +531,6 @@ class QueryEngine:
             return False  # oids are not ordered
         sign = compare_atoms(left_atom, right_atom)
         return {"<": sign < 0, "<=": sign <= 0, ">": sign > 0, ">=": sign >= 0}[op]
-
-    def _extend_predicate(
-        self, condition: PredicateCond, row: Row, frame: _Frame
-    ) -> Iterator[Row]:
-        value = frame.get(row, condition.var.name)
-        if value is None:
-            raise StruqlEvaluationError(
-                f"predicate {condition} applied to unbound variable"
-            )
-        predicate = builtins.object_predicate(condition.name)
-        if predicate is None:
-            raise StruqlEvaluationError(f"unknown predicate {condition.name!r}")
-        probe: object = value
-        if isinstance(value, str):
-            probe = Atom(AtomType.STRING, value)
-        if predicate(probe):
-            yield row
-
-    def _extend_not(
-        self, condition: NotCond, row: Row, siblings: Sequence[Condition], frame: _Frame
-    ) -> Iterator[Row]:
-        needed = shared_not_variables(condition, siblings)
-        missing = [name for name in needed if frame.get(row, name) is None]
-        if missing:
-            raise StruqlEvaluationError(
-                f"negation {condition} checked before {missing} were bound"
-            )
-        inner_rows = self.bindings(list(condition.inner), initial=[frame.to_dict(row)])
-        if not inner_rows:
-            yield row
-
-    # ------------------------------------------------------------ #
-    # block operators (set-at-a-time execution)
-    #
-    # Each operator consumes the whole frontier, probes the graph once
-    # per *distinct* bound key, and hash-joins the materialized matches
-    # back onto the rows.  Match lists preserve the row-at-a-time probe
-    # order and rows are processed in frontier order, so the output is
-    # identical (values and order) to the tuple-at-a-time loop.
 
     def _apply_block(
         self,
@@ -968,8 +602,6 @@ class QueryEngine:
                 metrics.dedup_hits += 1
             if verdict:
                 out.append(row)
-        distinct = len(verdicts) + (1 if members is not None else 0)
-        learn_dedup_factor(self.dedup_factors, condition, len(rows), distinct)
         return out
 
     def _block_edge(
@@ -1058,7 +690,6 @@ class QueryEngine:
                 if set_target:
                     new[target_slot] = edge_target
                 out.append(tuple(new))
-        learn_dedup_factor(self.dedup_factors, condition, len(rows), len(cache))
         return out
 
     def _edge_matches(
@@ -1067,8 +698,8 @@ class QueryEngine:
         label_value: Optional[str],
         target_value: Optional[Value],
     ) -> List[Tuple[Oid, str, Target]]:
-        """Materialized matches of one distinct edge-probe key, in exactly
-        the order the row-at-a-time probe yields them."""
+        """Materialized matches of one distinct edge-probe key, in the
+        reference evaluator's enumeration order."""
         graph = self.graph
         metrics = self.metrics
         # one clock read per distinct probe: each probe scans at most the
@@ -1179,7 +810,6 @@ class QueryEngine:
                 metrics.dedup_hits += 1
             if verdict:
                 out.append(row)
-        learn_dedup_factor(self.dedup_factors, condition, len(rows), len(verdicts))
         return out
 
     def _block_predicate(
@@ -1214,7 +844,6 @@ class QueryEngine:
                 metrics.dedup_hits += 1
             if verdict:
                 out.append(row)
-        learn_dedup_factor(self.dedup_factors, condition, len(rows), len(verdicts))
         return out
 
     def _block_not(
@@ -1256,7 +885,6 @@ class QueryEngine:
                 metrics.dedup_hits += 1
             if verdict:
                 out.append(row)
-        learn_dedup_factor(self.dedup_factors, condition, len(rows), len(verdicts))
         return out
 
     def _block_path(
@@ -1469,7 +1097,6 @@ class QueryEngine:
                     new[source_index] = source
                     new[target_slot] = reached
                     out.append(tuple(new))
-        learn_dedup_factor(self.dedup_factors, condition, len(rows), len(distinct_keys))
         return out
 
     def _path_reach(
@@ -1692,7 +1319,6 @@ def evaluate(
     use_indexes: bool = True,
     metrics: Optional[Metrics] = None,
     engine: Optional[QueryEngine] = None,
-    use_blocks: bool = True,
 ) -> Graph:
     """Evaluate a STRUQL program over ``source`` and return the result graph.
 
@@ -1718,7 +1344,6 @@ def evaluate(
             optimize=optimize,
             use_indexes=use_indexes,
             metrics=shared_metrics,
-            use_blocks=use_blocks,
         )
     else:
         engine.metrics = shared_metrics
@@ -1733,7 +1358,6 @@ def query_bindings(
     graph: Graph,
     optimize: bool = True,
     use_indexes: bool = True,
-    use_blocks: bool = True,
 ) -> List[Binding]:
     """Evaluate just a where-clause and return its binding relation.
 
@@ -1746,7 +1370,5 @@ def query_bindings(
         conditions: Sequence[Condition] = program.queries[0].where
     else:
         conditions = text
-    engine = make_engine(
-        graph, optimize=optimize, use_indexes=use_indexes, use_blocks=use_blocks
-    )
+    engine = make_engine(graph, optimize=optimize, use_indexes=use_indexes)
     return engine.bindings(conditions)

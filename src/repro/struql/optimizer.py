@@ -26,26 +26,23 @@ A condition is *ready* when the variables it needs bound are bound:
 The same estimates serve the naive mode (``use_indexes=False``) with
 scan costs, which experiment E5 uses as the ablation baseline.
 
-Two block-execution concerns also live here:
+The plan fixes the row order: the engine's block operators return the
+rows a naive nested loop over the planned order would (the reference
+evaluator in ``tests/reference_eval.py``), so the plan is a pure
+function of the conditions, the seed bindings and the statistics.
 
-* **Learned dedup factors.**  A block operator probes the indexes once
-  per *distinct* bound key, not once per input row, so its batch cost is
-  ``rows x per-row-estimate x dedup-factor``.  The engine observes the
-  ``distinct keys / input rows`` ratio of every condition it executes in
-  block mode and feeds the exponentially-smoothed factor back through
-  ``dedup_factors``; the greedy ordering then prefers conditions whose
-  probes collapse under dedup.
-* **Path search direction.**  For a fully-bound path check the block
-  evaluator can search forward from the distinct sources or backward
-  from the distinct targets; :func:`choose_path_direction` picks the
-  side with the smaller estimated total frontier from
-  :class:`~repro.repository.indexes.IndexStatistics` cardinalities
-  instead of hardcoding the binding order.
+For a fully-bound path check the block evaluator can search forward
+from the distinct sources or backward from the distinct targets;
+:func:`choose_path_direction` picks the side with the smaller estimated
+total frontier from
+:class:`~repro.repository.indexes.IndexStatistics` cardinalities
+instead of hardcoding the binding order.  Either side gives the same
+verdicts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import FrozenSet, List, Sequence, Set
 
 from ..errors import StruqlEvaluationError
 from ..repository.indexes import IndexStatistics
@@ -63,41 +60,6 @@ from .ast import (
 #: Cost assigned to pure filters -- always preferred once ready.
 _FILTER_COST = 0.25
 _NOT_READY = float("inf")
-
-#: Smoothing weight for newly observed dedup ratios (EWMA).
-_DEDUP_ALPHA = 0.5
-
-
-def significant_dedup_factor(factor: Optional[float]) -> Optional[float]:
-    """The quantized factor if it is worth acting on, else ``None``.
-
-    Factors near 1.0 (no observed dedup) are ignored so they neither
-    perturb the cost model nor churn plan-cache keys: a workload whose
-    keys never repeat keeps exactly the unlearned plan.  Quantizing to
-    one decimal keeps the plan key stable while the EWMA converges.
-    """
-    if factor is None:
-        return None
-    rounded = round(factor, 1)
-    return rounded if rounded < 1.0 else None
-
-#: Learned per-condition dedup ratios: ``distinct keys / input rows``
-#: observed by the block evaluator, exponentially smoothed.
-DedupFactors = Dict[Condition, float]
-
-
-def learn_dedup_factor(
-    factors: DedupFactors, condition: Condition, rows_in: int, distinct_keys: int
-) -> None:
-    """Fold one block execution's observed dedup ratio into ``factors``."""
-    if rows_in <= 0:
-        return
-    observed = min(1.0, distinct_keys / rows_in)
-    previous = factors.get(condition)
-    if previous is None:
-        factors[condition] = observed
-    else:
-        factors[condition] = previous + _DEDUP_ALPHA * (observed - previous)
 
 
 def choose_path_direction(
@@ -137,32 +99,9 @@ def estimate_cost(
     stats: IndexStatistics,
     positives: Sequence[Condition],
     use_indexes: bool = True,
-    dedup_factors: Optional[DedupFactors] = None,
 ) -> float:
     """Estimated number of bindings this condition will produce per input
-    binding, or ``inf`` when it is not ready.
-
-    ``dedup_factors`` scales the *probe* cost of generating conditions by
-    the learned distinct-key ratio: a condition whose bound keys repeat
-    across the frontier is nearly free to re-probe in block mode, so its
-    effective cost approaches the per-distinct-key cost.
-    """
-    cost = _raw_cost(condition, bound, stats, positives, use_indexes)
-    if dedup_factors and cost not in (_FILTER_COST, _NOT_READY):
-        factor = significant_dedup_factor(dedup_factors.get(condition))
-        if factor is not None:
-            # never below the filter floor: every row is still visited
-            cost = max(_FILTER_COST + cost * factor, _FILTER_COST)
-    return cost
-
-
-def _raw_cost(
-    condition: Condition,
-    bound: Set[str],
-    stats: IndexStatistics,
-    positives: Sequence[Condition],
-    use_indexes: bool = True,
-) -> float:
+    binding, or ``inf`` when it is not ready."""
     if isinstance(condition, CollectionCond):
         if condition.var.name in bound:
             return _FILTER_COST
@@ -236,7 +175,6 @@ def order_conditions(
     initially_bound: FrozenSet[str],
     stats: IndexStatistics,
     use_indexes: bool = True,
-    dedup_factors: Optional[DedupFactors] = None,
 ) -> List[Condition]:
     """Greedy cost-ordered plan: cheapest ready condition first.
 
@@ -251,9 +189,7 @@ def order_conditions(
         best_index = -1
         best_cost = _NOT_READY
         for index, condition in enumerate(remaining):
-            cost = estimate_cost(
-                condition, bound, stats, conditions, use_indexes, dedup_factors
-            )
+            cost = estimate_cost(condition, bound, stats, conditions, use_indexes)
             if cost < best_cost:
                 best_cost = cost
                 best_index = index

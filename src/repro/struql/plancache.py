@@ -44,10 +44,8 @@ from .ast import Condition, PathExpr
 from .paths import NFA, compile_path, reverse_expr
 
 #: A plan-cache key: (condition identities, bound vars, index mode,
-#: statistics fingerprint, learned-dedup-factor signature).
-PlanKey = Tuple[
-    Tuple[int, ...], FrozenSet[str], bool, Tuple[int, int], Tuple[Tuple[int, float], ...]
-]
+#: statistics fingerprint).
+PlanKey = Tuple[Tuple[int, ...], FrozenSet[str], bool, Tuple[int, int]]
 
 #: A path-memo key: (NFA identity, graph identity, graph epoch, endpoint).
 PathMemoKey = Tuple[int, int, int, object]
@@ -96,15 +94,8 @@ class PlanCache:
         bound: FrozenSet[str],
         use_indexes: bool,
         fingerprint: Tuple[int, int],
-        dedup_signature: Tuple[Tuple[int, float], ...] = (),
     ) -> PlanKey:
-        return (
-            tuple(map(id, conditions)),
-            bound,
-            use_indexes,
-            fingerprint,
-            dedup_signature,
-        )
+        return (tuple(map(id, conditions)), bound, use_indexes, fingerprint)
 
     def get_plan(self, key: PlanKey) -> Optional[List[Condition]]:
         """The cached plan for ``key``, or None.  Counts hits/misses."""

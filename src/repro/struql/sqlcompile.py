@@ -2,15 +2,14 @@
 
 :class:`SqlQueryEngine` is the :class:`~repro.struql.eval.QueryEngine`
 variant registered for :class:`~repro.repository.sql.SqlGraph` sources.
-Its one override is `_run_blocks`: when a top-level block-mode
-evaluation starts from the empty seed, the maximal *prefix* of the
-ordered plan that falls in the conjunctive fragment -- collection
-membership, edge conditions, comparisons, type predicates, and
-fully-bound regular path filters -- is compiled into a single
-parameterized SELECT and executed inside SQLite; the decoded rows then
-flow through the unchanged in-memory operators for whatever residue the
-compiler declined (negation, generating paths, label predicates,
-custom predicates).
+Its one override is `_run_blocks`: when a top-level evaluation starts
+from the empty seed, the maximal *prefix* of the ordered plan that
+falls in the conjunctive fragment -- collection membership, edge
+conditions, comparisons, type predicates, and fully-bound regular path
+filters -- is compiled into a single parameterized SELECT and executed
+inside SQLite; the decoded rows then flow through the in-memory
+operator loop for whatever residue the compiler declined (negation,
+generating paths, label predicates, custom predicates).
 
 The compiled query must reproduce the in-memory engine's binding
 relation *exactly* -- rows and row order -- because warm and cold
@@ -990,23 +989,11 @@ class SqlQueryEngine(QueryEngine):
             )
         ]
         if rows:
-            for condition in ordered[plan.pushed:]:
-                metrics.conditions_evaluated += 1
-                rows_in = len(rows)
-                probes_before = metrics.hash_join_probes
-                dedup_before = metrics.dedup_hits
-                rows = self._apply_block(condition, rows, conditions, frame)
-                ops.append(
-                    OperatorStats(
-                        condition=str(condition),
-                        rows_in=rows_in,
-                        rows_out=len(rows),
-                        probes=metrics.hash_join_probes - probes_before,
-                        dedup_hits=metrics.dedup_hits - dedup_before,
-                    )
-                )
-                if not rows:
-                    break
+            # the residue runs on the in-memory operator loop, deadline
+            # checks included
+            rows = self._run_operators(
+                ordered[plan.pushed:], rows, conditions, frame, ops
+            )
         self.last_operator_stats = ops
         return rows
 
@@ -1015,12 +1002,8 @@ class SqlQueryEngine(QueryEngine):
     def _fallback_reason(self, ordered: Sequence[Condition]) -> Optional[str]:
         if not isinstance(self.graph, SqlGraph):
             return "graph is not SQL-backed"
-        if not (self.use_blocks and self.use_indexes and self.optimize):
+        if not (self.use_indexes and self.optimize):
             return "ablation mode"
-        if self.adaptive:
-            # adaptive replanning learns dedup factors from the
-            # in-memory operators; pushdown would starve that feedback
-            return "adaptive mode"
         if self.footprint is not None:
             return "footprint recording"
         if not ordered:

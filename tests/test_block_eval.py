@@ -2,49 +2,53 @@
 
 The contracts under test:
 
-* block mode and tuple-at-a-time mode produce *identical* binding
-  relations -- same rows, same order -- for arbitrary graphs and a query
-  suite covering collections, edges, arc variables, regular paths,
-  negation, and comparisons (hypothesis property);
-* the footprint recorded by block mode is sound: any delta that changes
+* the block operators return *exactly* the binding relation of the
+  row-at-a-time reference evaluator (``tests/reference_eval.py``) run
+  over the engine's plan -- same rows, same order -- for arbitrary
+  graphs and a query suite covering collections, edges, arc variables,
+  regular paths, negation, and comparisons (hypothesis property), and
+  for the E4 homepage binding passes; with the optimizer on and off and
+  with indexes on and off;
+* the footprint recorded by the engine is sound: any delta that changes
   a query's bindings must satisfy ``footprint.touches(delta)``;
 * edge cases where batching is easy to get wrong: zero-length path
-  matches, cycles under ``Star``, negation over partially bound
-  frontiers seeded through ``initial``;
+  matches, cycles under ``Star``, negation and paths over partially
+  bound frontiers seeded through ``initial``;
 * the path-reachability memo serves warm evaluations
   (``path_memo_hits``) and is invalidated by graph mutation;
 * ``NFA.reversed()`` (structural reversal) is equivalent to compiling
   the reversed expression;
 * ``_Frame.unique_dicts`` deduplicates in first-occurrence order at
   10k-row scale;
-* ``adaptive=True`` may reorder rows but preserves the binding set;
+* a warm engine re-plans nothing and reproduces the cold rows;
 * ``explain(..., counts=True)`` renders per-operator row counts.
 """
 
 import pytest
 from hypothesis import given, settings
 
-from repro.graph import Graph, Oid, string
-from repro.repository import IndexStatistics
+from repro.graph import Graph, integer, real, string
+from repro.repository import IndexStatistics, graph_statistics
 from repro.struql import (
     Footprint,
-    Metrics,
     PlanCache,
     QueryEngine,
     compile_path,
     explain,
+    order_conditions,
     parse_query,
-    query_bindings,
     reverse_expr,
     sources_to,
 )
 from repro.struql.ast import Alternation, Concat, LabelIs, Star, any_path
 from repro.struql.eval import _Frame
+from repro.workloads import bibliography_graph
 
+from .reference_eval import reference_bindings
 from .test_perf_caches import _apply, mutation_scripts
 
 # ---------------------------------------------------------------------- #
-# block == row (property)
+# block == row-at-a-time reference (property)
 
 _BLOCK_QUERY_TEXTS = [
     'where C(x), x -> "a" -> y create Probe()',
@@ -55,45 +59,119 @@ _BLOCK_QUERY_TEXTS = [
     'where C(x), C(y), x -> "a" -> z, y -> "b" -> z create Probe()',
     'where C(x), x -> "a" -> v, v = "f" create Probe()',
     'where x -> "a" -> y, y -> ("a"|"b") -> z create Probe()',
+    'where x -> "a" -> y, C(y) create Probe()',
+    'where x -> ("a"|"b")* -> 3 create Probe()',
 ]
 
 
-def _bindings(graph, conditions, use_blocks, **kwargs):
+#: (optimize, use_indexes): the planner on and off, indexes on and off
+MODES = [(True, True), (False, True), (True, False), (False, False)]
+MODE_IDS = ["planned", "written", "planned-naive", "written-naive"]
+
+
+def all_modes():
+    return [dict(optimize=o, use_indexes=i) for o, i in MODES]
+
+
+def _bindings(graph, conditions, initial=None, optimize=True, use_indexes=True,
+              stats=None):
     engine = QueryEngine(
-        graph, use_blocks=use_blocks, plan_cache=PlanCache(), **kwargs
+        graph, optimize=optimize, use_indexes=use_indexes, stats=stats,
+        plan_cache=PlanCache(),
     )
-    return engine.bindings(conditions)
+    return engine.bindings(conditions, initial=initial)
+
+
+def _reference(graph, conditions, initial=None, optimize=True, use_indexes=True,
+               stats=None):
+    """The reference relation over the plan the engine runs."""
+    ordered = list(conditions)
+    if optimize:
+        bound = frozenset(name for row in initial or [] for name in row)
+        stats = stats if stats is not None else graph_statistics(graph)
+        ordered = order_conditions(conditions, bound, stats, use_indexes)
+    return reference_bindings(graph, ordered, initial, use_indexes)
+
+
+def assert_matches_reference(graph, conditions, initial=None, **modes):
+    """Strict list equality with the reference; returns the rows."""
+    got = _bindings(graph, conditions, initial, **modes)
+    assert got == _reference(graph, conditions, initial, **modes), (
+        ", ".join(map(str, conditions)), modes
+    )
+    return got
+
+
+def _script_graph(script):
+    graph = Graph()
+    nodes = []
+    for step in script:
+        _apply(graph, nodes, step)
+    return graph
 
 
 @given(mutation_scripts())
 @settings(max_examples=40, deadline=None)
 def test_block_bindings_match_row_bindings(script):
     """Strict list equality: same rows in the same order, on arbitrary
-    graphs, for every query shape the engine supports."""
-    queries = [parse_query(text) for text in _BLOCK_QUERY_TEXTS]
-    graph = Graph()
-    nodes = []
-    for step in script:
-        _apply(graph, nodes, step)
-    for query in queries:
-        block = _bindings(graph, query.where, use_blocks=True)
-        row = _bindings(graph, query.where, use_blocks=False)
-        assert block == row, str(query)
+    graphs, for every query shape the engine supports, with the
+    planner's order and with the written order."""
+    graph = _script_graph(script)
+    for text in _BLOCK_QUERY_TEXTS:
+        for optimize in (True, False):
+            assert_matches_reference(graph, parse_query(text).where, optimize=optimize)
 
 
 @given(mutation_scripts())
 @settings(max_examples=30, deadline=None)
 def test_block_matches_row_in_naive_mode(script):
     """The equivalence holds with indexes disabled too (full scans)."""
-    queries = [parse_query(text) for text in _BLOCK_QUERY_TEXTS]
-    graph = Graph()
-    nodes = []
-    for step in script:
-        _apply(graph, nodes, step)
-    for query in queries:
-        block = _bindings(graph, query.where, use_blocks=True, use_indexes=False)
-        row = _bindings(graph, query.where, use_blocks=False, use_indexes=False)
-        assert block == row, str(query)
+    graph = _script_graph(script)
+    for text in _BLOCK_QUERY_TEXTS:
+        for optimize in (True, False):
+            assert_matches_reference(
+                graph, parse_query(text).where, optimize=optimize, use_indexes=False
+            )
+
+
+#: binding passes of the E4 homepage workload (Fig. 3 root block and
+#: nested blocks) plus a reachability query -- the shapes set-at-a-time
+#: execution targets: wide frontiers, shared join keys, batched paths
+BLOCKS_SUITE = [
+    ("attribute copy", "where Publications(x), x -> l -> v"),
+    ("year join", 'where Publications(x), x -> "year" -> y'),
+    ("category join", 'where Publications(x), x -> "category" -> c'),
+    ("same-year join",
+     'where Publications(x), x -> "year" -> y, '
+     'Publications(z), z -> "year" -> y'),
+    ("same-category join",
+     'where Publications(x), x -> "category" -> c, '
+     'Publications(z), z -> "category" -> c'),
+    ("selective same-year join",
+     'where Publications(x), x -> "year" -> y, y = "1995", '
+     'Publications(z), z -> "year" -> y'),
+    ("co-author join",
+     'where Publications(x), x -> "author" -> a, '
+     'Publications(z), z -> "author" -> a'),
+    ("path reachability", "where Publications(x), x -> * -> v"),
+]
+
+
+@pytest.fixture(scope="module")
+def homepage_graph():
+    return bibliography_graph(30, seed=21)
+
+
+@pytest.mark.parametrize("optimize, use_indexes", MODES, ids=MODE_IDS)
+@pytest.mark.parametrize(
+    "text", [text for _, text in BLOCKS_SUITE], ids=[n for n, _ in BLOCKS_SUITE]
+)
+def test_homepage_suite_matches_reference(homepage_graph, text, optimize, use_indexes):
+    conditions = parse_query(text + " create Probe()").where
+    rows = assert_matches_reference(
+        homepage_graph, conditions, optimize=optimize, use_indexes=use_indexes
+    )
+    assert rows
 
 
 # ---------------------------------------------------------------------- #
@@ -154,31 +232,30 @@ def cycle_graph():
 def test_star_includes_zero_length_match(cycle_graph):
     graph, a, b = cycle_graph
     query = parse_query("where C(x), x -> * -> v create Probe()")
-    block = _bindings(graph, query.where, use_blocks=True)
-    row = _bindings(graph, query.where, use_blocks=False)
-    assert block == row
-    # "including p itself": every collection member reaches itself
-    assert {"x": a, "v": a} in block
-    assert {"x": b, "v": b} in block
+    for modes in all_modes():
+        rows = assert_matches_reference(graph, query.where, **modes)
+        # "including p itself": every collection member reaches itself
+        assert {"x": a, "v": a} in rows
+        assert {"x": b, "v": b} in rows
 
 
 def test_star_terminates_on_cycles(cycle_graph):
     graph, a, b = cycle_graph
     query = parse_query('where C(x), x -> "n"* -> v create Probe()')
-    block = _bindings(graph, query.where, use_blocks=True)
-    row = _bindings(graph, query.where, use_blocks=False)
-    assert block == row
-    assert {"x": a, "v": b} in block and {"x": b, "v": a} in block
+    for modes in all_modes():
+        rows = assert_matches_reference(graph, query.where, **modes)
+        assert {"x": a, "v": b} in rows and {"x": b, "v": a} in rows
 
 
 def test_fully_bound_path_pairs(cycle_graph):
-    """Both endpoints bound: the block operator verdict-checks pairs."""
+    """Both endpoints bound: the block operators verdict-check pairs."""
     graph, a, b = cycle_graph
-    query = parse_query('where C(x), C(v), x -> "n" -> v create Probe()')
-    block = _bindings(graph, query.where, use_blocks=True)
-    row = _bindings(graph, query.where, use_blocks=False)
-    assert block == row
-    assert {"x": a, "v": b} in block
+    for text in ('where C(x), C(v), x -> "n" -> v create Probe()',
+                 'where C(x), C(v), x -> "n"* -> v create Probe()'):
+        query = parse_query(text)
+        for modes in all_modes():
+            rows = assert_matches_reference(graph, query.where, **modes)
+            assert {"x": a, "v": b} in rows
 
 
 def test_negation_over_partially_bound_frontier(cycle_graph):
@@ -187,24 +264,35 @@ def test_negation_over_partially_bound_frontier(cycle_graph):
     graph, a, b = cycle_graph
     query = parse_query('where not(x -> "a" -> y) create Probe()')
     initial = [{"x": a}, {"x": b}, {"x": a}]
-    block_engine = QueryEngine(graph, use_blocks=True, plan_cache=PlanCache())
-    row_engine = QueryEngine(graph, use_blocks=False, plan_cache=PlanCache())
-    block = block_engine.bindings(query.where, initial=initial)
-    row = row_engine.bindings(query.where, initial=initial)
-    assert block == row
-    assert block == [{"x": b}]  # a has an "a"-edge, b does not
+    for modes in all_modes():
+        rows = assert_matches_reference(graph, query.where, initial, **modes)
+        assert rows == [{"x": b}]  # a has an "a"-edge, b does not
 
 
 def test_path_over_partially_bound_frontier(cycle_graph):
     """Mixed frontier: some rows bind only the source, some bind both
-    endpoints -- each row classifies into a different seed group."""
+    endpoints, some only the target -- each row classifies into a
+    different seed group."""
     graph, a, b = cycle_graph
     query = parse_query('where x -> "n"* -> v create Probe()')
     initial = [{"x": a}, {"x": b, "v": a}, {"v": b}]
-    block_engine = QueryEngine(graph, use_blocks=True, plan_cache=PlanCache())
-    row_engine = QueryEngine(graph, use_blocks=False, plan_cache=PlanCache())
-    assert block_engine.bindings(query.where, initial=initial) == \
-        row_engine.bindings(query.where, initial=initial)
+    for modes in all_modes():
+        assert_matches_reference(graph, query.where, initial, **modes)
+
+
+def test_coercing_path_target_keeps_first_probe_order():
+    """A source-unbound path to a constant probes each coercion spelling
+    in turn; a source reached again by a later spelling keeps its first
+    position."""
+    graph = Graph()
+    a, b = graph.add_node(), graph.add_node()
+    graph.add_edge(a, "y", integer(1995))
+    graph.add_edge(b, "y", real(1995.0))
+    graph.add_edge(a, "z", string("1995"))
+    query = parse_query('where x -> ("y"|"z") -> 1995 create Probe()')
+    for modes in all_modes():
+        rows = assert_matches_reference(graph, query.where, **modes)
+        assert rows == [{"x": a}, {"x": b}]
 
 
 # ---------------------------------------------------------------------- #
@@ -263,7 +351,7 @@ def test_path_memo_serves_warm_runs_and_invalidates():
                    "to", extra)
     fresh = engine.bindings(query.where)
     assert fresh != cold
-    assert fresh == _bindings(graph, query.where, use_blocks=False)
+    assert fresh == _reference(graph, query.where)
 
 
 def test_path_memo_shared_across_queries_with_same_nfa():
@@ -329,47 +417,18 @@ def test_unique_dicts_dedupes_first_occurrence_order_at_10k_rows():
 
 
 # ---------------------------------------------------------------------- #
-# adaptive mode: same set, order may differ
+# warm engines and explain counts
 
-def test_adaptive_engine_preserves_binding_set():
-    graph = _fanin_graph()
-    query = parse_query(
-        'where C(x), x -> "to" -> h, x -> "kind" -> k create Probe()'
-    )
-    adaptive = QueryEngine(graph, adaptive=True, plan_cache=PlanCache())
-    first = adaptive.bindings(query.where)   # learns dedup factors
-    second = adaptive.bindings(query.where)  # may replan with them
-    baseline = _bindings(graph, query.where, use_blocks=False)
-
-    def canon(rows):
-        return sorted(tuple(sorted((k, repr(v)) for k, v in row.items()))
-                      for row in rows)
-
-    assert canon(first) == canon(baseline)
-    assert canon(second) == canon(baseline)
-    assert adaptive.dedup_factors  # factors were learned
-
-
-def test_non_adaptive_engine_replans_nothing_from_factors():
-    """Learned factors must not change the plan key when adaptive is
-    off: the second evaluation is a plan-cache hit."""
+def test_warm_engine_hits_plan_cache():
+    """Over an unchanged graph the second evaluation is a plan-cache hit
+    and reproduces the cold rows in the same order."""
     graph = _fanin_graph()
     query = parse_query('where C(x), x -> "to" -> h create Probe()')
     engine = QueryEngine(graph, plan_cache=PlanCache())
-    engine.bindings(query.where)
-    engine.bindings(query.where)
+    cold = engine.bindings(query.where)
+    assert engine.bindings(query.where) == cold
     assert engine.metrics.plan_cache_hits == 1
     assert engine.metrics.plan_cache_misses == 1
-
-
-# ---------------------------------------------------------------------- #
-# evaluate()/query_bindings() ablation plumbing and explain counts
-
-def test_query_bindings_use_blocks_flag_matches():
-    graph = _fanin_graph(members=5)
-    text = 'where C(x), x -> "to" -> h create Probe()'
-    assert query_bindings(text, graph, use_blocks=True) == \
-        query_bindings(text, graph, use_blocks=False)
 
 
 def test_explain_counts_renders_operator_rows():
@@ -390,34 +449,28 @@ def test_explain_counts_requires_graph():
 
 def test_stats_snapshot_direction_choice_is_consistent():
     """Fully-bound pairs answered under either direction choice agree
-    with row mode (the optimizer picks by cardinality estimates)."""
+    with the reference (the optimizer picks by cardinality estimates)."""
     graph = _fanin_graph()
     stats = IndexStatistics.from_graph(graph)
     query = parse_query('where C(x), C(y), x -> "to"* -> y create Probe()')
-    block = QueryEngine(graph, stats=stats, plan_cache=PlanCache()).bindings(
-        query.where
-    )
-    row = _bindings(graph, query.where, use_blocks=False)
-    assert block == row
+    assert_matches_reference(graph, query.where, stats=stats)
 
 
 def test_arc_variable_block_matches_row():
     graph = _fanin_graph(members=4)
     query = parse_query("where C(x), x -> l -> v create Probe()")
-    assert _bindings(graph, query.where, use_blocks=True) == \
-        _bindings(graph, query.where, use_blocks=False)
+    for modes in all_modes():
+        assert_matches_reference(graph, query.where, **modes)
 
 
 def test_oid_bound_arc_variable_yields_nothing():
-    """Row mode skips rows whose arc variable is bound to an Oid; block
-    mode must replicate that quirk."""
-    graph, a, b = Graph(), None, None
+    """An arc variable bound to an Oid never labels an edge: the row
+    drops out."""
+    graph = Graph()
     a = graph.add_node()
     b = graph.add_node()
     graph.add_edge(a, "n", b)
     query = parse_query("where x -> l -> v create Probe()")
     initial = [{"x": a, "l": a}]
-    block = QueryEngine(graph, use_blocks=True, plan_cache=PlanCache())
-    row = QueryEngine(graph, use_blocks=False, plan_cache=PlanCache())
-    assert block.bindings(query.where, initial=initial) == \
-        row.bindings(query.where, initial=initial) == []
+    for modes in all_modes():
+        assert assert_matches_reference(graph, query.where, initial, **modes) == []

@@ -2,7 +2,8 @@
 
 The load-bearing property is *replay equivalence*: for any graph, the
 pushdown engine over the edge-triple schema must return the same
-binding relation -- same rows, same order -- as the in-memory engine,
+binding relation -- same rows, same order -- as the in-memory engine
+and the row-at-a-time reference evaluator (``tests/reference_eval.py``),
 because site definitions, incremental maintenance, and the constraint
 checker all assume deterministic bindings regardless of backend.
 """
@@ -10,20 +11,31 @@ checker all assume deterministic bindings regardless of backend.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import RepositoryError
+from repro.errors import DeadlineExceeded, RepositoryError
 from repro.graph import Graph, integer, real, string, url
 from repro.mediator import Mediator
-from repro.repository import Repository, SqlRepository, ddl, open_repository
+from repro.repository import (
+    Repository,
+    SqlRepository,
+    ddl,
+    graph_statistics,
+    open_repository,
+)
 from repro.repository.sql import SqlGraph
+from repro.resilience.deadline import Deadline, deadline_scope
 from repro.struql import (
     QueryEngine,
     SqlQueryEngine,
     clear_plan_cache,
     explain_pushdown,
     make_engine,
+    order_conditions,
     parse_query,
 )
+from repro.struql.builtins import register_object_predicate
 from repro.wrappers import DdlWrapper
+
+from .reference_eval import reference_bindings
 
 
 def _bindings(graph, text, **kwargs):
@@ -116,6 +128,10 @@ def test_replay_equivalence(mem):
         conditions = parse_query(text).where
         clear_plan_cache()
         want = QueryEngine(baseline).bindings(conditions)
+        plan = order_conditions(
+            conditions, frozenset(), graph_statistics(baseline)
+        )
+        assert reference_bindings(baseline, plan) == want, text
         clear_plan_cache()
         engine = SqlQueryEngine(sql, pushdown_cutoff=0.0)
         got = engine.bindings(conditions)
@@ -191,9 +207,39 @@ def test_fallback_reasons(corner_pair):
     assert engine.last_pushdown.fallback_reason == "below cost cutoff"
     _, engine = _bindings(sql, text, pushdown_cutoff=0.0, optimize=False)
     assert engine.last_pushdown.fallback_reason == "ablation mode"
-    _, engine = _bindings(sql, text, pushdown_cutoff=0.0, adaptive=True)
-    assert engine.last_pushdown.fallback_reason == "adaptive mode"
-    assert "adaptive mode" in explain_pushdown(engine)
+    assert "ablation mode" in explain_pushdown(engine)
+
+
+def test_residue_after_pushdown_checks_deadline(corner_pair, monkeypatch):
+    """A deadline that expires while the pushed SELECT runs stops the
+    in-memory residue before its next operator."""
+    _, sql = corner_pair
+    # a custom predicate has no SQL form: it and the comparison after
+    # it run in memory, after the pushed-down prefix
+    unregister = register_object_predicate("isAnyYear", lambda value: True)
+    clock = [0.0]
+    query_named = sql._store.query_named
+
+    def slow_select(*args):
+        rows = query_named(*args)
+        clock[0] = 2.0  # the budget runs out during the SELECT
+        return rows
+
+    monkeypatch.setattr(sql._store, "query_named", slow_select)
+    engine = SqlQueryEngine(sql, pushdown_cutoff=0.0)
+    conditions = parse_query(
+        'where Pool(P), P -> "year" -> Y, isAnyYear(Y), Y != 2000'
+    ).where
+    try:
+        clear_plan_cache()
+        with deadline_scope(Deadline(1.0, clock=lambda: clock[0])):
+            with pytest.raises(DeadlineExceeded) as caught:
+                engine.bindings(conditions)
+    finally:
+        unregister()
+    assert caught.value.site == "engine.block"
+    assert engine.metrics.sql_pushdowns == 1
+    assert engine.last_pushdown.pushed == 2
 
 
 def test_warm_plan_cache_hits(corner_pair):
