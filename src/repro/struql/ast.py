@@ -390,7 +390,8 @@ class Query:
     ``name`` identifies the block's where-clause for site-schema labels
     (Q1, Q2, ... in the paper's Fig. 7); the parser assigns names in
     depth-first order when the source does not.  ``blocks`` holds nested
-    sub-queries, each evaluated per binding of this block.
+    sub-queries; each extends this block's bindings and constructs once
+    per distinct binding of the variables it uses (:meth:`variables`).
     """
 
     where: List[Condition] = field(default_factory=list)
@@ -404,6 +405,17 @@ class Query:
         names: set = set()
         for condition in self.where:
             names |= condition.variables()
+        return frozenset(names)
+
+    def variables(self) -> FrozenSet[str]:
+        """Variables of the where, create, link and collect clauses of
+        this block and its descendants: all of a parent binding that the
+        block's evaluation and construction can read."""
+        names: set = set()
+        for query in self.walk():
+            names |= query.where_variables()
+            for clause in (*query.create, *query.link, *query.collect):
+                names |= clause.variables()
         return frozenset(names)
 
     def skolem_functions(self) -> List[str]:

@@ -23,7 +23,10 @@ Semantics follow paper section 2.2 exactly:
   :class:`~repro.errors.ImmutableNodeError`.
 
 Nested blocks extend the parent's binding relation with their own
-conditions and run their own construction clauses per extended row.
+conditions and run their own construction clauses once per distinct
+binding of the variables the block uses (:meth:`Query.variables`): a
+parent row that agrees with an earlier one on those variables would only
+re-apply memoized Skolem terms and already-present edges and members.
 
 Binding values are :class:`~repro.graph.Oid` (nodes),
 :class:`~repro.graph.Atom` (atomic values), or ``str`` (arc-variable
@@ -1163,7 +1166,9 @@ class _Constructor:
         for row in rows:
             self._construct_row(query, row)
         for block in query.blocks:
-            block_rows = engine.bindings(block.where, initial=rows)
+            block_rows = engine.bindings(
+                block.where, initial=_project(rows, block.variables())
+            )
             self.run(block, block_rows, engine)
 
     # ------------------------------------------------------------ #
@@ -1276,6 +1281,16 @@ class _Constructor:
         if isinstance(value, str):
             return Atom(AtomType.STRING, value)
         return value
+
+
+def _project(rows: List[Binding], names: FrozenSet[str]) -> List[Binding]:
+    """``rows`` restricted to ``names``, keeping the first occurrence of
+    each distinct projection in row order."""
+    distinct: Dict[FrozenSet[Tuple[str, object]], Binding] = {}
+    for row in rows:
+        projected = {name: value for name, value in row.items() if name in names}
+        distinct.setdefault(frozenset(projected.items()), projected)
+    return list(distinct.values())
 
 
 # ---------------------------------------------------------------------- #

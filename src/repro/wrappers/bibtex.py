@@ -49,6 +49,9 @@ PUBLICATIONS = "Publications"
 
 _ENTRY_START = re.compile(r"@\s*([A-Za-z]+)\s*[{(]")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_:\-./+]*")
+#: the delimiters a ``{`` group and a ``(`` group count, respectively
+_BRACES = re.compile(r"[{}]")
+_PARENS = re.compile(r"[()]")
 
 _FIELD_TYPES = {
     "abstract": AtomType.TEXT_FILE,
@@ -213,7 +216,6 @@ def iter_bibtex(
         if match is None:
             break
         entry_type = match.group(1).lower()
-        line = _line_of(text, match.start())
         try:
             body, position = _read_balanced(text, match.end() - 1)
             if entry_type in ("comment", "preamble"):
@@ -226,7 +228,9 @@ def iter_bibtex(
         except WrapperError as error:
             key = _guess_key(text, match.end() - 1)
             named = f"entry {key} " if key else "entry "
-            locator = f"{named}(line {line})"
+            # counted from the start only on failure: per entry it would
+            # make wrapping quadratic in the file length
+            locator = f"{named}(line {_line_of(text, match.start())})"
             if on_error is None:
                 raise WrapperError(
                     error.base_message, locator=locator, cause=error
@@ -243,18 +247,15 @@ def _read_balanced(text: str, open_index: int) -> Tuple[str, int]:
     """Read a ``{...}`` or ``(...)`` group starting at ``open_index``;
     returns (inner text, index just past the closer)."""
     opener = text[open_index]
-    closer = "}" if opener == "{" else ")"
+    delimiters = _BRACES if opener == "{" else _PARENS
     depth = 0
-    index = open_index
-    while index < len(text):
-        char = text[index]
-        if char == opener or (opener == "{" and char == "{"):
+    for match in delimiters.finditer(text, open_index):
+        if match.group() == opener:
             depth += 1
-        elif char == closer or (opener == "{" and char == "}"):
+        else:
             depth -= 1
             if depth == 0:
-                return text[open_index + 1 : index], index + 1
-        index += 1
+                return text[open_index + 1 : match.start()], match.end()
     raise WrapperError("unbalanced braces in BibTeX entry")
 
 

@@ -31,15 +31,22 @@ With ``use_indexes=False`` every edge condition is a filtered ``edges()``
 scan, membership tests the ``collection(C)`` list, and a path with only
 its target bound tests every node in ``nodes()`` order.  Negations run
 their inner conditions in written order: only emptiness matters.
+
+:func:`reference_evaluate` drives construction the same naive way: every
+nested block extends its parent's full rows, and every extended row is
+constructed, duplicates included.
 """
 
 from functools import lru_cache
 
-from repro.graph import Atom, AtomType, Oid, atoms_equal, coercion_probes, compare_atoms
+from repro.graph import (
+    Atom, AtomType, Graph, Oid, atoms_equal, coercion_probes, compare_atoms,
+)
 from repro.struql import builtins
 from repro.struql.ast import (
     CollectionCond, ComparisonCond, Const, EdgeCond, NotCond, PathCond, PredicateCond, Var,
 )
+from repro.struql.eval import Metrics, _Constructor
 from repro.struql.paths import compile_path, path_exists, reverse_expr, sources_to, targets_from
 
 
@@ -53,6 +60,31 @@ def reference_bindings(graph, ordered_conditions, initial=None, use_indexes=True
     for row in rows:
         unique.setdefault(frozenset(row.items()), row)
     return list(unique.values())
+
+
+def reference_evaluate(program, graph, plan=lambda conditions, bound: conditions):
+    """Evaluate ``program`` over ``graph`` row at a time; returns the
+    result graph and the construction :class:`Metrics`.
+
+    Each nested block gets its parent's full, unprojected rows, and
+    ``_Constructor._construct_row`` runs once per row.  ``plan(conditions,
+    bound)`` orders each where-clause (default: as written), with
+    ``bound`` the variables the rows it extends have bound.
+    """
+    result, metrics = Graph(), Metrics()
+
+    def construct(constructor, query, rows):
+        for row in rows:
+            constructor._construct_row(query, row)
+        for block in query.blocks:
+            bound = frozenset(name for row in rows for name in row)
+            block_rows = reference_bindings(graph, plan(block.where, bound), rows)
+            construct(constructor, block, block_rows)
+
+    for query in program.queries:
+        rows = reference_bindings(graph, plan(query.where, frozenset()))
+        construct(_Constructor(result, metrics, graph), query, rows)
+    return result, metrics
 
 
 def _extend(graph, condition, row, use_indexes):

@@ -15,6 +15,9 @@ from repro.wrappers import (
     infer_atom,
     parse_bibtex,
 )
+from repro.wrappers import bibtex
+from repro.resilience.quarantine import WrapPolicy
+from repro.workloads import generate_entries
 
 BIBTEX = """
 @string{sigmod = "Proceedings of SIGMOD"}
@@ -66,6 +69,101 @@ class TestBibtexParser:
     def test_unbalanced_braces(self):
         with pytest.raises(WrapperError):
             parse_bibtex("@article{x, title = {unclosed }")
+
+
+def _good_then_broken(count):
+    """``count`` generated entries, then a malformed one, then one more
+    good entry; returns the text and the broken entry's line number."""
+    good = generate_entries(count, seed=4)
+    broken = "@article{broken,\n  title = ?oops\n}\n"
+    tail = "\n@misc{after, title = {Still loaded}}\n"
+    return good + broken + tail, good.count("\n") + 1
+
+
+def _read_balanced_per_char(text, open_index):
+    """The per-character scan ``_read_balanced`` replaced: the rules the
+    delimiter-jumping version must keep."""
+    opener = text[open_index]
+    closer = "}" if opener == "{" else ")"
+    depth = 0
+    for index in range(open_index, len(text)):
+        char = text[index]
+        if char == opener:
+            depth += 1
+        elif char == closer:
+            depth -= 1
+            if depth == 0:
+                return text[open_index + 1 : index], index + 1
+    raise WrapperError("unbalanced braces in BibTeX entry")
+
+
+HAND_WRITTEN_ENTRIES = [
+    "@article{nested, title = {A {B {C} D} E}, note = {x(y}}",
+    "@article(paren, title = {Uses (parens) inside}, year = 1998)",
+    "@book(early, title = {x}, note = a ) trailing)",
+    "@article{unclosed, title = {never closed }",
+    "@article(unclosed, title = {(not closed}",
+    "@misc{ok, title = {fine}}  @misc{x, note = {dangling)",
+]
+
+
+class TestBibtexScanning:
+    def test_malformed_entry_line_when_raising(self):
+        text, line = _good_then_broken(200)
+        with pytest.raises(WrapperError) as caught:
+            parse_bibtex(text)
+        assert caught.value.locator == f"entry broken (line {line})"
+
+    def test_malformed_entry_line_when_quarantined(self):
+        text, line = _good_then_broken(200)
+        wrapper = BibtexWrapper(text)
+        graph = wrapper.wrap(WrapPolicy.tolerant())
+        report = wrapper.last_quarantine
+        assert [r.locator for r in report.records] == [f"entry broken (line {line})"]
+        assert report.admitted == 201
+        assert graph.has_node(Oid("after"))
+
+    def test_clean_corpus_never_counts_lines(self, monkeypatch):
+        """Line numbers are for error locators only; counting them per
+        entry from the start of the text made wrapping quadratic."""
+
+        def refuse(text, position):
+            raise AssertionError("line counted for a well-formed entry")
+
+        monkeypatch.setattr(bibtex, "_line_of", refuse)
+        graph = BibtexWrapper(generate_entries(50, seed=1)).wrap()
+        assert len(graph.collection("Publications")) == 50
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_delimiter_jumps_match_per_char_scan_on_generated(self, seed, monkeypatch):
+        text = generate_entries(300, seed=seed)
+        got = list(bibtex.iter_bibtex(text))
+        monkeypatch.setattr(bibtex, "_read_balanced", _read_balanced_per_char)
+        assert got == list(bibtex.iter_bibtex(text))
+
+    @pytest.mark.parametrize("text", HAND_WRITTEN_ENTRIES)
+    def test_delimiter_jumps_match_per_char_scan_by_hand(self, text, monkeypatch):
+        def scan():
+            failures = []
+            entries = list(bibtex.iter_bibtex(
+                text, on_error=lambda locator, error, snippet: failures.append(
+                    (locator, str(error), snippet))))
+            return entries, failures
+
+        got = scan()
+        monkeypatch.setattr(bibtex, "_read_balanced", _read_balanced_per_char)
+        assert got == scan()
+
+    def test_hand_written_delimiter_rules(self):
+        nested, paren, early = parse_bibtex("\n".join(HAND_WRITTEN_ENTRIES[:3]))
+        assert dict(nested[2]) == {"title": "A B C D E", "note": "x(y"}
+        assert paren[1] == "paren"
+        assert dict(paren[2]) == {"title": "Uses (parens) inside", "year": "1998"}
+        # a "(" entry counts parens only: the first ")" at depth one ends it
+        assert dict(early[2]) == {"title": "x", "note": "a"}
+        for unbalanced in HAND_WRITTEN_ENTRIES[3:]:
+            with pytest.raises(WrapperError, match="unbalanced"):
+                parse_bibtex(unbalanced)
 
 
 class TestBibtexWrapper:
