@@ -114,11 +114,16 @@ class ConstraintChecker:
     ) -> Optional[Violation]:
         """The verdict for one member (None = satisfied).
 
-        ``footprint`` optionally records what an ``expression``
-        evaluation read (the incremental checker's dependence set).
+        ``footprint`` optionally records what the verdict read (the
+        incremental checker's dependence set): the subject's adjacency
+        list under the label, for ``exclusive`` also every value probe
+        and the membership of every other holder it found, and for
+        ``expression`` whatever the evaluation read.
         """
         graph = self.graph
         kind = constraint.kind
+        if footprint is not None and kind != "expression":
+            footprint.edge_reads.add((oid, constraint.label))
         if kind == "required":
             if not graph.targets(oid, constraint.label):
                 return Violation(
@@ -128,7 +133,7 @@ class ConstraintChecker:
             return None
         if kind == "exclusive":
             for atom in self._values(oid, constraint.label):
-                holders = self._holders(constraint, atom)
+                holders = self._holders(constraint, atom, footprint)
                 if len(holders) > 1 and oid.name != min(h.name for h in holders):
                     return Violation(
                         constraint, oid,
@@ -163,17 +168,22 @@ class ConstraintChecker:
             if isinstance(target, Atom)
         ]
 
-    def _holders(self, constraint: DataConstraint, atom: Atom) -> List[Oid]:
+    def _holders(
+        self,
+        constraint: DataConstraint,
+        atom: Atom,
+        footprint: Optional[Footprint] = None,
+    ) -> List[Oid]:
         """Collection members holding ``atom`` under the constraint's
         label (via the reverse value index, so this is per-value work,
         not a collection scan)."""
         graph = self.graph
-        return [
-            source
-            for source, label in graph.sources_of_value(atom)
-            if label == constraint.label
-            and graph.in_collection(constraint.collection, source)
-        ]
+        label, collection = constraint.label, constraint.collection
+        sources = [s for s, held in graph.sources_of_value(atom) if held == label]
+        if footprint is not None:
+            footprint.value_probes.add((atom, label))
+            footprint.membership_reads.update((collection, s) for s in sources)
+        return [s for s in sources if graph.in_collection(collection, s)]
 
     @staticmethod
     def _other(holders: List[Oid], oid: Oid) -> str:

@@ -1,125 +1,45 @@
 """Delta-driven incremental constraint re-checking.
 
 A warm graph that just absorbed a one-edge edit should not pay a
-whole-collection re-validation.  The :class:`IncrementalChecker` keeps,
-per ``(constraint, subject)`` verdict, the *dependence set* of that
-verdict -- hand-built exact footprints for the structural kinds, an
-engine-recorded :class:`~repro.struql.footprint.Footprint` for
-``expression`` constraints -- inverted into lookup tables, so a
-:class:`~repro.graph.delta.GraphDelta` maps to the touched verdicts in
-time proportional to the delta, not the graph:
+whole-collection re-validation.  The :class:`IncrementalChecker` records,
+per ``(constraint, subject)`` verdict, a
+:class:`~repro.struql.footprint.Footprint` of what the verdict read, and
+keeps them all in one :class:`~repro.struql.footprint.DependencyIndex`,
+so a :class:`~repro.graph.delta.GraphDelta` maps to the touched verdicts
+in time proportional to the delta, not the graph:
 
-* ``required``/``range``/``regexp``/``max_len`` verdicts depend on the
-  subject's membership in the collection and its adjacency list under
-  the one label -- both directly keyed by delta records;
-* ``exclusive`` verdicts additionally depend on *other* holders of the
-  same value, tracked through a maintained value -> holders table:
-  an edit dirties a value, and only that value's holders re-verdict;
-* ``expression`` verdicts use the recorded read footprint, mirrored
-  into the same inverted indexes
-  :meth:`~repro.struql.footprint.Footprint.touches` consults.
+* every verdict reads the subject's membership in the collection and
+  its adjacency list under the one label;
+* an ``exclusive`` verdict also reads, for each value the subject holds,
+  the reverse value index under the label and the membership of every
+  other holder it found -- so an edit to a shared value, or a holder
+  joining or leaving the collection, re-verdicts exactly the co-holders;
+* an ``expression`` verdict reads whatever its evaluation read, as
+  recorded by the engine.
 
-``recheck`` is honest about log truncation: when ``delta_since``
-returns ``None`` the checker falls back to a full re-check (counted in
-``coarse_fallbacks``), which is always sound.  The property test in
-``tests/test_data_constraints.py`` drives random delta streams and
-asserts incremental verdicts are *identical* to a from-scratch full
-check; ``BENCH_DC.json`` shows the per-edit cost staying proportional
-to delta size on a 400-article site.
+Subjects that newly joined a collection have no verdict to be staled;
+``recheck`` adds them from the delta's membership additions.
+
+``recheck`` is honest about log truncation: when the index answers
+``COARSE`` the checker falls back to a full re-check (counted in
+``coarse_fallbacks``), which is always sound.  The property tests in
+``tests/test_data_constraints.py`` and ``tests/test_dependency_index.py``
+drive random delta streams and assert incremental verdicts are
+*identical* to a from-scratch full check; ``BENCH_DC.json`` shows the
+per-edit cost staying proportional to delta size on a 400-article site.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..graph import Atom, Graph, Oid
-from ..graph.delta import GraphDelta
-from ..struql.footprint import Footprint
+from ..graph import Graph, Oid
+from ..struql.footprint import COARSE, DependencyIndex, Footprint
 from .checker import ConstraintChecker, bump
 from .model import CheckCounters, ConstraintSet, Violation
 
 #: A verdict key: (constraint index in the set, subject oid).
 Key = Tuple[int, Oid]
-
-
-class _FootprintIndex:
-    """Inverted lookup from delta-record keys to expression verdicts.
-
-    One entry group per :class:`Footprint` slot; ``touched_by`` mirrors
-    the logic of ``Footprint.touches`` so the two can never disagree on
-    soundness, but answers "which verdicts?" in O(delta) instead of
-    O(verdicts x delta).
-    """
-
-    def __init__(self) -> None:
-        self.by_edge_read: Dict[Tuple[Oid, str], Set[Key]] = {}
-        self.by_oid_all: Dict[Oid, Set[Key]] = {}
-        self.by_label_scan: Dict[str, Set[Key]] = {}
-        self.by_collection_scan: Dict[str, Set[Key]] = {}
-        self.by_membership: Dict[Tuple[str, Oid], Set[Key]] = {}
-        self.by_value_probe: Dict[Tuple[object, Optional[str]], Set[Key]] = {}
-        self.by_node_check: Dict[Oid, Set[Key]] = {}
-        self.all_edges: Set[Key] = set()
-        self._slots: Dict[Key, List[Tuple[Dict, object]]] = {}
-
-    def add(self, key: Key, footprint: Footprint) -> None:
-        slots: List[Tuple[Dict, object]] = []
-
-        def _enter(table: Dict, entry: object) -> None:
-            table.setdefault(entry, set()).add(key)
-            slots.append((table, entry))
-
-        for item in footprint.edge_reads:
-            _enter(self.by_edge_read, item)
-        for oid in footprint.oid_reads_all:
-            _enter(self.by_oid_all, oid)
-        for label in footprint.label_scans:
-            _enter(self.by_label_scan, label)
-        for name in footprint.collection_scans:
-            _enter(self.by_collection_scan, name)
-        for item in footprint.membership_reads:
-            _enter(self.by_membership, item)
-        for item in footprint.value_probes:
-            _enter(self.by_value_probe, item)
-        for oid in footprint.node_checks:
-            _enter(self.by_node_check, oid)
-        if footprint.all_edges:
-            self.all_edges.add(key)
-            slots.append((None, None))  # type: ignore[arg-type]
-        self._slots[key] = slots
-
-    def remove(self, key: Key) -> None:
-        for table, entry in self._slots.pop(key, ()):
-            if table is None:
-                self.all_edges.discard(key)
-                continue
-            keys = table.get(entry)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del table[entry]
-
-    def touched_by(self, delta: GraphDelta) -> Set[Key]:
-        touched: Set[Key] = set()
-        if self.all_edges and (
-            delta.edges_added or delta.edges_removed
-            or delta.nodes_added or delta.nodes_removed
-        ):
-            touched |= self.all_edges
-        for oid in delta.nodes_added:
-            touched.update(self.by_node_check.get(oid, ()))
-        for oid in delta.nodes_removed:
-            touched.update(self.by_node_check.get(oid, ()))
-        for source, label, target in delta.edge_changes():
-            touched.update(self.by_label_scan.get(label, ()))
-            touched.update(self.by_oid_all.get(source, ()))
-            touched.update(self.by_edge_read.get((source, label), ()))
-            touched.update(self.by_value_probe.get((target, label), ()))
-            touched.update(self.by_value_probe.get((target, None), ()))
-        for name, oid in delta.member_changes():
-            touched.update(self.by_collection_scan.get(name, ()))
-            touched.update(self.by_membership.get((name, oid), ()))
-        return touched
 
 
 class IncrementalChecker:
@@ -144,11 +64,8 @@ class IncrementalChecker:
         self.checker = ConstraintChecker(graph, constraint_set, self.counters)
         self._verdicts: Dict[Key, bool] = {}
         self._violations: Dict[Key, Violation] = {}
-        self._index = _FootprintIndex()
-        #: exclusive bookkeeping: constraint -> value -> member holders,
-        #: and per-verdict the values it held when last checked
-        self._holders: Dict[int, Dict[Atom, Set[Oid]]] = {}
-        self._held: Dict[Key, Tuple[Atom, ...]] = {}
+        #: what each verdict read, under its key
+        self._index = DependencyIndex()
         self._epoch: Optional[int] = None
         self.last_rechecked = 0
         self.last_skipped = 0
@@ -175,12 +92,9 @@ class IncrementalChecker:
 
     def full_check(self) -> Dict[Key, bool]:
         """(Re-)establish every verdict and dependence set from scratch."""
-        for key in list(self._index._slots):
-            self._index.remove(key)
+        self._index = DependencyIndex()
         self._verdicts.clear()
         self._violations.clear()
-        self._holders.clear()
-        self._held.clear()
         bump(self.counters, "full_checks")
         graph = self.graph
         for cidx, constraint in enumerate(self.set):
@@ -194,9 +108,7 @@ class IncrementalChecker:
     def _check_one(self, cidx: int, constraint, oid: Oid) -> None:
         key = (cidx, oid)
         bump(self.counters, "checked")
-        footprint = (
-            Footprint() if constraint.kind == "expression" else None
-        )
+        footprint = Footprint()
         violation = self.checker.check_subject(constraint, oid, footprint)
         self._verdicts[key] = violation is None
         if violation is None:
@@ -204,44 +116,15 @@ class IncrementalChecker:
         else:
             bump(self.counters, "violated")
             self._violations[key] = violation
-        if footprint is not None:
-            # membership itself is part of the dependence set: leaving
-            # the collection must retire the verdict
-            footprint.membership_reads.add((constraint.collection, oid))
-            self._index.remove(key)
-            self._index.add(key, footprint)
-        elif constraint.kind == "exclusive":
-            self._track_holder(cidx, constraint, oid)
-
-    def _track_holder(self, cidx: int, constraint, oid: Oid) -> None:
-        key = (cidx, oid)
-        held = tuple(
-            target
-            for target in self.graph.targets(oid, constraint.label)
-            if isinstance(target, Atom)
-        )
-        for atom in self._held.get(key, ()):
-            holders = self._holders.get(cidx, {}).get(atom)
-            if holders is not None:
-                holders.discard(oid)
-                if not holders:
-                    del self._holders[cidx][atom]
-        table = self._holders.setdefault(cidx, {})
-        for atom in held:
-            table.setdefault(atom, set()).add(oid)
-        self._held[key] = held
+        # membership itself is part of the dependence set: leaving the
+        # collection must retire the verdict
+        footprint.membership_reads.add((constraint.collection, oid))
+        self._index.add(key, footprint)
 
     def _drop(self, key: Key) -> None:
         self._verdicts.pop(key, None)
         self._violations.pop(key, None)
-        self._index.remove(key)
-        cidx = key[0]
-        for atom in self._held.pop(key, ()):
-            holders = self._holders.get(cidx, {}).get(atom)
-            if holders is not None:
-                holders.discard(key[1])
-                if not holders:
-                    del self._holders[cidx][atom]
+        self._index.discard(key)
 
     # ------------------------------------------------------------ #
     # incremental recheck
@@ -256,57 +139,16 @@ class IncrementalChecker:
         """
         if self._epoch is None:
             return self.full_check()
-        delta = self.graph.delta_since(self._epoch)
-        if delta is None:
+        stale = self._index.affected(self.graph, self._epoch)
+        if stale is COARSE:
             bump(self.counters, "coarse_fallbacks")
             return self.full_check()
-        if delta.empty:
-            self.last_rechecked = 0
-            self.last_skipped = len(self._verdicts)
-            bump(self.counters, "incremental_skipped", len(self._verdicts))
-            self._epoch = self.graph.epoch
-            return self.verdicts()
-
         before = len(self._verdicts)
-        touched: Set[Key] = self._index.touched_by(delta)
-        removed_nodes = set(delta.nodes_removed)
-        member_changes = delta.member_changes()
-        edge_changes = delta.edge_changes()
-
-        for cidx, constraint in enumerate(self.set):
-            collection = constraint.collection
-            for name, oid in member_changes:
-                if name == collection:
+        touched: Set[Key] = set(stale)
+        for name, oid in stale.delta.members_added:
+            for cidx, constraint in enumerate(self.set):
+                if constraint.collection == name:
                     touched.add((cidx, oid))
-            if constraint.kind == "expression":
-                continue  # footprint index covers the rest
-            label = constraint.label
-            dirty_values: Set[Atom] = set()
-            for source, edge_label, target in edge_changes:
-                if edge_label != label:
-                    continue
-                touched.add((cidx, source))
-                if constraint.kind == "exclusive" and isinstance(target, Atom):
-                    dirty_values.add(target)
-            if constraint.kind == "exclusive":
-                for name, oid in member_changes:
-                    if name == collection:
-                        dirty_values.update(self._held.get((cidx, oid), ()))
-                        if self.graph.has_node(oid):
-                            dirty_values.update(
-                                t
-                                for t in self.graph.targets(oid, label)
-                                if isinstance(t, Atom)
-                            )
-                holders = self._holders.get(cidx, {})
-                for atom in dirty_values:
-                    touched.update(
-                        (cidx, holder) for holder in holders.get(atom, ())
-                    )
-        for key in list(touched):
-            if key[1] in removed_nodes:
-                touched.discard(key)
-                self._drop(key)
 
         graph = self.graph
         rechecked = 0
@@ -320,8 +162,6 @@ class IncrementalChecker:
                 continue
             rechecked += 1
             self._check_one(cidx, constraint, oid)
-        # exclusive verdicts of dirty-value co-holders were re-checked
-        # above because _holders membership put them in ``touched``.
         self.last_rechecked = rechecked
         self.last_skipped = max(0, before - len(touched))
         bump(self.counters, "incremental_rechecked", rechecked)

@@ -22,6 +22,12 @@ Equivalence with static evaluation -- the expansion of every instance
 matches the out-edges of the corresponding node in the fully materialized
 site graph -- is asserted by the test suite and is what makes E6 a fair
 comparison.
+
+Cached results stay warm across data-graph edits: every cached expansion
+and instance list records its read :class:`~repro.struql.footprint.Footprint`
+in one :class:`~repro.struql.footprint.DependencyIndex`, and
+:meth:`DynamicSite.refresh` drops only the entries the index reports
+affected by the delta -- or everything, when it answers ``COARSE``.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from ..graph import Atom, AtomType, Graph, Oid
 from ..graph.delta import GraphDelta
 from ..struql.ast import Const, Program, Query, SkolemTerm, Var
 from ..struql.eval import Binding, QueryEngine, Value, make_engine
-from ..struql.footprint import Footprint
+from ..struql.footprint import COARSE, DependencyIndex, Footprint
 from ..struql.parser import parse
 from .schema import NS, SchemaCreation, SchemaEdge, SiteSchema
 
@@ -144,12 +150,14 @@ class DynamicSite:
         # one warm engine for every click: plans, the statistics
         # snapshot and the path-reachability memo carry across requests
         self._engine = make_engine(data_graph)
-        #: key -> (expanded edges, read footprint, owning instance)
+        #: key -> (expanded edges, owning instance)
         self._edge_cache: Dict[
-            Tuple[int, InstanceArgs], Tuple[List[ExpandedEdge], Footprint, NodeInstance]
+            Tuple[int, InstanceArgs], Tuple[List[ExpandedEdge], NodeInstance]
         ] = {}
-        #: function -> (instances, read footprint of the creation queries)
-        self._instance_cache: Dict[str, Tuple[List[NodeInstance], Footprint]] = {}
+        #: function -> instances
+        self._instance_cache: Dict[str, List[NodeInstance]] = {}
+        #: what each entry of both caches read, under the entry's key
+        self._index = DependencyIndex()
         #: data-graph epoch the caches are consistent with
         self._synced_epoch = data_graph.epoch
 
@@ -166,39 +174,35 @@ class DynamicSite:
             self.metrics.coarse_invalidations += 1
         self._edge_cache.clear()
         self._instance_cache.clear()
+        self._index = DependencyIndex()
         self._synced_epoch = self.data_graph.epoch
 
     def refresh(self) -> RefreshResult:
         """Selective invalidation after data-graph mutations.
 
-        Computes the delta since the caches were last consistent and
-        drops only the entries whose read footprint the delta touches --
-        the warm cost of an edit scales with |delta|, not |site|.  Falls
-        back to :meth:`invalidate` when the bounded delta log no longer
-        reaches back (always sound).
+        The dependency index maps the delta since the caches were last
+        consistent to the entries whose read footprint it touches, and
+        only those are dropped -- the warm cost of an edit scales with
+        |delta|, not |site|.  Falls back to :meth:`invalidate` when the
+        index answers ``COARSE`` (the bounded delta log no longer
+        reaches back; always sound).
         """
         current = self.data_graph.epoch
         if current == self._synced_epoch:
             return RefreshResult(delta=None, coarse=False)
-        delta = self.data_graph.delta_since(self._synced_epoch)
-        if delta is None:
+        stale = self._index.affected(self.data_graph, self._synced_epoch)
+        if stale is COARSE:
             self.invalidate()
             return RefreshResult(delta=None, coarse=True)
-        result = RefreshResult(delta=delta, coarse=False)
-        for key, (edges, footprint, owner) in list(self._edge_cache.items()):
-            if footprint.touches(delta):
-                del self._edge_cache[key]
-                result.dropped += 1
-                result.dropped_instances.append(owner)
+        result = RefreshResult(delta=stale.delta, coarse=False, dropped=len(stale))
+        for key in stale:
+            self._index.discard(key)
+            if isinstance(key, str):
+                del self._instance_cache[key]
+                result.dropped_functions.append(key)
             else:
-                result.retained += 1
-        for function, (instances, footprint) in list(self._instance_cache.items()):
-            if footprint.touches(delta):
-                del self._instance_cache[function]
-                result.dropped += 1
-                result.dropped_functions.append(function)
-            else:
-                result.retained += 1
+                result.dropped_instances.append(self._edge_cache.pop(key)[1])
+        result.retained = len(self._index)
         self.metrics.fine_invalidations += result.dropped
         self.metrics.entries_retained += result.retained
         self._synced_epoch = current
@@ -227,7 +231,7 @@ class DynamicSite:
         """
         cached = self._instance_cache.get(function)
         if cached is not None:
-            return cached[0]
+            return cached
         creations = self.schema.creations_of(function)
         if not creations:
             raise SiteDefinitionError(
@@ -244,7 +248,8 @@ class DynamicSite:
                         found.setdefault(NodeInstance(function, args), None)
         instances = list(found)
         if self.cache_enabled:
-            self._instance_cache[function] = (instances, footprint)
+            self._instance_cache[function] = instances
+            self._index.add(function, footprint)
         return instances
 
     def roots(self) -> List[NodeInstance]:
@@ -301,7 +306,8 @@ class DynamicSite:
                         edges.append(rendered)
         edges = _dedupe_edges(edges)
         if self.cache_enabled:
-            self._edge_cache[key] = (edges, footprint, instance)
+            self._edge_cache[key] = (edges, instance)
+            self._index.add(key, footprint)
         return edges
 
     def _edge_from_row(

@@ -7,97 +7,32 @@ The static pipeline's answer to the incremental-maintenance problem:
 
 and keeps it warm across data-graph mutations.  Each mutation flows
 through the :class:`~repro.core.maintenance.SiteMaintainer` (which
-patches the materialized site graph), then the regenerator reads the
-*site graph's own delta log* to learn which site-graph nodes changed and
-re-renders only the pages whose recorded read set intersects them --
-every other page keeps its bytes.  The persistent generator keeps the
-filename table, so retained pages keep their names and the whole output
-stays byte-identical to a from-scratch build (property-tested).
+patches the materialized site graph).  Every page is rendered through a
+:class:`~repro.struql.footprint.RecordingView` of the site graph, and
+the site-graph nodes it read are kept in a
+:class:`~repro.struql.footprint.DependencyIndex`; after a mutation the
+index maps the *site graph's own delta* to the pages whose reads it
+changed, and only those are re-rendered -- every other page keeps its
+bytes.  The persistent generator keeps the filename table, so retained
+pages keep their names and the whole output stays byte-identical to a
+from-scratch build (property-tested).
 
 Honest fallbacks, matching the maintainer's: deletions and negation make
-the maintainer replace the site graph wholesale, and the bounded delta
-log can truncate -- both regenerate everything (counted as ``coarse``).
+the maintainer replace the site graph wholesale, and the index answers
+``COARSE`` when the bounded delta log was truncated -- both regenerate
+everything (counted as ``coarse``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from ..graph import Graph, Oid, Target
 from ..struql.ast import Program, Query
+from ..struql.footprint import COARSE, DependencyIndex, RecordingView
 from ..template import GeneratedSite, HtmlGenerator, TemplateSet
 from .maintenance import MaintenanceReport, SiteMaintainer
-
-
-class _ReadTracker:
-    """Delegation wrapper over a site graph that records which nodes a
-    render reads.  Only the accessors the renderer, the template
-    selector, and root resolution use are intercepted; everything else
-    forwards untouched."""
-
-    def __init__(self, graph: Graph) -> None:
-        self._graph = graph
-        #: when set, every node read is recorded here
-        self.log: Optional[Set[Oid]] = None
-
-    def _note(self, oid: Oid) -> None:
-        if self.log is not None:
-            self.log.add(oid)
-
-    def targets(self, oid: Oid, label: str):
-        self._note(oid)
-        return self._graph.targets(oid, label)
-
-    def attribute(self, oid: Oid, label: str):
-        self._note(oid)
-        return self._graph.attribute(oid, label)
-
-    def out_edges(self, oid: Oid):
-        self._note(oid)
-        return self._graph.out_edges(oid)
-
-    def labels_of(self, oid: Oid):
-        self._note(oid)
-        return self._graph.labels_of(oid)
-
-    def has_node(self, oid: Oid) -> bool:
-        self._note(oid)
-        return self._graph.has_node(oid)
-
-    def collections_of(self, oid: Oid) -> List[str]:
-        self._note(oid)
-        return self._graph.collections_of(oid)
-
-    def in_collection(self, name: str, oid: Oid) -> bool:
-        self._note(oid)
-        return self._graph.in_collection(name, oid)
-
-    def __getattr__(self, name: str):
-        return getattr(self._graph, name)
-
-
-class _TrackingGenerator(HtmlGenerator):
-    """An :class:`HtmlGenerator` that records, for every page it
-    renders, the set of site-graph nodes the render read."""
-
-    def __init__(self, graph: Graph, templates: TemplateSet) -> None:
-        tracker = _ReadTracker(graph)
-        super().__init__(tracker, templates)  # type: ignore[arg-type]
-        self.tracker = tracker
-        #: page oid -> site-graph nodes its last render read
-        self.page_deps: Dict[Oid, Set[Oid]] = {}
-
-    def _render_page(self, oid: Oid) -> str:
-        reads: Set[Oid] = set()
-        previous = self.tracker.log
-        self.tracker.log = reads
-        try:
-            html = super()._render_page(oid)
-        finally:
-            self.tracker.log = previous
-        self.page_deps[oid] = reads
-        return html
 
 
 @dataclass
@@ -192,64 +127,74 @@ class RegeneratingSite:
         warm page set may be behind the site graph; a rebuild restores
         the byte-identical-to-scratch invariant.  Counted as coarse.
         """
-        self._full_build()
-        report = RegenReport(maintenance=self.maintainer.last_report, coarse=True)
-        report.pages_rerendered = len(self._site.pages)
-        self.last_report = report
-        return report
+        self.last_report = self._full_build()
+        return self.last_report
 
-    def _full_build(self) -> None:
+    def _full_build(self) -> RegenReport:
         site_graph = self.maintainer.site_graph
-        self._generator = _TrackingGenerator(site_graph, self.templates)
-        self._site = self._generator.generate(self.roots, self.site_name)
-        self._site_graph_ref = site_graph
+        self._view = RecordingView(site_graph)
+        self._generator = HtmlGenerator(self._view, self.templates)  # type: ignore[arg-type]
+        #: page oid -> the site-graph nodes its last render read
+        self._deps = DependencyIndex()
+        #: page oid -> position in first-render order
+        self._rank: Dict[Oid, int] = {}
+        self._site = GeneratedSite(self.site_name)
+        self._site_graph = site_graph
         self._site_epoch = site_graph.epoch
+        self._seed_roots()
+        self._drain()
+        self._site.filenames = dict(self._generator._filenames)
+        return RegenReport(
+            maintenance=self.maintainer.last_report,
+            coarse=True,
+            pages_rerendered=len(self._site.pages),
+        )
 
     def _regenerate(self) -> RegenReport:
-        report = RegenReport(maintenance=self.maintainer.last_report)
         site_graph = self.maintainer.site_graph
-        if site_graph is not self._site_graph_ref:
+        if site_graph is not self._site_graph:
             # the maintainer rebuilt the site graph wholesale (deletion
             # or negation): page identity is gone, regenerate everything
-            self._full_build()
-            report.coarse = True
-            report.pages_rerendered = len(self._site.pages)
-            return report
-        delta = site_graph.delta_since(self._site_epoch)
-        if delta is None:
-            self._full_build()
-            report.coarse = True
-            report.pages_rerendered = len(self._site.pages)
-            return report
-        report.delta_size = delta.size()
+            return self._full_build()
+        stale = self._deps.affected(site_graph, self._site_epoch)
+        if stale is COARSE:
+            return self._full_build()
+        report = RegenReport(maintenance=self.maintainer.last_report)
+        report.delta_size = stale.delta.size()
         self._site_epoch = site_graph.epoch
-        if delta.empty:
-            report.pages_retained = len(self._site.pages)
-            return report
-        affected: Set[Oid] = delta.touched_oids()
-        affected.update(delta.nodes_added)
-        generator = self._generator
         # roots naming collections can have gained members: any root oid
         # without a filename yet becomes a new page seed
-        for root in self.roots:
-            for oid in generator._resolve_root(root):
-                generator._assign_filename(oid)
-        stale = [
-            oid
-            for oid, deps in generator.page_deps.items()
-            if deps & affected
-        ]
-        for oid in stale:
-            self._site.pages[generator._filenames[oid]] = generator._render_page(oid)
+        self._seed_roots()
+        for oid in sorted(stale, key=self._rank.__getitem__):
+            self._render(oid)
         report.pages_rerendered = len(stale)
-        report.pages_retained = len(generator.page_deps) - len(stale)
+        report.pages_retained = len(self._deps) - len(stale)
         # re-rendering (and new root members) can have discovered brand
         # new pages: drain the generator queue exactly like a full build
-        while generator._queue:
-            oid = generator._queue.popleft()
-            if oid in generator.page_deps:
-                continue
-            self._site.pages[generator._filenames[oid]] = generator._render_page(oid)
-            report.pages_added += 1
-        self._site.filenames = dict(generator._filenames)
+        report.pages_added = self._drain()
+        self._site.filenames = dict(self._generator._filenames)
         return report
+
+    def _seed_roots(self) -> None:
+        for root in self.roots:
+            for oid in self._generator._resolve_root(root):
+                self._generator._assign_filename(oid)
+
+    def _drain(self) -> int:
+        """Render every queued page not rendered yet, in queue order --
+        the serial generator's order; returns how many."""
+        queue = self._generator._queue
+        rendered = 0
+        while queue:
+            oid = queue.popleft()
+            if oid not in self._deps:
+                self._render(oid)
+                rendered += 1
+        return rendered
+
+    def _render(self, oid: Oid) -> None:
+        with self._view.recording() as reads:
+            html = self._generator._render_page(oid)
+        self._deps.add(oid, reads)
+        self._rank.setdefault(oid, len(self._rank))
+        self._site.pages[self._generator._filenames[oid]] = html

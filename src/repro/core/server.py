@@ -17,6 +17,12 @@ answers ``GET``-style requests by
    node expansion at a time, so a request touches only the data it
    displays.
 
+Rendered pages are cached with the lazy site-graph nodes each render
+read (recorded through a :class:`~repro.struql.footprint.RecordingView`
+and kept in a :class:`~repro.struql.footprint.DependencyIndex`).  After
+an edit, :meth:`PageServer.refresh` drops only the pages that read a
+node the delta changed or whose expansion the dynamic site dropped.
+
 No sockets are involved: ``server.get("/")`` returns HTML text.  The
 test suite asserts that every page the server produces is byte-identical
 to the statically generated page for the same object, which is the
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 import html as html_escape
 
@@ -40,6 +46,7 @@ from ..errors import (
 from ..graph import Atom, Graph, Oid
 from ..resilience.chaos import ChaosFault
 from ..struql.ast import Program, Query
+from ..struql.footprint import DependencyIndex, RecordingView, changed_nodes
 from ..template import Renderer, Template, TemplateSet
 from ..template.eval import PageRegistry
 from .incremental import DynamicSite, NodeInstance, RefreshResult
@@ -62,8 +69,6 @@ class LazySiteGraph(Graph):
         self._instances: Dict[Oid, NodeInstance] = {}
         self._materialized: Dict[Oid, None] = {}
         self.expansions = 0
-        #: when set, every node read is recorded here (page dep tracking)
-        self._read_log: Optional[Set[Oid]] = None
 
     # ------------------------------------------------------------ #
     # instance bookkeeping
@@ -80,8 +85,6 @@ class LazySiteGraph(Graph):
     # lazy materialization
 
     def _ensure(self, oid: Oid) -> None:
-        if self._read_log is not None:
-            self._read_log.add(oid)
         if oid in self._materialized:
             return
         self._materialized[oid] = None
@@ -147,8 +150,6 @@ class LazySiteGraph(Graph):
     def collections_of(self, oid: Oid) -> List[str]:
         """Collection membership is derived from the site schema's collect
         clauses (for Skolem nodes) or the data graph (for data nodes)."""
-        if self._read_log is not None:
-            self._read_log.add(oid)
         instance = self._instances.get(oid)
         if instance is not None:
             return [
@@ -198,12 +199,9 @@ class PageServer(PageRegistry):
     ) -> None:
         self.dynamic = DynamicSite(program, data_graph, cache=cache, lookahead=lookahead)
         self.templates = templates
-        self.graph = LazySiteGraph(self.dynamic)
-        self._renderer = Renderer(self.graph, registry=self)
         self._paths: Dict[str, Oid] = {}
         self._hrefs: Dict[Oid, str] = {}
-        #: path -> (rendered HTML, site-graph oids the render read)
-        self._page_cache: Dict[str, Tuple[str, Set[Oid]]] = {}
+        self._new_site_graph()
         #: path -> last successfully rendered HTML; survives invalidation,
         #: so a failing re-render can fall back to it
         self._last_good: Dict[str, str] = {}
@@ -229,7 +227,7 @@ class PageServer(PageRegistry):
     # PageRegistry interface
 
     def href_for(self, oid: Oid) -> Optional[str]:
-        if self.templates.resolve(self.graph, oid) is None:
+        if self.templates.resolve(self._view, oid) is None:
             return None
         href = self._hrefs.get(oid)
         if href is None:
@@ -239,7 +237,7 @@ class PageServer(PageRegistry):
         return href
 
     def template_for(self, oid: Oid) -> Optional[Template]:
-        return self.templates.resolve(self.graph, oid)
+        return self.templates.resolve(self._view, oid)
 
     # ------------------------------------------------------------ #
 
@@ -276,15 +274,13 @@ class PageServer(PageRegistry):
         cached = self._page_cache.get(path)
         if cached is not None:
             self.page_cache_hits += 1
-            return PageResponse(200, cached[0])
-        reads: Set[Oid] = set()
-        previous_log = self.graph._read_log
-        self.graph._read_log = reads
+            return PageResponse(200, cached)
         try:
-            template = self.templates.resolve(self.graph, oid)
-            if template is None:
-                raise TemplateResolutionError(f"no template for page object {oid}")
-            html = self._renderer.render(template, oid)
+            with self._view.recording() as reads:
+                template = self.templates.resolve(self._view, oid)
+                if template is None:
+                    raise TemplateResolutionError(f"no template for page object {oid}")
+                html = self._renderer.render(template, oid)
         except DeadlineExceeded:
             # cancellation is not degradation: no stale fallback, no
             # error page -- the serving tier maps this to a 504
@@ -294,9 +290,8 @@ class PageServer(PageRegistry):
             if strict:
                 raise
             return self._degrade(path, error)
-        finally:
-            self.graph._read_log = previous_log
-        self._page_cache[path] = (html, reads)
+        self._page_cache[path] = html
+        self._page_deps.add(path, reads)
         self._last_good[path] = html
         return PageResponse(200, html)
 
@@ -324,32 +319,30 @@ class PageServer(PageRegistry):
     def refresh(self) -> RefreshResult:
         """Selective invalidation after data-graph mutations.
 
-        Asks the :class:`DynamicSite` for the delta since the caches
-        were last consistent, then (a) de-materializes only the lazy
-        site-graph nodes whose expansions the delta touched and (b)
-        drops only the cached pages whose recorded read set intersects
-        those nodes.  Unaffected pages keep serving their cached bytes
-        -- the warm cost of an edit scales with |delta|, not |site|.
-        Falls back to the coarse :meth:`invalidate` when the bounded
-        delta log no longer reaches back.
+        Refreshes the :class:`DynamicSite`, then (a) de-materializes
+        only the lazy site-graph nodes the delta changed or whose
+        expansions the dynamic site dropped and (b) drops only the
+        cached pages whose recorded reads include one of those nodes.
+        Unaffected pages keep serving their cached bytes -- the warm
+        cost of an edit scales with |delta|, not |site|.  Falls back to
+        a coarse reset when the dynamic site's refresh was coarse.
         """
         result = self.dynamic.refresh()
         if result.coarse:
             self._coarse_reset()
             return result
-        delta = result.delta
-        if delta is None:
+        if result.delta is None:
             return result
-        affected: Set[Oid] = {owner.oid() for owner in result.dropped_instances}
-        affected |= delta.touched_oids()
-        for oid in affected:
+        changed = changed_nodes(result.delta)
+        changed.update(owner.oid() for owner in result.dropped_instances)
+        for oid in changed:
             self.graph.demote(oid)
-        for path, (_, deps) in list(self._page_cache.items()):
-            if deps & affected:
-                del self._page_cache[path]
-                self.pages_invalidated += 1
-            else:
-                self.pages_retained += 1
+        stale = self._page_deps.readers(changed)
+        for path in stale:
+            del self._page_cache[path]
+            self._page_deps.discard(path)
+        self.pages_invalidated += len(stale)
+        self.pages_retained += len(self._page_cache)
         return result
 
     def invalidate(self) -> None:
@@ -367,26 +360,33 @@ class PageServer(PageRegistry):
         self.dynamic.invalidate()
         self._coarse_reset()
 
-    def _coarse_reset(self) -> None:
-        self._page_cache.clear()
+    def _new_site_graph(self) -> None:
+        """Start over with an empty lazy site graph and page cache."""
         self.graph = LazySiteGraph(self.dynamic)
-        self._renderer = Renderer(self.graph, registry=self)
-        for oid in self._hrefs:
-            instance = None
-            for root in self.dynamic.roots():
-                if root.oid() == oid:
-                    instance = root
-            if instance is not None:
-                self.graph.register_instance(instance)
-        # re-register every known page instance so old paths keep working
-        for path, oid in list(self._paths.items()):
+        self._view = RecordingView(self.graph)
+        self._renderer = Renderer(self._view, registry=self)
+        #: path -> rendered HTML
+        self._page_cache: Dict[str, str] = {}
+        #: path -> the lazy site-graph nodes its render read
+        self._page_deps = DependencyIndex()
+
+    def _coarse_reset(self) -> None:
+        self._new_site_graph()
+        # re-register every known page instance so old paths keep
+        # working: one oid -> instance map per Skolem function, built
+        # on first need
+        by_function: Dict[str, Dict[Oid, NodeInstance]] = {}
+        for oid in self._paths.values():
             for function in self.dynamic.schema.functions:
-                prefix = function + "("
-                if oid.name.startswith(prefix):
-                    for candidate in self.dynamic.instances_of(function):
-                        if candidate.oid() == oid:
-                            self.graph.register_instance(candidate)
-                            break
+                if oid.name.startswith(function + "("):
+                    instances = by_function.get(function)
+                    if instances is None:
+                        instances = by_function[function] = {
+                            candidate.oid(): candidate
+                            for candidate in self.dynamic.instances_of(function)
+                        }
+                    if oid in instances:
+                        self.graph.register_instance(instances[oid])
                     break
 
     def links_of(self, path: str) -> List[str]:

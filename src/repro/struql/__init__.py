@@ -61,7 +61,7 @@ from .eval import (
     register_engine_factory,
 )
 from .explain import explain
-from .footprint import Footprint, path_alphabet
+from .footprint import COARSE, DependencyIndex, Footprint, RecordingView, path_alphabet
 from .optimizer import choose_path_direction, estimate_cost, order_conditions
 from .parser import parse, parse_query, validate_query
 from .paths import (
@@ -88,6 +88,7 @@ __all__ = [
     "Alternation",
     "AnyLabel",
     "Binding",
+    "COARSE",
     "CollectClause",
     "CollectionCond",
     "ComparisonCond",
@@ -95,6 +96,7 @@ __all__ = [
     "Condition",
     "Const",
     "DEFAULT_PUSHDOWN_CUTOFF",
+    "DependencyIndex",
     "EdgeCond",
     "Footprint",
     "LabelIs",
@@ -113,6 +115,7 @@ __all__ = [
     "Query",
     "QueryBuilder",
     "QueryEngine",
+    "RecordingView",
     "SkolemTerm",
     "SqlQueryEngine",
     "Star",

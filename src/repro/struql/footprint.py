@@ -1,14 +1,24 @@
-"""Read footprints: what a query evaluation depended on.
+"""Read dependencies: what a cached result read, and which edits stale it.
 
-A cached query result is stale only if the graph changed *where the
-query looked*.  While evaluating, the engine records a
-:class:`Footprint` -- the semantic dependence set of the result: which
-``(source, label)`` adjacency lists it read, which label extents and
-collections it scanned, which atomic values it probed in the reverse
-index.  A consumer holding a cached result then asks
-:meth:`Footprint.touches` whether a
-:class:`~repro.graph.delta.GraphDelta` intersects that set; if not, the
-cached result is still exact and survives the edit.
+A cached result is stale only if the graph changed *where the result
+looked*.  Two kinds of read are recorded:
+
+* a :class:`Footprint` -- the semantic dependence set of one STRUQL
+  evaluation: which ``(source, label)`` adjacency lists it read, which
+  label extents and collections it scanned, which atomic values it
+  probed in the reverse index;
+* a set of nodes -- what one page render read, recorded through a
+  :class:`RecordingView` of the graph it rendered from.
+
+A :class:`DependencyIndex` inverts both kinds, keyed by the cached
+result they belong to, and answers :meth:`DependencyIndex.affected`
+with the keys a :class:`~repro.graph.delta.GraphDelta` can have changed
+-- in time proportional to the delta, not the number of cached results
+-- or :data:`COARSE` when the bounded delta log no longer reaches back.
+It is the one place that matches deltas against reads and the one place
+that decides the truncated-log fallback; click-time expansions, served
+pages, selectively regenerated pages and incremental constraint
+verdicts all ask it.
 
 The footprint is *semantic*, not physical: it is recorded from the
 bound/unbound pattern of each condition, before the index-vs-scan
@@ -24,18 +34,22 @@ Sound over-approximations used (each errs toward invalidating):
   subgraph;
 * a wildcard anywhere (``true``, a label predicate, a both-unbound
   path) marks the footprint ``all_edges`` -- any edge or node change
-  touches it.
+  affects it;
+* a render depends on every node it read, as a whole: any change to
+  the node's out-edges or memberships, or its creation or removal.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Set, Tuple, Union
+from contextlib import contextmanager
+from typing import (
+    AbstractSet, Dict, Hashable, Iterable, Iterator, List, Optional, Set,
+    Tuple, Union,
+)
 
-from ..graph import Atom, Oid
+from ..graph import Atom, Graph, Oid
+from ..graph.delta import GraphDelta
 from .ast import Alternation, AnyLabel, Concat, LabelIs, LabelPredicate, PathExpr, Star
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..graph.delta import GraphDelta
 
 #: A reverse-index probe key: the probed target plus the label filter
 #: (``None`` = any label).
@@ -102,95 +116,6 @@ class Footprint:
         #: scanned everything -- any structural change invalidates
         self.all_edges = False
 
-    # ------------------------------------------------------------ #
-
-    @property
-    def is_empty(self) -> bool:
-        """True when the evaluation read nothing from the graph
-        (constant queries) -- such entries never go stale."""
-        return not (
-            self.all_edges
-            or self.edge_reads
-            or self.oid_reads_all
-            or self.label_scans
-            or self.collection_scans
-            or self.membership_reads
-            or self.value_probes
-            or self.node_checks
-        )
-
-    def merge(self, other: "Footprint") -> None:
-        """Union another footprint in (entries cached per group)."""
-        self.edge_reads |= other.edge_reads
-        self.oid_reads_all |= other.oid_reads_all
-        self.label_scans |= other.label_scans
-        self.collection_scans |= other.collection_scans
-        self.membership_reads |= other.membership_reads
-        self.value_probes |= other.value_probes
-        self.node_checks |= other.node_checks
-        self.all_edges = self.all_edges or other.all_edges
-
-    # ------------------------------------------------------------ #
-
-    def touches(self, delta: "GraphDelta") -> bool:
-        """Can this delta change a result with this footprint?
-
-        False guarantees the cached result is still byte-exact; True is
-        conservative (the entry *may* have changed).
-        """
-        if self.all_edges:
-            if (
-                delta.edges_added or delta.edges_removed
-                or delta.nodes_added or delta.nodes_removed
-            ):
-                return True
-        if self.node_checks:
-            for oid in delta.nodes_added:
-                if oid in self.node_checks:
-                    return True
-            for oid in delta.nodes_removed:
-                if oid in self.node_checks:
-                    return True
-        edge_reads = self.edge_reads
-        oid_reads_all = self.oid_reads_all
-        label_scans = self.label_scans
-        value_probes = self.value_probes
-        if edge_reads or oid_reads_all or label_scans or value_probes:
-            for source, label, target in delta.edge_changes():
-                if label in label_scans:
-                    return True
-                if source in oid_reads_all:
-                    return True
-                if (source, label) in edge_reads:
-                    return True
-                if value_probes and (
-                    (target, label) in value_probes
-                    or (target, None) in value_probes
-                ):
-                    return True
-        collection_scans = self.collection_scans
-        membership_reads = self.membership_reads
-        if collection_scans or membership_reads:
-            for name, oid in delta.member_changes():
-                if name in collection_scans:
-                    return True
-                if (name, oid) in membership_reads:
-                    return True
-        return False
-
-    def size(self) -> int:
-        """Number of recorded dependence atoms (diagnostics)."""
-        return (
-            len(self.edge_reads)
-            + len(self.oid_reads_all)
-            + len(self.label_scans)
-            + len(self.collection_scans)
-            + len(self.membership_reads)
-            + len(self.value_probes)
-            + len(self.node_checks)
-            + (1 if self.all_edges else 0)
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.all_edges:
             return "<Footprint all-edges>"
@@ -201,3 +126,223 @@ class Footprint:
             f"{len(self.collection_scans)} collection scans, "
             f"{len(self.value_probes)} value probes>"
         )
+
+
+#: The footprint slots a :class:`DependencyIndex` inverts item by item.
+_SLOTS = tuple(slot for slot in Footprint.__slots__ if slot != "all_edges")
+
+#: What one cached result read: an evaluation footprint or a render's nodes.
+Reads = Union[Footprint, AbstractSet[Oid]]
+
+
+class _Coarse:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "COARSE"
+
+
+#: :meth:`DependencyIndex.affected`'s answer when the delta log was
+#: truncated: nothing is provably current, every key must be recomputed.
+COARSE = _Coarse()
+
+
+class Stale(set):
+    """The keys :meth:`DependencyIndex.affected` found stale, together
+    with the delta that staled them (consumers report its size)."""
+
+    __slots__ = ("delta",)
+
+    def __init__(self, keys: Iterable[Hashable], delta: GraphDelta) -> None:
+        super().__init__(keys)
+        self.delta = delta
+
+
+def changed_nodes(delta: GraphDelta) -> Set[Oid]:
+    """The nodes whose own state ``delta`` changed: sources of changed
+    edges, added and removed nodes, re-collected members.  A render that
+    read none of them produces the same bytes."""
+    nodes = delta.touched_oids()
+    nodes.update(delta.nodes_added)
+    return nodes
+
+
+class DependencyIndex:
+    """Inverted index from what cached results read to their keys.
+
+    ``add(key, reads)`` records the reads of the result cached under
+    ``key``; ``affected(graph, since_epoch)`` answers which keys the
+    graph's changes since that epoch can have staled.  Results that read
+    nothing are kept (they count in ``len``) but are never stale.
+    """
+
+    def __init__(self) -> None:
+        self._reads: Dict[Hashable, Reads] = {}
+        self._by_slot: Dict[str, Dict[object, Set[Hashable]]] = {
+            slot: {} for slot in _SLOTS
+        }
+        self._all_edges: Set[Hashable] = set()
+        self._by_node: Dict[Oid, Set[Hashable]] = {}
+
+    def __len__(self) -> int:
+        return len(self._reads)
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._reads
+
+    def add(self, key: Hashable, reads: Reads) -> None:
+        """Record what the result cached under ``key`` read, replacing
+        any earlier record.  ``reads`` must not change afterwards."""
+        if key in self._reads:
+            self.discard(key)
+        self._reads[key] = reads
+        for table, items in self._tables(reads):
+            for item in items:
+                keys = table.get(item)
+                if keys is None:
+                    table[item] = {key}
+                else:
+                    keys.add(key)
+        if isinstance(reads, Footprint) and reads.all_edges:
+            self._all_edges.add(key)
+
+    def discard(self, key: Hashable) -> None:
+        """Forget ``key`` (its cached result was dropped)."""
+        reads = self._reads.pop(key, None)
+        if reads is None:
+            return
+        for table, items in self._tables(reads):
+            for item in items:
+                keys = table[item]
+                keys.discard(key)
+                if not keys:
+                    del table[item]
+        self._all_edges.discard(key)
+
+    def _tables(self, reads: Reads) -> List[Tuple[Dict, AbstractSet]]:
+        """The (inverted table, read items) pairs ``reads`` fills."""
+        if not isinstance(reads, Footprint):
+            return [(self._by_node, reads)]
+        return [
+            (table, getattr(reads, slot))
+            for slot, table in self._by_slot.items()
+            if getattr(reads, slot)
+        ]
+
+    # ------------------------------------------------------------ #
+
+    def affected(
+        self, graph: Graph, since_epoch: int
+    ) -> Union[Stale, _Coarse]:
+        """The keys whose results ``graph``'s changes since
+        ``since_epoch`` can have changed, or :data:`COARSE` when the
+        delta log no longer reaches back (always sound to recompute
+        everything then).  A key left out is guaranteed byte-exact."""
+        delta = graph.delta_since(since_epoch)
+        if delta is None:
+            return COARSE
+        return Stale(self._match(delta), delta)
+
+    def readers(self, nodes: Iterable[Oid]) -> Set[Hashable]:
+        """The keys whose recorded render read any of ``nodes``."""
+        by_node = self._by_node
+        found: Set[Hashable] = set()
+        for oid in nodes:
+            keys = by_node.get(oid)
+            if keys:
+                found |= keys
+        return found
+
+    def _match(self, delta: GraphDelta) -> Set[Hashable]:
+        stale: Set[Hashable] = set()
+        if self._all_edges and (
+            delta.edges_added or delta.edges_removed
+            or delta.nodes_added or delta.nodes_removed
+        ):
+            stale |= self._all_edges
+        tables = self._by_slot
+        node_checks = tables["node_checks"]
+        if node_checks:
+            for oid in delta.nodes_added + delta.nodes_removed:
+                stale.update(node_checks.get(oid, ()))
+        edge_reads = tables["edge_reads"]
+        oid_reads_all = tables["oid_reads_all"]
+        label_scans = tables["label_scans"]
+        value_probes = tables["value_probes"]
+        if edge_reads or oid_reads_all or label_scans or value_probes:
+            for source, label, target in delta.edge_changes():
+                stale.update(label_scans.get(label, ()))
+                stale.update(oid_reads_all.get(source, ()))
+                stale.update(edge_reads.get((source, label), ()))
+                stale.update(value_probes.get((target, label), ()))
+                stale.update(value_probes.get((target, None), ()))
+        collection_scans = tables["collection_scans"]
+        membership_reads = tables["membership_reads"]
+        if collection_scans or membership_reads:
+            for name, oid in delta.member_changes():
+                stale.update(collection_scans.get(name, ()))
+                stale.update(membership_reads.get((name, oid), ()))
+        if self._by_node:
+            stale |= self.readers(changed_nodes(delta))
+        return stale
+
+
+class RecordingView:
+    """A graph view that records which nodes a page render reads.
+
+    The node-keyed accessors that template selection, rendering and
+    root resolution use add their node to the set opened by the
+    enclosing :meth:`recording` block; everything else forwards to the
+    wrapped graph untouched.  Renders that need no read sets (a plain
+    :class:`~repro.template.HtmlGenerator` build) use the graph itself
+    and pay nothing.
+    """
+
+    def __init__(self, graph: Graph) -> None:
+        self._graph = graph
+        self._reads: Optional[Set[Oid]] = None
+
+    @contextmanager
+    def recording(self) -> Iterator[Set[Oid]]:
+        """Collect the nodes read inside the block into the yielded set."""
+        previous = self._reads
+        self._reads = reads = set()
+        try:
+            yield reads
+        finally:
+            self._reads = previous
+
+    def _note(self, oid: Oid) -> None:
+        if self._reads is not None:
+            self._reads.add(oid)
+
+    def targets(self, oid: Oid, label: str):
+        self._note(oid)
+        return self._graph.targets(oid, label)
+
+    def attribute(self, oid: Oid, label: str):
+        self._note(oid)
+        return self._graph.attribute(oid, label)
+
+    def out_edges(self, oid: Oid):
+        self._note(oid)
+        return self._graph.out_edges(oid)
+
+    def labels_of(self, oid: Oid):
+        self._note(oid)
+        return self._graph.labels_of(oid)
+
+    def has_node(self, oid: Oid) -> bool:
+        self._note(oid)
+        return self._graph.has_node(oid)
+
+    def collections_of(self, oid: Oid) -> List[str]:
+        self._note(oid)
+        return self._graph.collections_of(oid)
+
+    def in_collection(self, name: str, oid: Oid) -> bool:
+        self._note(oid)
+        return self._graph.in_collection(name, oid)
+
+    def __getattr__(self, name: str):
+        return getattr(self._graph, name)

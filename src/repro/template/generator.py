@@ -271,8 +271,8 @@ class HtmlGenerator(PageRegistry):
         return site
 
     def _render_page(self, oid: Oid) -> str:
-        """Render one page serially (subclass hook: the selective
-        regenerator overrides this to record per-page read sets)."""
+        """Render one page serially (the selective regenerator calls
+        this inside a read-recording block, one page at a time)."""
         template = self._require_template(oid)
         return self._renderer.render(template, oid)
 

@@ -10,7 +10,8 @@ The contracts under test:
   for the E4 homepage binding passes; with the optimizer on and off and
   with indexes on and off;
 * the footprint recorded by the engine is sound: any delta that changes
-  a query's bindings must satisfy ``footprint.touches(delta)``;
+  a query's bindings must make ``DependencyIndex.affected`` report the
+  query;
 * edge cases where batching is easy to get wrong: zero-length path
   matches, cycles under ``Star``, negation and paths over partially
   bound frontiers seeded through ``initial``;
@@ -30,6 +31,8 @@ from hypothesis import given, settings
 from repro.graph import Graph, integer, real, string
 from repro.repository import IndexStatistics, graph_statistics
 from repro.struql import (
+    COARSE,
+    DependencyIndex,
     Footprint,
     PlanCache,
     QueryEngine,
@@ -175,7 +178,7 @@ def test_homepage_suite_matches_reference(homepage_graph, text, optimize, use_in
 
 
 # ---------------------------------------------------------------------- #
-# footprint soundness: touches(delta) covers every read
+# footprint soundness: DependencyIndex.affected covers every read
 
 _FOOTPRINT_QUERY_TEXTS = [
     'where C(x), x -> "a" -> y create Probe()',
@@ -188,29 +191,34 @@ _FOOTPRINT_QUERY_TEXTS = [
 @settings(max_examples=30, deadline=None)
 def test_block_footprint_sound_under_deltas(script):
     """If a mutation changes a query's bindings, the footprint recorded
-    by the *previous* block-mode evaluation must admit it (touches)."""
+    by the *previous* block-mode evaluation, kept in a dependency index,
+    must make the index report the query affected."""
     queries = [parse_query(text) for text in _FOOTPRINT_QUERY_TEXTS]
     graph = Graph()
     nodes = []
     engine = QueryEngine(graph, plan_cache=PlanCache())
-    cached = {}
-    for index, query in enumerate(queries):
-        footprint = Footprint()
-        with engine.record_into(footprint):
-            rows = engine.bindings(query.where)
-        cached[index] = (rows, footprint, graph.epoch)
+    index = DependencyIndex()
+    rows = {}
+
+    def evaluate_all():
+        for key, query in enumerate(queries):
+            footprint = Footprint()
+            with engine.record_into(footprint):
+                rows[key] = engine.bindings(query.where)
+            index.add(key, footprint)
+
+    evaluate_all()
+    epoch = graph.epoch
     for step in script:
         _apply(graph, nodes, step)
-        for index, query in enumerate(queries):
-            rows, footprint, epoch = cached[index]
-            delta = graph.delta_since(epoch)
-            assert delta is not None  # short scripts never truncate
-            fresh_footprint = Footprint()
-            with engine.record_into(fresh_footprint):
-                fresh = engine.bindings(query.where)
-            if fresh != rows:
-                assert footprint.touches(delta), str(query)
-            cached[index] = (fresh, fresh_footprint, graph.epoch)
+        stale = index.affected(graph, epoch)
+        assert stale is not COARSE  # short scripts never truncate
+        before = dict(rows)
+        evaluate_all()
+        for key, query in enumerate(queries):
+            if rows[key] != before[key]:
+                assert key in stale, str(query)
+        epoch = graph.epoch
 
 
 # ---------------------------------------------------------------------- #

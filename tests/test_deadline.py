@@ -6,8 +6,8 @@ The load-bearing properties of the robustness PR:
   every evaluation layer (block operators, path search, template
   expansion, SQL pushdown) and cancels cooperatively -- a structured
   :class:`DeadlineExceeded`, never a hung worker or a traceback;
-* an adversarial query (cyclic ``(link)*`` star path over a graph sized
-  to blow the budget) against ``repro serve`` returns a structured 504
+* an adversarial query (cyclic ``(link)*`` star path over a graph grown,
+  after a calibration run, to cost about ten budgets) against ``repro serve`` returns a structured 504
   within 2x the configured deadline while concurrent well-behaved
   requests keep serving -- for both memory and sqlite backends;
 * keep-alive connections are bounded by an idle timeout and a
@@ -22,11 +22,13 @@ The load-bearing properties of the robustness PR:
 """
 
 import http.client
+import math
 import threading
 import time
 
 import pytest
 
+from repro.core import PageServer
 from repro.errors import DeadlineExceeded, StrudelError
 from repro.graph import Graph
 from repro.repository import SqlRepository, ddl
@@ -244,6 +246,41 @@ def _adversarial_templates():
     return templates
 
 
+def _over_budget_size(budget, margin=10.0, probe=100, k=6):
+    """The cyclic-graph size whose ``/SlowPage.html`` render costs about
+    ``margin`` times ``budget`` on the machine running the test.
+
+    Every node reaches every node, so the render's cost grows with the
+    square of the node count: time the render at ``probe`` nodes (best
+    of two) and scale the size up from there.
+    """
+    timings = []
+    for _ in range(2):
+        server = PageServer(
+            ADVERSARIAL_QUERY, _cyclic_graph(probe, k), _adversarial_templates()
+        )
+        started = time.perf_counter()
+        server.get("/SlowPage.html")
+        timings.append(time.perf_counter() - started)
+    return math.ceil(probe * math.sqrt(margin * budget / min(timings)))
+
+
+def _grow_cyclic(graph, first, size, k=6):
+    """Grow a ``_cyclic_graph`` to at least ``size`` nodes and keep every
+    node reaching every node: the new nodes form a second cycle of the
+    same shape, bridged both ways to ``first``, the old graph's node."""
+    count = max(size - graph.node_count, 1)
+    if count % 7 == 0:
+        count += 1  # steps of 7 cover every node only if 7 does not divide it
+    oids = [graph.add_node(hint=f"m{i}") for i in range(count)]
+    for i, oid in enumerate(oids):
+        graph.add_to_collection("Entries", oid)
+        for j in range(1, k + 1):
+            graph.add_edge(oid, "link", oids[(i + j * 7) % count])
+    graph.add_edge(first, "link", oids[0])
+    graph.add_edge(oids[0], "link", first)
+
+
 def _get(server, path, timeout=60):
     connection = http.client.HTTPConnection(server.host, server.port, timeout=timeout)
     try:
@@ -261,6 +298,7 @@ class TestServe504:
     ):
         budget = 0.4
         graph = _cyclic_graph(300, 6)
+        first = graph.collection("Entries")[0]
         if backend == "sqlite":
             repository = SqlRepository(str(tmp_path))
             repository.store("adv", graph)
@@ -276,10 +314,12 @@ class TestServe504:
             status, _, _ = _get(server, "/")
             assert status == 200
             server.httpd.deadline_budget = budget
-            # invalidate the memo: a data edit bumps the graph epoch, so
-            # the adversarial render must recompute from scratch -- but
-            # "/" keeps serving from the generation cache
-            graph.add_node(hint="epoch-bump")
+            # grow the graph until the adversarial render costs about ten
+            # budgets on this machine (at a fixed size a fast run can
+            # finish inside the budget); the edit also bumps the graph
+            # epoch, so the render must recompute from scratch -- but "/"
+            # keeps serving from the generation cache
+            _grow_cyclic(graph, first, _over_budget_size(budget))
 
             healthy = []
 
