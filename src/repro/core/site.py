@@ -151,7 +151,6 @@ class SiteBuilder:
         name: str,
         site_graph: Optional[Graph] = None,
         check_constraints: bool = True,
-        workers: Optional[int] = None,
         metrics: Optional[Metrics] = None,
         gate: bool = False,
     ) -> BuiltSite:
@@ -159,9 +158,8 @@ class SiteBuilder:
 
         Passing ``site_graph`` reuses an existing site graph (how an
         alternative template set re-renders one structure); otherwise the
-        query is evaluated fresh.  ``workers`` > 1 renders pages on a
-        thread pool (output stays byte-identical to serial); ``metrics``
-        collects evaluation and generation counters for this build.
+        query is evaluated fresh.  ``metrics`` collects the evaluation
+        counters of this build.
         ``gate=True`` runs :meth:`analyze` first and raises
         :class:`~repro.errors.SiteAnalysisError` (carrying the report)
         when any error-severity finding exists -- the pre-build gate.
@@ -175,9 +173,7 @@ class SiteBuilder:
             site_graph = self.site_graph(name, metrics=metrics)
         roots = definition.roots or _default_roots(definition)
         generator = HtmlGenerator(site_graph, definition.templates)
-        generated = generator.generate(
-            roots, site_name=name, workers=workers, metrics=metrics
-        )
+        generated = generator.generate(roots, site_name=name)
         results: Dict[str, CheckResult] = {}
         if check_constraints:
             for constraint in definition.constraints:

@@ -67,6 +67,8 @@ class Graph:
         self._distinct_atoms = 0
         #: epoch-stamped IndexStatistics snapshot, owned by repository.indexes
         self._stats_cache: Optional[object] = None
+        #: (epoch, SchemaIndex), owned by repository.indexes
+        self._schema_cache: Optional[tuple] = None
         #: bounded structured mutation history, one record per epoch bump
         self._delta_log = DeltaLog()
         self.allocator = OidAllocator()

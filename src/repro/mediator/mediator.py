@@ -25,6 +25,7 @@ preserves oids.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
@@ -248,6 +249,13 @@ class Mediator:
         fewer than ``policy.min_sources`` survive, the repository's
         previous generation of ``name`` is returned instead (``stale``);
         with no fallback available, a :class:`MediatorError` is raised.
+
+        The warehouse is written through ``repository.rebuild(name)``,
+        the one write path of both backends: imports, mappings,
+        constraint checks and the provenance stamp all write into the
+        graph it yields, which becomes the next generation of ``name``
+        only if the whole build succeeds (a plain :class:`Graph` when
+        there is no repository).
         """
         if not self._sources:
             raise MediatorError("no sources registered")
@@ -262,53 +270,29 @@ class Mediator:
                 return self._stale_fallback(name, survivors, report, policy)
         else:
             unavailable = set()
-        if self.repository is not None and hasattr(self.repository, "rebuild"):
-            # transactional backends (the SQLite repository) expose
-            # ``rebuild``: imports, mappings, constraint checks, and the
-            # provenance stamp all write directly into the store inside
-            # one transaction, skipping the build-then-copy of the
-            # in-memory path; an exception rolls the whole build back,
-            # leaving the previous generation of ``name`` untouched
-            with self.repository.rebuild(name) as warehouse:
-                self._populate_warehouse(
-                    staging, warehouse, unavailable, policy, report
-                )
-            report.warehouse_size = warehouse.stats()
-            return warehouse
-        warehouse = Graph(name)
-        self._populate_warehouse(staging, warehouse, unavailable, policy, report)
-        report.warehouse_size = warehouse.stats()
         if self.repository is not None:
-            self.repository.store(name, warehouse)
+            target = self.repository.rebuild(name)
+        else:
+            target = nullcontext(Graph(name))
+        with target as warehouse:
+            for spec in self._imports:
+                if spec.source in unavailable:
+                    continue
+                for actual in self._expand_import(staging, spec):
+                    self._run_import(staging, warehouse, actual)
+                    report.collections_imported += 1
+            for mapping in self._mappings:
+                evaluate(mapping, staging, into=warehouse)
+                report.mappings_run += 1
+            if policy is not None and getattr(policy.wrap, "constraints", None) is not None:
+                # the per-wrapper gates already ran; this warehouse-level
+                # pass catches what no single source can see (cross-source
+                # exclusive collisions, constraints on mapped collections)
+                self._apply_warehouse_constraints(warehouse, policy, report)
+            if policy is not None:
+                self._stamp_provenance(warehouse, report)
+        report.warehouse_size = warehouse.stats()
         return warehouse
-
-    def _populate_warehouse(
-        self,
-        staging: Graph,
-        warehouse: Graph,
-        unavailable: set,
-        policy: Optional[ResiliencePolicy],
-        report: MediationReport,
-    ) -> None:
-        """Run imports, mappings, the warehouse-level constraint pass,
-        and the provenance stamp against ``warehouse`` (an in-memory
-        graph or a transactional store target)."""
-        for spec in self._imports:
-            if spec.source in unavailable:
-                continue
-            for actual in self._expand_import(staging, spec):
-                self._run_import(staging, warehouse, actual)
-                report.collections_imported += 1
-        for mapping in self._mappings:
-            evaluate(mapping, staging, into=warehouse)
-            report.mappings_run += 1
-        if policy is not None and getattr(policy.wrap, "constraints", None) is not None:
-            # the per-wrapper gates already ran; this warehouse-level
-            # pass catches what no single source can see (cross-source
-            # exclusive collisions, constraints on mapped collections)
-            self._apply_warehouse_constraints(warehouse, policy, report)
-        if policy is not None:
-            self._stamp_provenance(warehouse, report)
 
     def ingest(
         self, name: str = "data", policy: Optional[ResiliencePolicy] = None

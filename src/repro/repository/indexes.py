@@ -278,3 +278,48 @@ class SchemaIndex:
 
     def has_collection(self, name: str) -> bool:
         return name in self.collections
+
+
+def graph_schema_index(graph: Graph) -> SchemaIndex:
+    """The graph's schema index, cached on the graph per mutation epoch.
+
+    A stale entry is first *patched* from the graph's delta log (the
+    common add-edge/add-collection case appends at most one name); only
+    removals -- which can retire a label -- or a truncated log force a
+    rebuild from the raw indexes.
+    """
+    cached = graph._schema_cache
+    if cached is not None:
+        epoch, index = cached
+        if epoch == graph.epoch:
+            return index
+        delta = graph.delta_since(epoch)
+        patched = index.advanced(delta) if delta is not None else None
+        if patched is not None:
+            graph._schema_cache = (graph.epoch, patched)
+            return patched
+    index = SchemaIndex.from_graph(graph)
+    graph._schema_cache = (graph.epoch, index)
+    return index
+
+
+class RepositoryCatalog:
+    """The catalog half of the repository interface, shared by both
+    backends; subclasses provide ``fetch`` and ``graph_names``."""
+
+    def statistics(self, name: str) -> IndexStatistics:
+        """Index statistics for a stored graph (optimizer input), served
+        from the graph's epoch-stamped snapshot: an unchanged graph is
+        never re-scanned."""
+        return graph_statistics(self.fetch(name))  # type: ignore[attr-defined]
+
+    def schema_index(self, name: str) -> SchemaIndex:
+        """The schema index (collection and attribute names) of a graph."""
+        return graph_schema_index(self.fetch(name))  # type: ignore[attr-defined]
+
+    def catalog(self) -> Dict[str, Dict[str, int]]:
+        """Size summary of every stored graph."""
+        return {
+            name: self.fetch(name).stats()  # type: ignore[attr-defined]
+            for name in self.graph_names()  # type: ignore[attr-defined]
+        }

@@ -46,7 +46,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 from ..errors import (
     DeadlineExceeded,
     GraphError,
-    RepositoryCorruptionError,
     RepositoryError,
     UnknownObjectError,
 )
@@ -73,9 +72,8 @@ from ..graph.delta import (
     _NODE_REMOVE,
     GraphDelta,
 )
-from . import ddl
-from .atomic import atomic_write_text
-from .indexes import IndexStatistics, SchemaIndex, graph_statistics
+from .indexes import RepositoryCatalog
+from .store import Repository, delete_generations, generation_path, write_generation
 
 Target = Union[Oid, Atom]
 
@@ -455,6 +453,8 @@ class SqlGraph:
         self.name = name
         #: epoch-stamped IndexStatistics snapshot, owned by repository.indexes
         self._stats_cache: Optional[object] = None
+        #: (epoch, SchemaIndex), owned by repository.indexes
+        self._schema_cache: Optional[tuple] = None
         self.allocator = OidAllocator()
         self.skolems = SkolemRegistry()
         # id->object caches never go stale (AUTOINCREMENT ids are not
@@ -485,6 +485,7 @@ class SqlGraph:
 
     def _reset_caches(self) -> None:
         self._stats_cache = None
+        self._schema_cache = None
         self._oid_of_id.clear()
         self._atom_of_id.clear()
         self._id_of_name.clear()
@@ -1624,54 +1625,42 @@ class SqlGraph:
 # the repository
 
 
-#: Checksummed DDL snapshots written next to the database file; the
-#: recovery source when the database itself fails its integrity check.
-SNAPSHOT_SUFFIX = ".ddl"
-
-
-class SqlRepository:
+class SqlRepository(RepositoryCatalog):
     """The ``Repository`` surface over one SQLite database file.
 
     Multiple named graphs share the file (a ``graph`` discriminator
-    column on every table).  ``store()`` bulk-loads an in-memory graph
-    transactionally; ``fetch()`` hands out a live :class:`SqlGraph`
-    without materializing anything.  ``directory=None`` keeps the whole
-    store in ``:memory:``, which the tests use.
+    column on every table).  :meth:`rebuild` is the one write path:
+    ``store()`` bulk-loads an in-memory graph inside it, and the
+    mediator materializes its warehouse straight into it.  ``fetch()``
+    hands out a live :class:`SqlGraph` without materializing anything.
+    ``directory=None`` keeps the whole store in ``:memory:``, which the
+    tests use.
 
-    Directory-backed repositories carry a crash-recovery path: every
-    successful bulk load writes a checksummed DDL snapshot next to the
-    database, ``PRAGMA integrity_check`` runs on open, and a corrupt
-    database (torn write, bit flip) is moved aside and rebuilt from the
-    snapshots -- surfaced as recovery events.  Journaled edits made
-    *after* the last snapshot live inside the database file, so they
-    are lost with it; the recovery event says so.
+    A directory-backed repository snapshots every graph it rebuilds as
+    a DDL-store generation next to the database
+    (:func:`~repro.repository.store.write_generation`), and runs
+    ``PRAGMA quick_check`` on open.  A corrupt database (torn write, bit
+    flip) is moved aside and every graph is reloaded from its newest
+    intact snapshot generation
+    (:func:`~repro.repository.store.read_generation`), surfaced as
+    recovery events.  Journaled edits made *after* the last snapshot
+    live inside the database file, so they are lost with it; the
+    recovery event says so.
     """
 
     backend = "sqlite"
 
-    def __init__(
-        self,
-        directory: Optional[str] = None,
-        filename: str = REPOSITORY_FILENAME,
-        auto_snapshot: bool = True,
-    ) -> None:
+    def __init__(self, directory: Optional[str] = None) -> None:
         self.directory = directory
-        self.auto_snapshot = auto_snapshot
         #: times a corrupt database was detected and rebuilt on open
         self.integrity_recoveries = 0
-        if directory is not None:
-            os.makedirs(directory, exist_ok=True)
-            path = os.path.join(directory, filename)
-        else:
-            path = ":memory:"
-        self._path = path
-        recovered = False
-        if path == ":memory:":
-            self.store_backend = SqlStore(path)
-        else:
-            self.store_backend, recovered = self._open_checked(path)
         self._graphs: Dict[str, SqlGraph] = {}
-        self._schema_cache: Dict[str, Tuple[int, int, SchemaIndex]] = {}
+        if directory is None:
+            self.store_backend = SqlStore()
+            return
+        os.makedirs(directory, exist_ok=True)
+        path = os.path.join(directory, REPOSITORY_FILENAME)
+        self.store_backend, recovered = self._open_checked(path)
         if recovered:
             self._restore_snapshots()
 
@@ -1686,16 +1675,14 @@ class SqlRepository:
         ``<file>.corrupt`` and replaced with a fresh store; the caller
         then reloads the DDL snapshots.  Returns (store, recovered?).
         """
-        findings: List[str] = []
-        store: Optional[SqlStore] = None
-        if os.path.exists(path):
-            try:
-                store = SqlStore(path)
-                findings = store.integrity_check()
-            except sqlite3.DatabaseError as error:
-                findings = [str(error)]
-        else:
+        if not os.path.exists(path):
             return SqlStore(path), False
+        store: Optional[SqlStore] = None
+        try:
+            store = SqlStore(path)
+            findings = store.integrity_check()
+        except sqlite3.DatabaseError as error:
+            findings = [str(error)]
         if not findings:
             assert store is not None
             return store, False
@@ -1721,45 +1708,21 @@ class SqlRepository:
         )
         return SqlStore(path), True
 
-    def _snapshot_path(self, name: str) -> str:
-        assert self.directory is not None
-        return os.path.join(self.directory, name + SNAPSHOT_SUFFIX)
-
-    def _write_snapshot(self, name: str) -> None:
-        """Checksummed DDL snapshot of one graph, next to the database."""
-        if self.directory is None or not self.auto_snapshot:
-            return
-        maybe_fail("sql.snapshot")
-        self.export_ddl(name, self._snapshot_path(name))
-
     def _restore_snapshots(self) -> None:
-        """Reload every readable snapshot into the fresh database."""
-        assert self.directory is not None
-        for entry in sorted(os.listdir(self.directory)):
-            if not entry.endswith(SNAPSHOT_SUFFIX):
-                continue
-            name = entry[: -len(SNAPSHOT_SUFFIX)]
-            snapshot = os.path.join(self.directory, entry)
+        """Reload every graph from its newest intact snapshot generation;
+        a graph with none left is recorded as lost."""
+        snapshots = Repository(self.directory)
+        for name in snapshots.graph_names():
             try:
-                with open(snapshot, "r", encoding="utf-8") as handle:
-                    text = handle.read()
-                declared, body = ddl.split_checksum(text)
-                if declared is not None and declared != ddl.checksum(body):
-                    record_recovery_event(
-                        "sql-repository",
-                        f"snapshot {entry} failed its checksum; not restored",
-                    )
-                    continue
-                graph = ddl.loads(body, name=name)
-            except (OSError, RepositoryError) as error:
+                graph = snapshots.fetch(name)
+            except RepositoryError as error:
                 record_recovery_event(
-                    "sql-repository",
-                    f"snapshot {entry} unreadable ({error}); not restored",
+                    "sql-repository", f"graph {name!r} not restored: {error}"
                 )
                 continue
             self.store(name, graph)
             record_recovery_event(
-                "sql-repository", f"graph {name!r} restored from snapshot {entry}"
+                "sql-repository", f"graph {name!r} restored from its snapshot"
             )
 
     # -------------------------------------------------------------- #
@@ -1768,40 +1731,19 @@ class SqlRepository:
     def store(self, name: str, graph, persist: bool = True) -> None:
         """Register ``graph`` under ``name``.
 
-        An in-memory graph is bulk-loaded (replacing any previous
-        generation in one transaction -- a crash leaves the old
-        generation intact).  A :class:`SqlGraph` of this store is
-        registered in place; its edits are already durable.  ``persist``
-        is accepted for interface compatibility; SQLite writes are
-        always durable.
+        An in-memory graph is bulk-loaded as the next generation through
+        :meth:`rebuild`.  A :class:`SqlGraph` of this store is registered
+        in place; its edits are already durable.  ``persist`` is accepted
+        for interface compatibility; SQLite writes are always durable.
         """
-        if not name:
-            raise RepositoryError("graph name must be non-empty")
         if isinstance(graph, SqlGraph) and graph._store is self.store_backend:
+            if not name:
+                raise RepositoryError("graph name must be non-empty")
             graph.name = name
             self._graphs[name] = graph
             return
-        graph.name = name
-        store = self.store_backend
-        target = None
-        try:
-            with store.batch():
-                graph_id = self._ensure_graph_row(name)
-                target = self._graphs.get(name)
-                if target is None:
-                    target = SqlGraph(store, graph_id, name)
-                self._truncate(graph_id)
-                target._reset_caches()
-                target._bulk_import(graph)
-                self._seal_journal(graph_id)
-        except BaseException:
-            # the transaction rolled back; drop any cache entries the
-            # aborted import populated so the survivor reads fresh rows
-            if target is not None:
-                target._reset_caches()
-            raise
-        self._graphs[name] = target
-        self._write_snapshot(name)
+        with self.rebuild(name) as target:
+            target._bulk_import(graph)
 
     def fetch(self, name: str) -> SqlGraph:
         cached = self._graphs.get(name)
@@ -1828,9 +1770,7 @@ class SqlRepository:
                     "DELETE FROM graphs WHERE id=?", (graph_id,)
                 )
         if self.directory is not None:
-            snapshot = self._snapshot_path(name)
-            if os.path.exists(snapshot):
-                os.remove(snapshot)
+            delete_generations(generation_path(self.directory, name))
         if not known:
             raise RepositoryError(f"no graph named {name!r} in the repository")
 
@@ -1843,7 +1783,7 @@ class SqlRepository:
         return sorted(names)
 
     # -------------------------------------------------------------- #
-    # direct materialization (mediator fast path)
+    # the write path
 
     @contextmanager
     def rebuild(self, name: str) -> Iterator[SqlGraph]:
@@ -1853,7 +1793,8 @@ class SqlRepository:
         mediator writes its warehouse directly here, never holding a
         full in-memory copy).  On exception the transaction rolls back
         and the previous generation remains untouched; on success the
-        new generation is committed atomically and registered.
+        new generation is committed atomically, registered, and -- in a
+        directory-backed repository -- snapshotted.
         """
         if not name:
             raise RepositoryError("graph name must be non-empty")
@@ -1876,32 +1817,9 @@ class SqlRepository:
                 target._reset_caches()
             raise
         self._graphs[name] = target
-        self._write_snapshot(name)
-
-    # -------------------------------------------------------------- #
-    # indexes and catalog
-
-    def statistics(self, name: str) -> IndexStatistics:
-        return graph_statistics(self.fetch(name))
-
-    def schema_index(self, name: str) -> SchemaIndex:
-        graph = self.fetch(name)
-        cached = self._schema_cache.get(name)
-        if cached is not None and cached[0] == id(graph):
-            if cached[1] == graph.epoch:
-                return cached[2]
-            delta = graph.delta_since(cached[1])
-            if delta is not None:
-                patched = cached[2].advanced(delta)
-                if patched is not None:
-                    self._schema_cache[name] = (id(graph), graph.epoch, patched)
-                    return patched
-        index = SchemaIndex.from_graph(graph)
-        self._schema_cache[name] = (id(graph), graph.epoch, index)
-        return index
-
-    def catalog(self) -> Dict[str, Dict[str, int]]:
-        return {name: self.fetch(name).stats() for name in self.graph_names()}
+        if self.directory is not None:
+            maybe_fail("sql.snapshot")
+            self.export_ddl(name, generation_path(self.directory, name))
 
     # -------------------------------------------------------------- #
     # backend reporting / DDL bridge
@@ -1915,10 +1833,9 @@ class SqlRepository:
         return self.store_backend.table_counts()
 
     def export_ddl(self, name: str, path: str) -> None:
-        """Write one graph out as checksummed DDL (crash-safe via the
-        same shared atomic-write helper the DDL backend uses)."""
-        payload = ddl.with_checksum(ddl.dumps(self.fetch(name).copy()))
-        atomic_write_text(path, payload, f"store.export.{name}")
+        """Write one graph out as the next DDL-store generation at
+        ``path`` (:func:`~repro.repository.store.write_generation`)."""
+        write_generation(path, name, self.fetch(name).copy())
 
     # -------------------------------------------------------------- #
 
@@ -1972,7 +1889,5 @@ def open_repository(directory: Optional[str] = None, backend: str = "ddl"):
     if backend == "sqlite":
         return SqlRepository(directory)
     if backend == "ddl":
-        from .store import Repository
-
         return Repository(directory)
     raise RepositoryError(f"unknown repository backend: {backend!r}")

@@ -681,13 +681,6 @@ class TestSqlChaosRecovery:
         declared, body = ddl.split_checksum(payload)
         assert ddl.checksum(body) == declared
 
-    def test_auto_snapshot_can_be_disabled(self, tmp_path):
-        import os
-
-        repository = SqlRepository(str(tmp_path), auto_snapshot=False)
-        repository.store("g", _small_graph())
-        assert not os.path.exists(os.path.join(str(tmp_path), "g.ddl"))
-
 
 # ------------------------------------------------------------------ #
 # counters and reporting

@@ -295,38 +295,6 @@ def test_evaluate_reused_engine_sees_mutations():
 
 
 # ---------------------------------------------------------------------- #
-# parallel generation
-
-
-@pytest.mark.parametrize("workers", [2, 4])
-def test_parallel_generation_byte_identical(workers):
-    data = news_graph(25, seed=7)
-    site_graph = evaluate(NEWS_SITE_QUERY, data)
-
-    serial = generate_site(site_graph, news_templates(), ["FrontPage()"])
-    metrics = Metrics()
-    parallel = generate_site(
-        site_graph, news_templates(), ["FrontPage()"],
-        workers=workers, metrics=metrics,
-    )
-    assert parallel.pages == serial.pages  # filenames AND bytes
-    assert parallel.filenames == serial.filenames
-    assert metrics.pages_rendered_parallel == serial.page_count
-    assert serial.page_count > 1
-
-
-def test_parallel_generation_workers_one_is_serial():
-    data = news_graph(5, seed=8)
-    site_graph = evaluate(NEWS_SITE_QUERY, data)
-    metrics = Metrics()
-    site = generate_site(
-        site_graph, news_templates(), ["FrontPage()"], workers=1, metrics=metrics
-    )
-    assert metrics.pages_rendered_parallel == 0
-    assert site.page_count > 0
-
-
-# ---------------------------------------------------------------------- #
 # repository and explain fast paths
 
 
