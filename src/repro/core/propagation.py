@@ -191,10 +191,7 @@ class EditPropagator:
                     replaced = Atom(origin.value.type, new_value.value)
             data.add_edge(origin.source, origin.label, replaced)
         # value rewrites are delete+insert: rebuild through the maintainer
-        self.maintainer.site_graph = self.maintainer._evaluate_all()
-        self._dynamic = DynamicSite(
-            self.maintainer.program, self.maintainer.data_graph, cache=False
-        )
+        self.maintainer.rebuild()
         return PropagationResult(
             origins_rewritten=origins,
             new_value=new_value,

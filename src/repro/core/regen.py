@@ -120,13 +120,16 @@ class RegeneratingSite:
     # ------------------------------------------------------------ #
 
     def rebuild(self) -> RegenReport:
-        """Re-render every page from the current site graph.
+        """Re-derive the site graph from the current data graph and
+        re-render every page.
 
-        The explicit recovery path: after an external failure mid-edit
-        (e.g. a fault injected between maintenance and re-render) the
-        warm page set may be behind the site graph; a rebuild restores
-        the byte-identical-to-scratch invariant.  Counted as coarse.
+        The explicit recovery path: after a failure mid-edit (a pass
+        that raised after mutating the data graph, or a fault between
+        maintenance and re-render) the site graph and the warm page set
+        may both be behind the data; a rebuild restores the
+        byte-identical-to-scratch invariant.  Counted as coarse.
         """
+        self.maintainer.rebuild()
         self.last_report = self._full_build()
         return self.last_report
 

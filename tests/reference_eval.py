@@ -24,8 +24,10 @@ The enumeration order is the contract:
   every node in ``nodes()`` order;
 * ``=`` with one side unbound binds it to the other side's value.
 
-A variable repeated inside one edge or path (``x -> "n" -> x``) takes
-the last write, as in the engine; that is not the paper's semantics.
+A variable repeated inside one edge or path (``x -> "n" -> x``) must
+take one value: a match that would give it two unequal values is
+dropped, and an equal one keeps the first position's value (source,
+then label, then target).
 
 With ``use_indexes=False`` every edge condition is a filtered ``edges()``
 scan, membership tests the ``collection(C)`` list, and a path with only
@@ -165,14 +167,21 @@ def _edge(graph, condition, row, use_indexes):
     out = []
     matches = _edge_matches(graph, source, label, target, use_indexes)
     for edge_source, edge_label, edge_target in matches:
-        new = dict(row)
+        new, fresh = dict(row), {}
+        writes = []
         if source is None:
-            new[condition.source.name] = edge_source
+            writes.append((condition.source.name, edge_source))
         if label is None:
-            new[condition.label.name] = edge_label
+            writes.append((condition.label.name, edge_label))
         if target is None:
-            new[condition.target.name] = edge_target
-        out.append(new)
+            writes.append((condition.target.name, edge_target))
+        for name, value in writes:
+            if name in fresh and not _equal(fresh[name], value):
+                break
+            fresh.setdefault(name, value)
+        else:
+            new.update(fresh)
+            out.append(new)
     return out
 
 
@@ -235,6 +244,12 @@ def _path(graph, condition, row, use_indexes):
                 if any(path_exists(graph, forward, node, p) for p in probes)
             ]
         return [{**row, source_name: node} for node in dict.fromkeys(found)]
+    if condition.target.name == source_name:
+        return [
+            {**row, source_name: node}
+            for node in list(graph.nodes())
+            if node in targets_from(graph, forward, node)
+        ]
     return [
         {**row, source_name: node, condition.target.name: value}
         for node in list(graph.nodes())

@@ -64,6 +64,9 @@ _BLOCK_QUERY_TEXTS = [
     'where x -> "a" -> y, y -> ("a"|"b") -> z create Probe()',
     'where x -> "a" -> y, C(y) create Probe()',
     'where x -> ("a"|"b")* -> 3 create Probe()',
+    'where x -> "a" -> x create Probe()',
+    'where C(x), x -> "a"."b"* -> x create Probe()',
+    "where x -> l -> l create Probe()",
 ]
 
 
@@ -482,3 +485,33 @@ def test_oid_bound_arc_variable_yields_nothing():
     initial = [{"x": a, "l": a}]
     for modes in all_modes():
         assert assert_matches_reference(graph, query.where, initial, **modes) == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['where x -> "n" -> x create Probe()', 'where x -> "n"."n"* -> x create Probe()'],
+    ids=["edge", "path"],
+)
+def test_repeated_variable_takes_one_value(text):
+    """Over a graph whose only edge is a -n-> b, no x is both ends."""
+    graph = Graph()
+    a, b = graph.add_node(), graph.add_node()
+    graph.add_edge(a, "n", b)
+    for modes in all_modes():
+        assert assert_matches_reference(graph, parse_query(text).where, **modes) == []
+
+
+def test_repeated_variable_matches_loops(cycle_graph):
+    graph, a, b = cycle_graph
+    graph.add_edge(b, "n", b)
+    graph.add_edge(a, "a", string("a"))
+    for text, expected in [
+        ('where x -> "n" -> x create Probe()', [{"x": b}]),
+        ('where x -> "n"."n"* -> x create Probe()', [{"x": a}, {"x": b}]),
+        ('where C(x), x -> "n" -> x create Probe()', [{"x": b}]),
+        ("where x -> x -> y create Probe()", []),
+        ("where x -> l -> l create Probe()", [{"x": a, "l": "a"}]),
+    ]:
+        for modes in all_modes():
+            rows = assert_matches_reference(graph, parse_query(text).where, **modes)
+            assert rows == expected, (text, modes)

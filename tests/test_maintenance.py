@@ -181,3 +181,45 @@ class TestSequences:
         assert left.queries_seeded == 1
         assert left.queries_skipped == 3
         assert left.edges_added == 3
+
+
+class TestUnseenDataChanges:
+    """Data changes no maintenance pass saw are folded into the next one."""
+
+    def test_direct_mutation_folded_into_next_pass(self, flat):
+        member = flat.data_graph.collection("Items")[0]
+        flat.data_graph.add_edge(member, "name", string("direct"))
+        flat.add_object("Items", [("name", string("maintained"))])
+        assert flat.last_report.full_rebuilds == 0
+        assert flat.last_report.queries_seeded == 1
+        _assert_consistent(flat)
+
+    def test_direct_removal_rebuilds(self, flat):
+        member = flat.data_graph.collection("Items")[0]
+        flat.data_graph.remove_edge(member, "name", string("item0"))
+        flat.add_object("Items", [("name", string("maintained"))])
+        assert flat.last_report.full_rebuilds == 1
+        _assert_consistent(flat)
+
+    def test_truncated_delta_log_rebuilds(self, flat):
+        member = flat.data_graph.collection("Items")[0]
+        for index in range(4200):
+            flat.data_graph.add_edge(member, "name", string(f"bulk{index}"))
+        flat.add_edge(member, "name", string("maintained"))
+        assert flat.last_report.full_rebuilds == 1
+        _assert_consistent(flat)
+
+    def test_pass_that_raised_is_caught_up(self, flat, monkeypatch):
+        member = flat.data_graph.collection("Items")[0]
+        original = SiteMaintainer._maintain
+
+        def crash_once(self, *args, **kwargs):
+            monkeypatch.setattr(SiteMaintainer, "_maintain", original)
+            raise RuntimeError("maintenance pass died")
+
+        monkeypatch.setattr(SiteMaintainer, "_maintain", crash_once)
+        with pytest.raises(RuntimeError):
+            flat.add_edge(member, "name", string("lost"))
+        flat.add_edge(member, "name", string("next"))
+        assert flat.last_report.full_rebuilds == 0
+        _assert_consistent(flat)

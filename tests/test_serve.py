@@ -535,3 +535,65 @@ class TestServeCLI:
         finally:
             thread.join(timeout=15)
         assert exit_codes == [0]
+
+
+# ------------------------------------------------------------------ #
+# an edit whose maintenance pass raised after mutating the data
+
+
+def _late_author_edit(regen):
+    pub = regen.maintainer.data_graph.collection("Publications")[0]
+    regen.add_edge(pub, "author", "Late Author")
+
+
+def _crash_next_maintenance_pass(monkeypatch):
+    from repro.core.maintenance import SiteMaintainer
+
+    original = SiteMaintainer._maintain
+
+    def crash_once(self, *args, **kwargs):
+        monkeypatch.setattr(SiteMaintainer, "_maintain", original)
+        raise RuntimeError("maintenance pass died")
+
+    monkeypatch.setattr(SiteMaintainer, "_maintain", crash_once)
+
+
+def _fresh_pages(program, data, roots):
+    return generate_site(evaluate(program, data), homepage_templates(), roots).pages
+
+
+class TestFailedMaintenancePass:
+    def test_regen_rebuild_rederives_the_site_graph(self, monkeypatch):
+        program = parse(HOMEPAGE_QUERY)
+        regen = RegeneratingSite(
+            program, bibliography_graph(6, seed=3), homepage_templates(), ["RootPage()"]
+        )
+        _crash_next_maintenance_pass(monkeypatch)
+        with pytest.raises(RuntimeError):
+            _late_author_edit(regen)
+        regen.rebuild()
+        data = regen.maintainer.data_graph
+        assert regen.pages == _fresh_pages(program, data, ["RootPage()"])
+        pub = data.collection("Publications")[1]
+        regen.add_edge(pub, "author", "Later Author")
+        assert regen.pages == _fresh_pages(program, data, ["RootPage()"])
+
+    def test_recover_then_next_edit_publishes_a_fresh_build(self, setup, monkeypatch):
+        core = _fresh_core(setup)
+        _crash_next_maintenance_pass(monkeypatch)
+        with pytest.raises(RuntimeError):
+            core.apply_edit(_late_author_edit)
+        core.recover()
+        core.apply_edit(
+            lambda regen: regen.add_edge(
+                regen.maintainer.data_graph.collection("Publications")[1],
+                "author", "Later Author",
+            )
+        )
+        assert core.rebuilds == 1
+        _, program = setup
+        expected = _static_reference(_fresh_pages(program, core.data_graph, core.roots))
+        generation = core.cache.current()
+        assert sorted(generation.paths()) == sorted(expected)
+        for path, body in expected.items():
+            assert generation.lookup(path).body == body, path

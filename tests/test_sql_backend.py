@@ -109,6 +109,9 @@ _BATTERY = [
     "where Pool(P), P -> L -> V, isAtom(V)",
     'where Pool(P), Q = P, Q -> "b" -> Y',
     'where X -> "c" -> N',
+    'where X -> "a" -> X',
+    'where X -> "a"."a"* -> X',
+    'where Pool(X), X -> "b" -> X',
 ]
 
 
@@ -184,6 +187,22 @@ def test_regular_path_and_negation_corners(corner_pair, text):
     want, _ = _bindings(mem, text)
     got, engine = _bindings(sql, text, pushdown_cutoff=0.0)
     assert got == want
+    assert isinstance(engine, SqlQueryEngine)
+
+
+@pytest.mark.parametrize(
+    "text", ['where X -> "n" -> X', 'where X -> "n"."n"* -> X'], ids=["edge", "path"]
+)
+def test_repeated_variable_takes_one_value(text):
+    """Over a graph whose only edge is a -n-> b, no X is both ends."""
+    mem = Graph("r")
+    a, b = mem.add_node(hint="a"), mem.add_node(hint="b")
+    mem.add_edge(a, "n", b)
+    repository = SqlRepository()
+    repository.store("r", mem, persist=False)
+    assert _bindings(mem, text)[0] == []
+    got, engine = _bindings(repository.fetch("r"), text, pushdown_cutoff=0.0)
+    assert got == []
     assert isinstance(engine, SqlQueryEngine)
 
 
