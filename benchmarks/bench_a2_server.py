@@ -71,75 +71,6 @@ def test_a2_first_page_latency(report, benchmark, articles):
     benchmark.pedantic(lambda: server.get("/"), rounds=10, iterations=1)
 
 
-def test_a2_warm_server_invalidation(report, json_report, benchmark):
-    """After ``invalidate()`` the server keeps its warm engine: the next
-    request re-runs incremental queries but plans are cache hits, vs the
-    seed's behaviour of constructing a whole new DynamicSite (stats
-    re-scan + re-planning) per invalidation."""
-    from repro.repository import IndexStatistics
-    from repro.struql import PlanCache, QueryEngine
-
-    data = news_graph(200, seed=73)
-    program = parse(NEWS_SITE_QUERY)
-    templates = news_templates()
-
-    cold_server = PageServer(program, data, templates)
-    first = cold_server.get("/")
-
-    def cold_cycle():
-        # seed behaviour: the new DynamicSite's engine re-scans
-        # statistics and starts with an empty plan cache
-        cold_server.invalidate()
-        cold_server.dynamic._engine = QueryEngine(
-            data, stats=IndexStatistics.from_graph(data), plan_cache=PlanCache()
-        )
-        return cold_server.get("/")
-
-    server = PageServer(program, data, templates)
-    server.get("/")
-
-    def warm_cycle():
-        server.invalidate()
-        return server.get("/")
-
-    assert warm_cycle() == first  # invalidation preserves output
-    assert cold_cycle() == first
-
-    rounds = 5
-    cold_time = min(_timed(cold_cycle) for _ in range(rounds))
-    warm_time = min(_timed(warm_cycle) for _ in range(rounds))
-    engine = server.dynamic._engine
-    rows = [
-        {"path": "invalidate + cold engine (seed behaviour)",
-         "first page s": round(cold_time, 4)},
-        {"path": "invalidate on a warm server",
-         "first page s": round(warm_time, 4)},
-    ]
-    report("A2_warm_invalidation", rows,
-           note="200-article site; each cycle drops cached expansions and "
-                "re-serves the front page -- the warm server re-queries but "
-                "does not re-plan or re-scan statistics.")
-    json_report("A2", {
-        "experiment": "A2 warm-server invalidation",
-        "graph": {"nodes": data.node_count, "edges": data.edge_count},
-        "rounds": rounds,
-        "cold_first_page_s": round(cold_time, 6),
-        "warm_first_page_s": round(warm_time, 6),
-        "speedup": round(cold_time / max(warm_time, 1e-9), 2),
-        "warm_plan_cache_hits": engine.metrics.plan_cache_hits,
-        "warm_plan_cache_misses": engine.metrics.plan_cache_misses,
-        "warm_stats_snapshots": engine.metrics.stats_snapshots,
-    })
-    assert engine.metrics.plan_cache_hits > 0
-    benchmark.pedantic(warm_cycle, rounds=3, iterations=1)
-
-
-def _timed(thunk):
-    start = time.perf_counter()
-    thunk()
-    return time.perf_counter() - start
-
-
 def test_a2_served_pages_match_static(report, benchmark):
     """Correctness contract at bench scale: every served page equals the
     statically generated page for the same object."""

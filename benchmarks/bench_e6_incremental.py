@@ -120,67 +120,6 @@ def test_e6_click_time_policies(report, benchmark, articles):
     )
 
 
-def test_e6_warm_engine_rebuild(report, json_report, benchmark):
-    """Rebuilding an unchanged site with a warm engine: statistics come
-    from the epoch cache and every plan is a cache hit, vs the seed's
-    cold path that re-scanned and re-planned per build."""
-    from repro.repository import IndexStatistics
-    from repro.struql import Metrics, PlanCache, QueryEngine
-
-    data = news_graph(300, seed=33)
-    program = parse(NEWS_SITE_QUERY)
-
-    def cold_build():
-        engine = QueryEngine(
-            data, stats=IndexStatistics.from_graph(data), plan_cache=PlanCache()
-        )
-        return evaluate(program, data, engine=engine)
-
-    warm_engine = QueryEngine(data, plan_cache=PlanCache())
-
-    def warm_build(metrics=None):
-        return evaluate(program, data, engine=warm_engine, metrics=metrics)
-
-    cold_graph = cold_build()
-    warm_build()  # populate caches
-    steady = Metrics()
-    warm_graph = warm_build(metrics=steady)
-    assert warm_graph.node_count == cold_graph.node_count
-    assert warm_graph.edge_count == cold_graph.edge_count
-    # the steady-state rebuild re-plans nothing and never re-scans
-    assert steady.plan_cache_misses == 0
-    assert steady.stats_snapshots <= 1  # first stats access of this Metrics
-    assert steady.plan_cache_hits > 0
-
-    rounds = 3
-    cold_time = min(_timed(cold_build) for _ in range(rounds))
-    warm_time = min(_timed(warm_build) for _ in range(rounds))
-    rows = [
-        {"pass": "cold build (stats re-scan + re-plan)",
-         "seconds": round(cold_time, 4)},
-        {"pass": "warm rebuild (hot caches)", "seconds": round(warm_time, 4)},
-    ]
-    report("E6_warm_rebuild", rows,
-           note="300-article site graph rebuilt on an unchanged data graph.")
-    json_report("E6_warm_rebuild", {
-        "experiment": "E6 warm-engine site-graph rebuild",
-        "graph": {"nodes": data.node_count, "edges": data.edge_count},
-        "rounds": rounds,
-        "cold_build_s": round(cold_time, 6),
-        "warm_build_s": round(warm_time, 6),
-        "speedup": round(cold_time / max(warm_time, 1e-9), 2),
-        "steady_plan_cache_hits": steady.plan_cache_hits,
-        "steady_plan_cache_misses": steady.plan_cache_misses,
-    })
-    benchmark.pedantic(warm_build, rounds=3, iterations=1)
-
-
-def _timed(thunk):
-    start = time.perf_counter()
-    thunk()
-    return time.perf_counter() - start
-
-
 def test_e6_dynamic_avoids_full_materialization_cost(report, benchmark):
     """For a short session over a large, fresh site, click-time evaluation
     does less total work than materializing everything."""

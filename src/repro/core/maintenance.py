@@ -50,7 +50,14 @@ from ..struql.ast import (
     Query,
     Var,
 )
-from ..struql.eval import Binding, QueryEngine, _Constructor, Metrics, make_engine
+from ..struql.eval import (
+    Binding,
+    Metrics,
+    QueryEngine,
+    _Constructor,
+    _values_equal,
+    make_engine,
+)
 from ..struql.parser import parse
 
 
@@ -306,12 +313,7 @@ class SiteMaintainer:
             if not seeds:
                 continue
             remaining = [c for i, c in enumerate(query.where) if i != index]
-            rows = engine.bindings(remaining, initial=seeds)
-            # the seeded rows must still satisfy the matched condition as
-            # a filter (e.g. the delta member must be in the collection --
-            # trivially true for the delta itself, but seeds for edges
-            # with constants must respect target constants)
-            all_rows.extend(rows)
+            all_rows.extend(engine.bindings(remaining, initial=seeds))
         deduped: Dict[Tuple, Binding] = {}
         for row in all_rows:
             key = tuple(sorted((k, repr(v)) for k, v in row.items()))
@@ -340,10 +342,10 @@ class SiteMaintainer:
                         seed[condition.label.name] = label
                 if isinstance(condition.target, Var):
                     existing = seed.get(condition.target.name)
-                    if existing is not None and existing != target:
-                        conflict = True  # e.g. x -> "l" -> x on a non-loop
-                    else:
+                    if existing is None:
                         seed[condition.target.name] = target
+                    elif not _values_equal(existing, target):
+                        conflict = True  # e.g. x -> "l" -> x on a non-loop
                 elif isinstance(condition.target, Const):
                     from ..graph import atoms_equal
 

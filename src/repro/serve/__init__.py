@@ -21,9 +21,7 @@ closes the network gap between the two: a threaded stdlib HTTP server
 * request deadlines stamped at admission and enforced cooperatively by
   every evaluation layer (structured 504s, never a hung worker), with a
   :class:`Watchdog` thread as the backstop for requests a deadline
-  failed to free, plus ``/healthz`` / ``/readyz`` probes;
-* a Zipf-session traffic generator (:mod:`repro.serve.traffic`) for the
-  latency-percentile benchmarks (``BENCH_SERVE.json``).
+  failed to free, plus ``/healthz`` / ``/readyz`` probes.
 """
 
 from .admission import AdmissionControl
@@ -32,7 +30,6 @@ from .core import ServeCore
 from .http import PooledHTTPServer, SiteServer
 from .locks import RWLock
 from .refresher import EditTicket, Refresher
-from .traffic import LoadSummary, run_load, stepped_load
 from .watchdog import Watchdog
 
 __all__ = [
@@ -40,7 +37,6 @@ __all__ = [
     "EditTicket",
     "Generation",
     "GenerationCache",
-    "LoadSummary",
     "PageEntry",
     "PooledHTTPServer",
     "Refresher",
@@ -48,6 +44,4 @@ __all__ = [
     "ServeCore",
     "SiteServer",
     "Watchdog",
-    "run_load",
-    "stepped_load",
 ]

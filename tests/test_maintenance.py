@@ -8,6 +8,7 @@ import pytest
 
 from repro.core import SiteMaintainer
 from repro.graph import Graph, Oid, integer, string
+from repro.repository import ddl
 from repro.struql import evaluate, parse
 from repro.workloads import HOMEPAGE_QUERY, bibliography_graph
 
@@ -99,6 +100,29 @@ class TestSeeding:
         assert flat.last_report.nodes_added == 1
         assert 0 < flat.last_report.edges_added <= 3
         assert flat.site_graph.edge_count == before_edges + flat.last_report.edges_added
+
+    @pytest.mark.parametrize(
+        "label, target",
+        [("name", string("name")), ("1998", integer(1998))],
+        ids=["string", "coerced-integer"],
+    )
+    def test_repeated_arc_variable_joins_like_the_engine(self, label, target):
+        """``x -> L -> L`` binds the label and the target to one value; a
+        seed compares them with the engine's coercing equality."""
+        data = Graph()
+        item = data.add_node()
+        data.add_edge(item, "title", string("other"))
+        data.add_to_collection("Items", item)
+        maintainer = SiteMaintainer(
+            'where Items(x), x -> L -> L create Echo(x) '
+            'link Echo(x) -> "label" -> L',
+            data,
+        )
+        maintainer.add_edge(item, label, target)
+        assert maintainer.last_report.queries_seeded == 1
+        assert maintainer.last_report.nodes_added == 1
+        fresh = evaluate(maintainer.program, maintainer.data_graph)
+        assert ddl.dumps(maintainer.site_graph) == ddl.dumps(fresh)
 
 
 class TestRecomputeFallbacks:

@@ -276,6 +276,7 @@ def test_evaluate_with_reused_engine_matches_cold():
     assert ddl.dumps(warm_second) == ddl.dumps(cold)
     assert metrics.plan_cache_misses == 0  # steady state: fully cached
     assert metrics.plan_cache_hits > 0
+    assert metrics.stats_snapshots <= 1  # statistics come from the epoch cache
 
 
 def test_evaluate_reused_engine_sees_mutations():
@@ -625,8 +626,12 @@ def test_coarse_reset_evaluates_each_function_once():
         calls[function] += 1
         return evaluate_instances(function)
 
+    engine = server.dynamic._engine
+    hits = engine.metrics.plan_cache_hits
     server.dynamic.instances_of = counting
     server.invalidate()
     assert calls and set(calls) <= set(server.dynamic.schema.functions)
     assert max(calls.values()) == 1
     assert {path: server.get(path) for path in paths} == before
+    # the warm engine survives invalidation: re-served pages hit its plans
+    assert server.dynamic._engine is engine and engine.metrics.plan_cache_hits > hits
