@@ -7,9 +7,9 @@ insert-maintenance with safe fallbacks; this bench quantifies the win
 over the prototype's behaviour for the common update kinds, and shows
 the honest fallback costs.
 
-Expected shape: seeded updates cost orders of magnitude less than a full
-rebuild and are independent of site size; nested/path matches degrade to
-single-query recomputes; deletions and negation pay the full price.
+Expected shape: seeded updates, nested blocks included, cost orders of
+magnitude less than a full rebuild; path matches degrade to single-query
+recomputes; deletions and negation pay the full price.
 """
 
 import time
@@ -58,6 +58,23 @@ def test_a1_update_cost(report, benchmark, articles):
     evaluate(program, maintainer.data_graph)
     rebuild_time = time.perf_counter() - start
 
+    # nested-block insert: NEWS_SITE_QUERY's article, related and top
+    # blocks are seeded too, not recomputed
+    nested_program = parse(NEWS_SITE_QUERY)
+    nested = SiteMaintainer(nested_program, news_graph(articles, seed=61))
+    related = nested.data_graph.collection("Articles")[0]
+    start = time.perf_counter()
+    nested.add_object(
+        "Articles",
+        [("headline", string("Nested story")), ("category", string("world")),
+         ("related", related), ("top", string("yes"))],
+    )
+    nested_time = time.perf_counter() - start
+    nested_report = nested.last_report
+    start = time.perf_counter()
+    evaluate(nested_program, nested.data_graph)
+    nested_rebuild_time = time.perf_counter() - start
+
     # deletion: forced rebuild
     member = maintainer.data_graph.collection("Articles")[0]
     target = maintainer.data_graph.attribute(member, "headline")
@@ -74,6 +91,12 @@ def test_a1_update_cost(report, benchmark, articles):
                         f"{seeded_report.queries_skipped} skipped"},
         {"operation": "insert article (prototype: full rebuild)",
          "seconds": round(rebuild_time, 4), "disposition": "rebuild"},
+        {"operation": "insert article, nested blocks (incremental)",
+         "seconds": round(nested_time, 5),
+         "disposition": f"{nested_report.queries_seeded} seeded, "
+                        f"{nested_report.queries_recomputed} recomputed"},
+        {"operation": "insert article, nested blocks (full rebuild)",
+         "seconds": round(nested_rebuild_time, 4), "disposition": "rebuild"},
         {"operation": "delete edge (falls back to rebuild)",
          "seconds": round(deletion_time, 4), "disposition": "rebuild"},
     ]
@@ -82,6 +105,9 @@ def test_a1_update_cost(report, benchmark, articles):
                 "honestly pay the prototype's full-recompute price.")
     assert seeded_time < rebuild_time / 3
     assert seeded_report.full_rebuilds == 0
+    assert nested_report.queries_recomputed == 0
+    assert nested_report.full_rebuilds == 0
+    assert nested_time < nested_rebuild_time / 3
 
     benchmark.pedantic(
         lambda: maintainer.add_object(

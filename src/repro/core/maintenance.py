@@ -9,18 +9,21 @@ machinery we already have, with honest fallbacks:
 * **Skip** -- a data-graph insertion that cannot match any condition of a
   query (wrong label, wrong collection) cannot change that query's
   output; the query is skipped entirely.
-* **Seed** -- when the insertion matches only conditions in a query's
-  *root block* and the query is monotone, the root block's binding
-  relation is recomputed *seeded* with the delta (the matched condition
-  is removed and its variables are pre-bound), and construction is
-  re-run for just those rows.  Nested blocks run on the seeded rows, so
-  descendants stay consistent.  Skolem memoization and the graph's set
+* **Seed** -- when the insertion matches a condition of a monotone,
+  path-free query, at whatever block depth, each block's new rows are
+  computed from the delta as d(P join N) = dP join N + P join dN: for
+  every condition of the where-clauses from the root down to the block
+  that the delta matches, the other conditions are evaluated with that
+  condition's variables pre-bound from the delta.  The rows are
+  projected to the block's variables and only the block's own clauses
+  are constructed for them, block by block in the order a full
+  evaluation constructs them.  Skolem memoization and the graph's set
   semantics make re-construction idempotent: only genuinely new nodes
-  and edges appear.
-* **Recompute** -- if the match is inside a nested block (its
-  construction depends on ancestor constructions for those rows) or the
-  query contains a regular-path condition (a new edge anywhere can
-  extend a path), the affected query -- and only it -- is re-evaluated.
+  and edges appear (the tests check they come in the order a recompute
+  adds them).
+* **Recompute** -- if the query contains a regular-path condition (a
+  new edge anywhere can extend a path), the affected query -- and only
+  it -- is re-evaluated.
 * **Full rebuild** -- non-monotone cases: the query contains negation
   (an insertion can *invalidate* old rows, and a materialized site graph
   cannot un-construct), or the update is a deletion.  The maintainer
@@ -33,19 +36,17 @@ evaluation of the program over the current data graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple, Union
 
-from ..graph import Atom, Graph, Oid, Target, from_python
+from ..graph import Atom, Graph, Oid, Target
 from ..struql.ast import (
     CollectionCond,
-    ComparisonCond,
     Condition,
     Const,
     EdgeCond,
     NotCond,
     PathCond,
-    PredicateCond,
     Program,
     Query,
     Var,
@@ -53,8 +54,8 @@ from ..struql.ast import (
 from ..struql.eval import (
     Binding,
     Metrics,
-    QueryEngine,
     _Constructor,
+    _project,
     _values_equal,
     make_engine,
 )
@@ -232,23 +233,18 @@ class SiteMaintainer:
         new_edges: List[Tuple[Oid, str, Target]],
         new_members: List[Tuple[str, Oid]],
     ) -> str:
-        root_matches = False
-        nested_matches = False
+        matches = False
         has_path = False
         has_negation = False
         for block in query.walk():
-            in_root = block is query
             for condition in block.where:
                 if isinstance(condition, NotCond):
                     has_negation = True
                 if isinstance(condition, PathCond):
                     has_path = True
                 if self._condition_matches(condition, new_edges, new_members):
-                    if in_root:
-                        root_matches = True
-                    else:
-                        nested_matches = True
-        if not root_matches and not nested_matches:
+                    matches = True
+        if not matches:
             # an insertion can also matter to path conditions regardless
             # of labels (a new edge may extend any path)
             if has_path and new_edges:
@@ -256,7 +252,7 @@ class SiteMaintainer:
             return "skip"
         if has_negation:
             return "rebuild"
-        if has_path or nested_matches:
+        if has_path:
             return "recompute"
         return "seed"
 
@@ -305,22 +301,26 @@ class SiteMaintainer:
         new_edges: List[Tuple[Oid, str, Target]],
         new_members: List[Tuple[str, Oid]],
     ) -> None:
-        """Delta-seeded evaluation of a root block whose condition matched."""
+        """Delta-seeded evaluation of every block of ``query``, depth
+        first like :meth:`_Constructor.run`.  A block's new rows are the
+        union, over each condition of its where-clauses from the root
+        down that the delta matches, of the other conditions evaluated
+        from that condition's seeds."""
         engine = self._engine
-        all_rows: List[Binding] = []
-        for index, condition in enumerate(query.where):
-            seeds = self._seeds_for(condition, new_edges, new_members)
-            if not seeds:
-                continue
-            remaining = [c for i, c in enumerate(query.where) if i != index]
-            all_rows.extend(engine.bindings(remaining, initial=seeds))
-        deduped: Dict[Tuple, Binding] = {}
-        for row in all_rows:
-            key = tuple(sorted((k, repr(v)) for k, v in row.items()))
-            deduped[key] = row
-        _Constructor(self.site_graph, Metrics(), self.data_graph).run(
-            query, list(deduped.values()), engine
-        )
+        constructor = _Constructor(self.site_graph, Metrics(), self.data_graph)
+
+        def seed_block(block: Query, where: List[Condition]) -> None:
+            rows: List[Binding] = []
+            for index, condition in enumerate(where):
+                seeds = self._seeds_for(condition, new_edges, new_members)
+                if seeds:
+                    remaining = where[:index] + where[index + 1:]
+                    rows.extend(engine.bindings(remaining, initial=seeds))
+            constructor.construct(block, _project(rows, block.variables()))
+            for child in block.blocks:
+                seed_block(child, where + child.where)
+
+        seed_block(query, list(query.where))
 
     @staticmethod
     def _seeds_for(

@@ -204,9 +204,14 @@ class DeltaLog:
         if epoch < self._floor:
             return None
         delta = GraphDelta(epoch, current_epoch)
-        for record_epoch, kind, a, b, c in self._records:
-            if record_epoch <= epoch:
-                continue
+        # records are in epoch order: walk back from the newest, so the
+        # cost is the delta's size, not the ring's
+        newer = []
+        for record in reversed(self._records):
+            if record[0] <= epoch:
+                break
+            newer.append(record)
+        for _, kind, a, b, c in reversed(newer):
             if kind == _EDGE_ADD:
                 delta.edges_added.append((a, b, c))  # type: ignore[arg-type]
             elif kind == _EDGE_REMOVE:

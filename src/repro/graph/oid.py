@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from .values import Atom
 
@@ -110,9 +110,14 @@ class SkolemRegistry:
 
     def __init__(self) -> None:
         self._terms: Dict[Tuple[str, Tuple[object, ...]], Oid] = {}
+        self._oids: Set[Oid] = set()
 
     def __len__(self) -> int:
         return len(self._terms)
+
+    def __contains__(self, oid: object) -> bool:
+        """True when ``oid`` was created by applying a Skolem function."""
+        return oid in self._oids
 
     def apply(self, function: str, args: Tuple[object, ...]) -> Oid:
         """Apply Skolem function ``function`` to ``args``; memoized.
@@ -126,6 +131,7 @@ class SkolemRegistry:
             return existing
         oid = Oid(skolem_term_name(function, args))
         self._terms[key] = oid
+        self._oids.add(oid)
         return oid
 
     def lookup(self, function: str, args: Tuple[object, ...]) -> Optional[Oid]:

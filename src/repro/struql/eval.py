@@ -1195,17 +1195,21 @@ class _Constructor:
         self.result = result
         self.metrics = metrics
         self.source = source
-        self._new_nodes: Set[Oid] = {oid for _, _, oid in result.skolems.terms()}
         self._imported: Set[Oid] = set()
 
     def run(self, query: Query, rows: List[Binding], engine: QueryEngine) -> None:
-        for row in rows:
-            self._construct_row(query, row)
+        self.construct(query, rows)
         for block in query.blocks:
             block_rows = engine.bindings(
                 block.where, initial=_project(rows, block.variables())
             )
             self.run(block, block_rows, engine)
+
+    def construct(self, query: Query, rows: List[Binding]) -> None:
+        """Apply ``query``'s own clauses (not its nested blocks') to
+        each row."""
+        for row in rows:
+            self._construct_row(query, row)
 
     # ------------------------------------------------------------ #
 
@@ -1236,7 +1240,6 @@ class _Constructor:
         oid = self.result.skolem(term.function, *args)
         if self.result.node_count > before:
             self.metrics.nodes_created += 1
-        self._new_nodes.add(oid)
         return oid
 
     def _resolve_node(
@@ -1295,7 +1298,7 @@ class _Constructor:
             raise StruqlEvaluationError(
                 f"link source {ref.name!r} does not denote a node (got {value!r})"
             )
-        if value not in self._new_nodes:
+        if value not in self.result.skolems:
             raise ImmutableNodeError(
                 f"link source {value} is an existing node; STRUQL only adds "
                 "edges out of new (Skolem-created) nodes"

@@ -101,6 +101,38 @@ class TestSeeding:
         assert 0 < flat.last_report.edges_added <= 3
         assert flat.site_graph.edge_count == before_edges + flat.last_report.edges_added
 
+    def test_nested_block_match_seeds(self):
+        data = bibliography_graph(6, seed=90)
+        maintainer = SiteMaintainer(HOMEPAGE_QUERY, data)
+        pub = data.collection("Publications")[0]
+        maintainer.add_edge(pub, "year", integer(1888))
+        assert maintainer.last_report.queries_seeded == 1
+        assert maintainer.last_report.queries_recomputed == 0
+        assert maintainer.last_report.full_rebuilds == 0
+        _assert_consistent(maintainer)
+        assert maintainer.site_graph.has_node(Oid("YearPage(1888)"))
+
+    def test_insert_cost_is_independent_of_site_size(self):
+        """A seeded Fig. 3 insert touches only the new publication's
+        rows, however many publications the site already has."""
+
+        def insert_cost(publications):
+            maintainer = SiteMaintainer(
+                HOMEPAGE_QUERY, bibliography_graph(publications, seed=3)
+            )
+            metrics = maintainer._engine.metrics
+            before = (metrics.bindings_produced, metrics.edges_examined)
+            maintainer.add_object(
+                "Publications",
+                [("title", string("New")), ("author", string("Ann")),
+                 ("year", integer(1999)), ("category", string("Databases"))],
+            )
+            assert maintainer.last_report.queries_seeded == 1
+            return (metrics.bindings_produced - before[0],
+                    metrics.edges_examined - before[1])
+
+        assert insert_cost(50) == insert_cost(400)
+
     @pytest.mark.parametrize(
         "label, target",
         [("name", string("name")), ("1998", integer(1998))],
@@ -126,16 +158,6 @@ class TestSeeding:
 
 
 class TestRecomputeFallbacks:
-    def test_nested_block_match_recomputes(self):
-        data = bibliography_graph(6, seed=90)
-        maintainer = SiteMaintainer(HOMEPAGE_QUERY, data)
-        pub = data.collection("Publications")[0]
-        maintainer.add_edge(pub, "year", integer(1888))
-        assert maintainer.last_report.queries_recomputed >= 1
-        assert maintainer.last_report.full_rebuilds == 0
-        _assert_consistent(maintainer)
-        assert maintainer.site_graph.has_node(Oid("YearPage(1888)"))
-
     def test_path_query_recomputes(self):
         data = Graph()
         a, b = data.add_node(), data.add_node()

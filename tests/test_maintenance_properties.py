@@ -5,13 +5,21 @@ For any sequence of insert-style updates applied through the maintainer,
 the maintained site graph must equal a fresh evaluation of the program
 over the resulting data graph.  This is the central correctness property
 of repro.core.maintenance, so it gets the hypothesis treatment.
+
+Every insert into these path- and negation-free queries is seeded, at
+whatever block depth it matches.  A second arm feeds the same updates to
+a maintainer that recomputes each query instead of seeding it, and the
+two site graphs must dump identically: node order, edge order and
+collection order included.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core import SiteMaintainer
 from repro.graph import Graph, Oid, integer, string
+from repro.repository import ddl
 from repro.struql import evaluate
+from repro.workloads import HOMEPAGE_QUERY, bibliography_graph
 
 SITE_QUERY = """
 create Root()
@@ -40,6 +48,26 @@ _updates = st.lists(
     max_size=8,
 )
 
+# Fig. 3 updates: (kind, payload)
+_homepage_updates = st.lists(
+    st.one_of(
+        st.tuples(st.just("publication"), st.integers(0, 5)),
+        st.tuples(st.just("year"), st.integers(0, 5)),
+        st.tuples(st.just("category"), st.integers(0, 5)),
+        st.tuples(st.just("author"), st.integers(0, 5)),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class RecomputingMaintainer(SiteMaintainer):
+    """Recomputes every query the delta matches instead of seeding it."""
+
+    def _classify(self, query, new_edges, new_members):
+        disposition = super()._classify(query, new_edges, new_members)
+        return "recompute" if disposition == "seed" else disposition
+
 
 def _canon(graph):
     return (
@@ -53,44 +81,92 @@ def _canon(graph):
     )
 
 
-@given(_updates)
-@settings(max_examples=40, deadline=None)
-def test_maintenance_equals_fresh_evaluation(updates):
+def _items_graph():
     data = Graph()
-    seed_items = []
     for index in range(2):
         oid = data.add_node()
         data.add_edge(oid, "name", string(f"seed{index}"))
         data.add_to_collection("Items", oid)
-        seed_items.append(oid)
-    maintainer = SiteMaintainer(SITE_QUERY, data)
+    return data
 
+
+def _apply_items_update(maintainer, kind, which, serial, loose_nodes):
+    items = maintainer.data_graph.collection("Items")
+    if kind == "object":
+        maintainer.add_object(
+            "Items",
+            [("name", string(f"obj{serial}")),
+             ("group", string(f"g{which % 3}"))],
+        )
+    elif kind == "group-edge":
+        target = items[which % len(items)]
+        maintainer.add_edge(target, "group", string(f"g{which % 3}"))
+    elif kind == "name-edge":
+        target = items[which % len(items)]
+        maintainer.add_edge(target, "name", string(f"alias{serial}"))
+    elif kind == "noise-edge":
+        target = items[which % len(items)]
+        maintainer.add_edge(target, "noise", integer(serial))
+    else:  # member: promote a loose node
+        if not loose_nodes:
+            loose = maintainer.data_graph.add_node()
+            maintainer.data_graph.add_edge(loose, "name", string(f"loose{serial}"))
+            loose_nodes.append(loose)
+        maintainer.add_to_collection("Items", loose_nodes.pop())
+
+
+def _apply_homepage_update(maintainer, kind, which, serial, _loose_nodes):
+    publications = maintainer.data_graph.collection("Publications")
+    target = publications[which % len(publications)]
+    if kind == "publication":
+        maintainer.add_object(
+            "Publications",
+            [("title", string(f"Paper {serial}")),
+             ("author", string(f"Author {which}")),
+             ("year", integer(1990 + which)),
+             ("category", string(f"Topic {which % 3}"))],
+        )
+    elif kind == "year":
+        maintainer.add_edge(target, "year", integer(1980 + which))
+    elif kind == "category":
+        maintainer.add_edge(target, "category", string(f"Topic {which}"))
+    else:
+        maintainer.add_edge(target, "author", string(f"Coauthor {serial}"))
+
+
+def _run(maintainer_class, query, data, apply_update, updates):
+    maintainer = maintainer_class(query, data)
     loose_nodes = []
-    serial = 0
-    for kind, which in updates:
-        serial += 1
-        items = maintainer.data_graph.collection("Items")
-        if kind == "object":
-            maintainer.add_object(
-                "Items",
-                [("name", string(f"obj{serial}")),
-                 ("group", string(f"g{which % 3}"))],
-            )
-        elif kind == "group-edge":
-            target = items[which % len(items)]
-            maintainer.add_edge(target, "group", string(f"g{which % 3}"))
-        elif kind == "name-edge":
-            target = items[which % len(items)]
-            maintainer.add_edge(target, "name", string(f"alias{serial}"))
-        elif kind == "noise-edge":
-            target = items[which % len(items)]
-            maintainer.add_edge(target, "noise", integer(serial))
-        else:  # member: promote a loose node
-            if not loose_nodes:
-                loose = maintainer.data_graph.add_node()
-                maintainer.data_graph.add_edge(loose, "name", string(f"loose{serial}"))
-                loose_nodes.append(loose)
-            maintainer.add_to_collection("Items", loose_nodes.pop())
+    for serial, (kind, which) in enumerate(updates, start=1):
+        apply_update(maintainer, kind, which, serial, loose_nodes)
         assert maintainer.last_report.full_rebuilds == 0  # all inserts
-    fresh = evaluate(maintainer.program, maintainer.data_graph)
-    assert _canon(maintainer.site_graph) == _canon(fresh)
+        if maintainer_class is SiteMaintainer:
+            assert maintainer.last_report.queries_recomputed == 0
+    return maintainer
+
+
+def _check(query, make_data, apply_update, updates):
+    seeded = _run(SiteMaintainer, query, make_data(), apply_update, updates)
+    fresh = evaluate(seeded.program, seeded.data_graph)
+    assert _canon(seeded.site_graph) == _canon(fresh)
+    recomputed = _run(
+        RecomputingMaintainer, query, make_data(), apply_update, updates
+    )
+    assert ddl.dumps(seeded.site_graph) == ddl.dumps(recomputed.site_graph)
+
+
+@given(_updates)
+@settings(max_examples=40, deadline=None)
+def test_maintenance_equals_fresh_evaluation(updates):
+    _check(SITE_QUERY, _items_graph, _apply_items_update, updates)
+
+
+@given(_homepage_updates)
+@settings(max_examples=25, deadline=None)
+def test_homepage_maintenance_equals_fresh_evaluation(updates):
+    _check(
+        HOMEPAGE_QUERY,
+        lambda: bibliography_graph(5, seed=17),
+        _apply_homepage_update,
+        updates,
+    )

@@ -66,6 +66,14 @@ class TestSkolemRegistry:
         registry.apply("G", ())
         assert len(list(registry.instances_of("F"))) == 2
 
+    def test_membership_is_created_oids(self):
+        registry = SkolemRegistry()
+        oid = registry.apply("F", (integer(1),))
+        registry.lookup("G", ())  # a lookup creates nothing
+        assert oid in registry
+        assert Oid("G()") not in registry
+        assert Oid("F(1)") in registry
+
     def test_len(self):
         registry = SkolemRegistry()
         registry.apply("F", ())

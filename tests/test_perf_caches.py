@@ -19,7 +19,7 @@ import string as stringmod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graph import Atom, AtomType, Graph, string
+from repro.graph import Atom, AtomType, DeltaLog, Graph, Oid, string
 from repro.repository import IndexStatistics, Repository, ddl, graph_statistics
 from repro.struql import (
     Metrics,
@@ -396,6 +396,47 @@ def test_delta_log_truncation_returns_none():
     graph.add_edge(a, "l", string("tail"))
     tail = graph.delta_since(recent)
     assert tail is not None and tail.size() == 1
+
+
+def test_delta_log_since_matches_forward_scan():
+    """`DeltaLog.since` walks back from the newest record; it must give
+    what a forward scan of every record ever logged gives, and ``None``
+    exactly when an evicted record is newer than the asked epoch."""
+    log = DeltaLog(maxlen=8)
+    history = []  # (epoch, GraphDelta field, entry) for every record
+    a, b = Oid("a"), Oid("b")
+
+    def record(epoch, method, field, *args):
+        getattr(log, method)(epoch, *args)
+        entry = args if len(args) > 1 else args[0]
+        history.append((epoch, field, entry))
+
+    fields = ("edges_added", "edges_removed", "nodes_added", "nodes_removed",
+              "members_added", "members_removed", "collections_created")
+    for epoch in range(1, 25):
+        record(epoch, "edge_added", "edges_added", a, "l", string(f"v{epoch}"))
+        if epoch % 3 == 0:  # several records share one epoch
+            record(epoch, "collection_created", "collections_created", "C")
+            record(epoch, "member_added", "members_added", "C", b)
+        if epoch % 4 == 0:
+            record(epoch, "edge_removed", "edges_removed", a, "l", string("v1"))
+            record(epoch, "node_added", "nodes_added", b)
+        if epoch % 5 == 0:
+            record(epoch, "member_removed", "members_removed", "C", b)
+            record(epoch, "node_removed", "nodes_removed", b)
+        evicted = history[:len(history) - len(log)]
+        floor = evicted[-1][0] if evicted else 0
+        for asked in range(epoch + 1):
+            delta = log.since(asked, epoch)
+            if asked < floor:
+                assert delta is None
+                continue
+            assert delta is not None
+            assert delta.empty == (asked == epoch)
+            for field in fields:
+                expected = [e for at, f, e in history if at > asked and f == field]
+                assert getattr(delta, field) == expected
+    assert evicted  # the script did run past the ring
 
 
 @given(mutation_scripts())
