@@ -1,4 +1,4 @@
-"""Selective regeneration: re-render only the pages an edit affected.
+"""Selective regeneration: re-render only the fragments an edit affected.
 
 The static pipeline's answer to the incremental-maintenance problem:
 :class:`RegeneratingSite` owns the whole chain
@@ -7,32 +7,43 @@ The static pipeline's answer to the incremental-maintenance problem:
 
 and keeps it warm across data-graph mutations.  Each mutation flows
 through the :class:`~repro.core.maintenance.SiteMaintainer` (which
-patches the materialized site graph).  Every page is rendered through a
+patches the materialized site graph).  Rendering is fragment-granular:
+every page, and every component inlined into a page by ``EMBED``
+(paper section 2.4), is rendered through a
 :class:`~repro.struql.footprint.RecordingView` of the site graph, and
-the site-graph nodes it read are kept in a
-:class:`~repro.struql.footprint.DependencyIndex`; after a mutation the
-index maps the *site graph's own delta* to the pages whose reads it
-changed, and only those are re-rendered -- every other page keeps its
-bytes.  The persistent generator keeps the filename table, so retained
-pages keep their names and the whole output stays byte-identical to a
-from-scratch build (property-tested).
+the site-graph nodes it read are kept in one
+:class:`~repro.struql.footprint.DependencyIndex`.  An embedded
+rendering is a function of ``(oid, embed_stack)`` and its reads, so it
+is cached under that key; recordings nest, so a page's read set covers
+every fragment it embeds, reused or not.  After a mutation the index
+maps the *site graph's own delta* to the stale pages and fragments: the
+stale fragments are dropped, the stale pages re-rendered, and each
+re-rendered page renders only its stale fragments afresh -- the rest are
+reused byte for byte, and every other page keeps its bytes.  The
+persistent generator keeps the filename table, so retained pages keep
+their names and the whole output stays byte-identical to a from-scratch
+build (property-tested).
 
 Honest fallbacks, matching the maintainer's: deletions and negation make
 the maintainer replace the site graph wholesale, and the index answers
 ``COARSE`` when the bounded delta log was truncated -- both regenerate
-everything (counted as ``coarse``).
+everything from an empty fragment cache (counted as ``coarse``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..graph import Graph, Oid, Target
 from ..struql.ast import Program, Query
 from ..struql.footprint import COARSE, DependencyIndex, RecordingView
-from ..template import GeneratedSite, HtmlGenerator, TemplateSet
+from ..template import GeneratedSite, HtmlGenerator, Renderer, TemplateSet
 from .maintenance import MaintenanceReport, SiteMaintainer
+
+#: An embedded rendering's cache key: the embedded object and the
+#: stack of objects it is embedded in.
+FragmentKey = Tuple[Oid, Tuple[Oid, ...]]
 
 
 @dataclass
@@ -51,6 +62,20 @@ class RegenReport:
     pages_retained: int = 0
     #: individual site-graph mutations the delta carried
     delta_size: int = 0
+    #: ``EMBED`` fragments rendered afresh (every other one was reused)
+    fragments_rendered: int = 0
+
+
+class _FragmentRenderer(Renderer):
+    """A renderer whose every ``EMBED`` rendering goes through its
+    site's fragment cache."""
+
+    def __init__(self, site: "RegeneratingSite", registry: HtmlGenerator) -> None:
+        super().__init__(site._view, registry)  # type: ignore[arg-type]
+        self._site = site
+
+    def render_embedded(self, oid: Oid, embed_stack: Tuple[Oid, ...]) -> str:
+        return self._site._fragment(oid, embed_stack, super().render_embedded)
 
 
 class RegeneratingSite:
@@ -58,7 +83,8 @@ class RegeneratingSite:
 
     ``regen.pages`` is always byte-identical to building the site from
     scratch over the current data graph; the point is that after a small
-    edit only the affected pages are re-rendered to get there.
+    edit only the affected pages are re-rendered to get there, and
+    inside them only the affected ``EMBED`` fragments.
     """
 
     def __init__(
@@ -137,8 +163,14 @@ class RegeneratingSite:
         site_graph = self.maintainer.site_graph
         self._view = RecordingView(site_graph)
         self._generator = HtmlGenerator(self._view, self.templates)  # type: ignore[arg-type]
-        #: page oid -> the site-graph nodes its last render read
+        self._generator._renderer = _FragmentRenderer(self, self._generator)
+        #: page oid or fragment key -> the site-graph nodes its last
+        #: render read
         self._deps = DependencyIndex()
+        #: fragment key -> (html, the site-graph nodes it read)
+        self._fragments: Dict[FragmentKey, Tuple[str, Set[Oid]]] = {}
+        #: fragments rendered afresh since the pass began
+        self._fragments_rendered = 0
         #: page oid -> position in first-render order
         self._rank: Dict[Oid, int] = {}
         self._site = GeneratedSite(self.site_name)
@@ -151,6 +183,7 @@ class RegeneratingSite:
             maintenance=self.maintainer.last_report,
             coarse=True,
             pages_rerendered=len(self._site.pages),
+            fragments_rendered=self._fragments_rendered,
         )
 
     def _regenerate(self) -> RegenReport:
@@ -165,16 +198,28 @@ class RegeneratingSite:
         report = RegenReport(maintenance=self.maintainer.last_report)
         report.delta_size = stale.delta.size()
         self._site_epoch = site_graph.epoch
+        self._fragments_rendered = 0
+        # every page that embeds a stale fragment is stale too (its read
+        # set covers the fragment's), so dropping the fragments first
+        # makes each stale page re-render exactly its stale fragments
+        pages: List[Oid] = []
+        for key in stale:
+            if isinstance(key, Oid):
+                pages.append(key)
+            else:
+                del self._fragments[key]
+                self._deps.discard(key)
         # roots naming collections can have gained members: any root oid
         # without a filename yet becomes a new page seed
         self._seed_roots()
-        for oid in sorted(stale, key=self._rank.__getitem__):
+        for oid in sorted(pages, key=self._rank.__getitem__):
             self._render(oid)
-        report.pages_rerendered = len(stale)
-        report.pages_retained = len(self._deps) - len(stale)
+        report.pages_rerendered = len(pages)
+        report.pages_retained = len(self._rank) - len(pages)
         # re-rendering (and new root members) can have discovered brand
         # new pages: drain the generator queue exactly like a full build
         report.pages_added = self._drain()
+        report.fragments_rendered = self._fragments_rendered
         self._site.filenames = dict(self._generator._filenames)
         return report
 
@@ -201,3 +246,26 @@ class RegeneratingSite:
         self._deps.add(oid, reads)
         self._rank.setdefault(oid, len(self._rank))
         self._site.pages[self._generator._filenames[oid]] = html
+
+    def _fragment(
+        self,
+        oid: Oid,
+        embed_stack: Tuple[Oid, ...],
+        render: Callable[[Oid, Tuple[Oid, ...]], str],
+    ) -> str:
+        """The ``EMBED`` rendering of ``oid`` under ``embed_stack``: the
+        cached one, its reads replayed into the open recording, or a
+        fresh ``render`` whose reads are recorded and cached with it.
+        A render that raises caches nothing."""
+        key = (oid, embed_stack)
+        cached = self._fragments.get(key)
+        if cached is not None:
+            html, reads = cached
+            self._view.replay(reads)
+            return html
+        with self._view.recording() as reads:
+            html = render(oid, embed_stack)
+        self._fragments[key] = (html, reads)
+        self._deps.add(key, reads)
+        self._fragments_rendered += 1
+        return html

@@ -61,6 +61,8 @@ class Generation:
         #: being served as last-known-good (readers surface a header)
         self.stale = False
         self._pages: Dict[str, PageEntry] = pages if pages is not None else {}
+        #: filename -> the HTML string each static page was encoded from
+        self._sources: Dict[str, str] = {}
         self._fill_lock = threading.Lock()
         self.fills = 0
         self.fill_races = 0
@@ -98,17 +100,30 @@ class Generation:
         epoch: int,
         pages: Dict[str, str],
         origin: str = "build",
+        previous: Optional["Generation"] = None,
     ) -> "Generation":
         """A complete generation from a static build's filename->HTML
         map.  Every page is served at ``/<filename>``; the index page is
-        additionally served at ``/``."""
+        additionally served at ``/``.
+
+        A page whose HTML is the very string object ``previous`` was
+        built from keeps ``previous``'s (frozen) entry instead of being
+        encoded again -- an identity test, so it is exact and costs
+        nothing for the pages an edit did not re-render."""
+        sources = previous._sources if previous is not None else {}
         entries: Dict[str, PageEntry] = {}
         for filename, html in pages.items():
-            entry = PageEntry(200, html.encode("utf-8"))
-            entries["/" + filename] = entry
+            path = "/" + filename
+            if sources.get(filename) is html:
+                entry = previous._pages[path]  # type: ignore[union-attr]
+            else:
+                entry = PageEntry(200, html.encode("utf-8"))
+            entries[path] = entry
             if filename == "index.html":
                 entries["/"] = entry
-        return cls(gen_id, epoch, entries, complete=True, origin=origin)
+        generation = cls(gen_id, epoch, entries, complete=True, origin=origin)
+        generation._sources = dict(pages)
+        return generation
 
 
 class GenerationCache:

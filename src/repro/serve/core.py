@@ -308,6 +308,7 @@ class ServeCore:
                     "pages_rerendered": report.pages_rerendered,
                     "pages_added": report.pages_added,
                     "pages_retained": report.pages_retained,
+                    "fragments_rendered": report.fragments_rendered,
                 }
             edit(self.data_graph)
             maybe_fail("serve.refresh.publish")
@@ -362,6 +363,7 @@ class ServeCore:
             self.data_graph.epoch,
             self.regen.pages,
             origin=origin,
+            previous=self.cache.current() if self.cache.published else None,
         )
 
     def _slot(self, worker_id: int) -> _WorkerSlot:

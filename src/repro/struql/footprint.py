@@ -7,8 +7,9 @@ looked*.  Two kinds of read are recorded:
   evaluation: which ``(source, label)`` adjacency lists it read, which
   label extents and collections it scanned, which atomic values it
   probed in the reverse index;
-* a set of nodes -- what one page render read, recorded through a
-  :class:`RecordingView` of the graph it rendered from.
+* a set of nodes -- what one page render, or one ``EMBED`` component
+  of it, read, recorded through a :class:`RecordingView` of the graph
+  it rendered from.
 
 A :class:`DependencyIndex` inverts both kinds, keyed by the cached
 result they belong to, and answers :meth:`DependencyIndex.affected`
@@ -304,13 +305,25 @@ class RecordingView:
 
     @contextmanager
     def recording(self) -> Iterator[Set[Oid]]:
-        """Collect the nodes read inside the block into the yielded set."""
+        """Collect the nodes read inside the block into the yielded set.
+
+        Recordings nest: on exit the block's reads are also merged into
+        the enclosing recording, so an outer render's set covers every
+        component rendered inside it."""
         previous = self._reads
         self._reads = reads = set()
         try:
             yield reads
         finally:
             self._reads = previous
+            if previous is not None:
+                previous |= reads
+
+    def replay(self, reads: AbstractSet[Oid]) -> None:
+        """Count ``reads`` as read by the open recording -- the reads of
+        a cached component reused instead of rendered."""
+        if self._reads is not None:
+            self._reads |= reads
 
     def _note(self, oid: Oid) -> None:
         if self._reads is not None:

@@ -211,15 +211,22 @@ class Renderer:
         self, oid: Oid, directives: Directives, embed_stack: Tuple[Oid, ...]
     ) -> str:
         if directives.embed:
-            if oid in embed_stack or len(embed_stack) >= _MAX_EMBED_DEPTH:
-                return self._object_link_or_text(oid)
-            template = self.registry.template_for(oid)
-            if template is not None:
-                return self._render_nodes(
-                    template.nodes, oid, {}, embed_stack + (oid,)
-                )
-            return html.escape(self.anchor_text(oid))
+            return self.render_embedded(oid, embed_stack)
         return self._object_link_or_text(oid)
+
+    def render_embedded(self, oid: Oid, embed_stack: Tuple[Oid, ...]) -> str:
+        """Inline ``oid``'s rendering under ``EMBED``.
+
+        The result depends only on ``(oid, embed_stack)`` and the graph
+        nodes read while producing it -- no SFOR binding or directive
+        besides ``EMBED`` reaches it -- so a caller that records those
+        reads may cache it under that key."""
+        if oid in embed_stack or len(embed_stack) >= _MAX_EMBED_DEPTH:
+            return self._object_link_or_text(oid)
+        template = self.registry.template_for(oid)
+        if template is not None:
+            return self._render_nodes(template.nodes, oid, {}, embed_stack + (oid,))
+        return html.escape(self.anchor_text(oid))
 
     def _object_link_or_text(self, oid: Oid) -> str:
         href = self.registry.href_for(oid)

@@ -12,6 +12,8 @@ The contracts under test:
   :class:`RegeneratingSite` and :class:`IncrementalChecker` -- and after
   every step each client equals a from-scratch evaluation; the big step
   truncates the delta log and makes every client fall back to coarse.
+  Pages also embed the pages they cite, so cite cycles drive the
+  ``EMBED`` cycle cut-off through the regenerator's fragment cache.
 """
 
 import re
@@ -157,7 +159,7 @@ def _templates():
     templates.add(
         "page",
         "<html><body><h1><SFMT title></h1><SFMT author UL>"
-        "<SFMT tag UL><SFMT Cites UL></body></html>\n",
+        "<SFMT tag UL><SFMT Cites UL><SFMT Cites EMBED UL></body></html>\n",
     )
     templates.for_object("Home()", "home")
     templates.for_collection("Pages", "page")
@@ -269,6 +271,8 @@ def _data_graph():
 # that member's ``exclusive`` verdict flips although it did not change
 @example([("draft", 1), ("publish", 0), ("burst",)])
 @example([("edge", 1, "title", 3), ("remove", 0), ("burst",), ("cite", 1, 2)])
+# a cite cycle (0 -> 1 -> 0): each page embeds the other up to the cut-off
+@example([("cite", 1, 0), ("edge", 0, "title", 2), ("burst",), ("edge", 1, "author", 3)])
 @settings(max_examples=8, deadline=None)
 def test_every_index_client_equals_a_fresh_evaluation(script):
     data, pubs = _data_graph()

@@ -117,6 +117,25 @@ class TestGenerationCache:
         assert generation.lookup("/a.html").body == b"<p>a</p>"
         assert generation.lookup("/missing.html") is None
 
+    def test_publish_reencodes_only_rerendered_pages(self, setup):
+        core = _fresh_core(setup)
+        before = core.cache.current()
+        result = core.apply_edit(_late_author_edit)
+        after = core.cache.current()
+        rerendered = result["pages_rerendered"] + result["pages_added"]
+        assert 0 < rerendered < len(core.regen.pages)
+        # the edited presentation and abstract; every other fragment is reused
+        assert result["fragments_rendered"] == 2
+        shared = [
+            path for path in after.paths() if after.lookup(path) is before.lookup(path)
+        ]
+        # "/" shares index.html's entry, which a presentation edit keeps
+        assert len(shared) == len(after.paths()) - rerendered
+        full = Generation.from_static_pages(0, 0, core.regen.pages)
+        assert after.paths() == full.paths()
+        for path in full.paths():
+            assert after.lookup(path) == full.lookup(path), path
+
 
 class TestAdmissionControl:
     def test_sheds_over_limit(self):
