@@ -90,6 +90,7 @@ def test_a1_update_cost(report, benchmark, articles):
     start = time.perf_counter()
     maintainer.remove_edge(member, "headline", target)
     deletion_time = time.perf_counter() - start
+    deletion_report = maintainer.last_report
 
     rows = [
         {"operation": "initial materialization", "seconds": round(initial_build, 4),
@@ -117,6 +118,7 @@ def test_a1_update_cost(report, benchmark, articles):
     assert nested_report.queries_recomputed == 0
     assert nested_report.full_rebuilds == 0
     assert nested_time < nested_rebuild_time / 3
+    assert deletion_report.full_rebuilds == 1
 
     benchmark.pedantic(
         lambda: maintainer.add_object(

@@ -255,11 +255,11 @@ class DynamicSite:
     def roots(self) -> List[NodeInstance]:
         """Instances of every zero-argument Skolem function (site entry
         points like ``RootPage()``)."""
-        out: List[NodeInstance] = []
-        for function in self.schema.functions:
-            if all(not c.args for c in self.schema.creations_of(function)):
-                out.extend(self.instances_of(function))
-        return out
+        return [
+            instance
+            for function in self.schema.root_functions()
+            for instance in self.instances_of(function)
+        ]
 
     def expand(self, instance: NodeInstance) -> List[ExpandedEdge]:
         """The outgoing edges of a dynamic node -- one click's work."""

@@ -4,30 +4,38 @@ Section 7 of the paper: "we need to solve the problem of incremental
 view updates for semistructured data, which is an open problem" --
 warehoused sites were rebuilt from scratch on every data change.  This
 module implements a practical insert-maintenance algorithm on top of the
-machinery we already have, with honest fallbacks:
+machinery we already have, with honest fallbacks.
 
-* **Skip** -- a data-graph insertion that cannot match any condition of a
-  query (wrong label, wrong collection) cannot change that query's
-  output; the query is skipped entirely.
-* **Seed** -- when the insertion matches a condition of a monotone,
-  path-free query, at whatever block depth, each block's new rows are
-  computed from the delta as d(P join N) = dP join N + P join dN: for
-  every condition of the where-clauses from the root down to the block
-  that the delta matches, the other conditions are evaluated with that
-  condition's variables pre-bound from the delta.  The rows are
-  projected to the block's variables and only the block's own clauses
-  are constructed for them, block by block in the order a full
-  evaluation constructs them.  Skolem memoization and the graph's set
-  semantics make re-construction idempotent: only genuinely new nodes
-  and edges appear (the tests check they come in the order a recompute
-  adds them).
-* **Recompute** -- if the query contains a regular-path condition (a
-  new edge anywhere can extend a path), the affected query -- and only
-  it -- is re-evaluated.
-* **Full rebuild** -- non-monotone cases: the query contains negation
-  (an insertion can *invalidate* old rows, and a materialized site graph
-  cannot un-construct), or the update is a deletion.  The maintainer
-  rebuilds the site graph from scratch and says so.
+Every pass asks one :class:`~repro.struql.footprint.DependencyIndex`,
+holding what each query's where-clauses read, which queries the data
+graph's changes since the last pass can have changed -- the same index,
+and the same truncated-log rule, as every other "data changed, what is
+stale?" answer in the repository:
+
+* **Full rebuild** -- the index answers ``COARSE`` (the bounded delta
+  log no longer reaches back), or the delta removed something
+  (deletions are non-monotone: a materialized site graph cannot
+  un-construct).  The maintainer rebuilds the site graph from scratch
+  and says so.
+* **Skip** -- the index reports the query unaffected: the delta meets
+  none of its conditions (wrong label, wrong collection), so its output
+  cannot change.
+* **Seed** -- an affected monotone, path-free query, at whatever block
+  depth: each block's new rows are computed from the delta as
+  d(P join N) = dP join N + P join dN: for every condition of the
+  where-clauses from the root down to the block that the delta
+  matches, the other conditions are evaluated with that condition's
+  variables pre-bound from the delta.  The rows are projected to the
+  block's variables and only the block's own clauses are constructed
+  for them, block by block in the order a full evaluation constructs
+  them.  Skolem memoization and the graph's set semantics make
+  re-construction idempotent: only genuinely new nodes and edges appear
+  (the tests check they come in the order a recompute adds them).
+* **Recompute** -- an affected query with a regular-path condition (a
+  new edge or node anywhere can extend a path) is re-evaluated, and
+  only it.
+* **Rebuild** -- an affected query with negation: an insertion can
+  *invalidate* old rows, so the site graph is rebuilt.
 
 Every path preserves the invariant checked property-style in the tests:
 after any sequence of updates, the maintained site graph equals a fresh
@@ -59,6 +67,7 @@ from ..struql.eval import (
     _values_equal,
     make_engine,
 )
+from ..struql.footprint import COARSE, DependencyIndex, Footprint
 from ..struql.parser import parse
 
 
@@ -73,32 +82,21 @@ class MaintenanceReport:
     nodes_added: int = 0
     edges_added: int = 0
 
-    def merge(self, other: "MaintenanceReport") -> None:
-        self.queries_skipped += other.queries_skipped
-        self.queries_seeded += other.queries_seeded
-        self.queries_recomputed += other.queries_recomputed
-        self.full_rebuilds += other.full_rebuilds
-        self.nodes_added += other.nodes_added
-        self.edges_added += other.edges_added
-
 
 class SiteMaintainer:
     """Keeps a materialized site graph consistent with a mutating data graph.
 
-    Insertions made through the update methods are maintained from the
-    method's own list of what it inserted.  Any other data change --
-    a direct mutation of ``data_graph``, or an edit whose pass raised --
-    is noticed by the next update from the data graph's epoch and
-    folded in from its delta log (or triggers a rebuild when the log
-    no longer reaches back, or the change removed something).
+    Every pass asks one :class:`~repro.struql.footprint.DependencyIndex`,
+    holding one entry per query, what changed since the site graph was
+    last brought up to date.  Changes made through the update methods
+    and any other data change -- a direct mutation of ``data_graph``, or
+    an edit whose pass raised -- are therefore maintained alike: from
+    the data graph's delta log, or by a rebuild when the index answers
+    ``COARSE`` (the log no longer reaches back) or the delta removed
+    something.
     """
 
-    def __init__(
-        self,
-        program: Union[Program, Query, str],
-        data_graph: Graph,
-        site_graph: Optional[Graph] = None,
-    ) -> None:
+    def __init__(self, program: Union[Program, Query, str], data_graph: Graph) -> None:
         if isinstance(program, str):
             program = parse(program)
         if isinstance(program, Query):
@@ -109,11 +107,13 @@ class SiteMaintainer:
         # statistics snapshot, and the path-reachability memo carry
         # across updates (epoch-invalidated)
         self._engine = make_engine(data_graph)
-        if site_graph is None:
-            site_graph = self._evaluate_all()
-        self.site_graph = site_graph
+        self.site_graph = self._evaluate_all()
         #: the data-graph epoch the site graph was last brought up to
         self._synced = data_graph.epoch
+        #: query position -> what its where-clauses read
+        self._reads = DependencyIndex()
+        for key, query in enumerate(program.queries):
+            self._reads.add(key, _query_reads(query))
         self.last_report = MaintenanceReport()
 
     # ------------------------------------------------------------ #
@@ -127,38 +127,33 @@ class SiteMaintainer:
     ) -> Oid:
         """Insert a new object with its attributes and membership; a
         single maintenance pass covers all of it."""
-        before = self.data_graph.epoch
         node = self.data_graph.add_node(oid, hint=collection.lower())
-        edges: List[Tuple[Oid, str, Target]] = []
         for label, value in attributes:
-            stored = self.data_graph.add_edge(node, label, value)
-            edges.append((node, label, stored))
+            self.data_graph.add_edge(node, label, value)
         self.data_graph.add_to_collection(collection, node)
-        self.last_report = self._maintain(before, edges, [(collection, node)])
+        self.last_report = self._maintain()
         return node
 
     def add_edge(self, source: Oid, label: str, target: object) -> Target:
         """Insert one edge into the data graph and maintain the site."""
-        before = self.data_graph.epoch
         stored = self.data_graph.add_edge(source, label, target)
-        self.last_report = self._maintain(before, [(source, label, stored)], [])
+        self.last_report = self._maintain()
         return stored
 
     def add_to_collection(self, collection: str, oid: Oid) -> None:
         """Add an existing object to a collection and maintain the site."""
-        before = self.data_graph.epoch
         self.data_graph.add_to_collection(collection, oid)
-        self.last_report = self._maintain(before, [], [(collection, oid)])
+        self.last_report = self._maintain()
 
     def remove_edge(self, source: Oid, label: str, target: Target) -> None:
         """Deletions are non-monotone: full rebuild."""
         self.data_graph.remove_edge(source, label, target)
-        self.rebuild()
+        self.last_report = self._maintain()
 
     def remove_object(self, oid: Oid) -> None:
         """Object deletion: full rebuild."""
         self.data_graph.remove_node(oid)
-        self.rebuild()
+        self.last_report = self._maintain()
 
     def rebuild(self) -> MaintenanceReport:
         """Re-derive the site graph from the current data graph."""
@@ -170,32 +165,21 @@ class SiteMaintainer:
     # ------------------------------------------------------------ #
     # the maintenance pass
 
-    def _maintain(
-        self,
-        before: int,
-        new_edges: List[Tuple[Oid, str, Target]],
-        new_members: List[Tuple[str, Oid]],
-    ) -> MaintenanceReport:
-        """One pass over the insertions an entry point just made;
-        ``before`` is the data-graph epoch from just before them."""
-        if before != self._synced:
-            # data changes no pass has seen (a direct mutation of the
-            # data graph, or an edit whose pass raised): fold them in
-            delta = self.data_graph.delta_since(self._synced)
-            if delta is None or delta.has_removals:
-                return self.rebuild()
-            new_edges, new_members = delta.edges_added, delta.members_added
+    def _maintain(self) -> MaintenanceReport:
+        """One pass over every data change since the last one."""
+        stale = self._reads.affected(self.data_graph, self._synced)
+        if stale is COARSE or stale.delta.has_removals:
+            return self.rebuild()
+        new_edges, new_members = stale.delta.edges_added, stale.delta.members_added
         report = MaintenanceReport()
         sizes = (self.site_graph.node_count, self.site_graph.edge_count)
         self._mirror_imported_subgraphs(new_edges)
-        for query in self.program.queries:
-            disposition = self._classify(query, new_edges, new_members)
+        for key, query in enumerate(self.program.queries):
+            disposition = self._classify(query) if key in stale else "skip"
             if disposition == "skip":
                 report.queries_skipped += 1
             elif disposition == "rebuild":
-                self.site_graph = self._evaluate_all()
-                report.full_rebuilds += 1
-                break
+                return self.rebuild()
             elif disposition == "recompute":
                 self._recompute_query(query)
                 report.queries_recomputed += 1
@@ -227,55 +211,15 @@ class SiteMaintainer:
                         self.site_graph.add_edge(reached, out_label, out_target)
             self.site_graph.add_edge(source, label, target)
 
-    def _classify(
-        self,
-        query: Query,
-        new_edges: List[Tuple[Oid, str, Target]],
-        new_members: List[Tuple[str, Oid]],
-    ) -> str:
-        matches = False
-        has_path = False
-        has_negation = False
-        for block in query.walk():
-            for condition in block.where:
-                if isinstance(condition, NotCond):
-                    has_negation = True
-                if isinstance(condition, PathCond):
-                    has_path = True
-                if self._condition_matches(condition, new_edges, new_members):
-                    matches = True
-        if not matches:
-            # an insertion can also matter to path conditions regardless
-            # of labels (a new edge may extend any path)
-            if has_path and new_edges:
-                return "recompute"
-            return "skip"
-        if has_negation:
+    @staticmethod
+    def _classify(query: Query) -> str:
+        """How to maintain a query the delta can have changed."""
+        conditions = [c for block in query.walk() for c in block.where]
+        if any(isinstance(c, NotCond) for c in conditions):
             return "rebuild"
-        if has_path:
+        if any(isinstance(c, PathCond) for c in conditions):
             return "recompute"
         return "seed"
-
-    @staticmethod
-    def _condition_matches(
-        condition: Condition,
-        new_edges: List[Tuple[Oid, str, Target]],
-        new_members: List[Tuple[str, Oid]],
-    ) -> bool:
-        if isinstance(condition, EdgeCond):
-            if isinstance(condition.label, Var):
-                return bool(new_edges)
-            return any(label == condition.label for _, label, _ in new_edges)
-        if isinstance(condition, CollectionCond):
-            return any(name == condition.collection for name, _ in new_members)
-        if isinstance(condition, NotCond):
-            return any(
-                SiteMaintainer._condition_matches(inner, new_edges, new_members)
-                for inner in condition.inner
-            )
-        if isinstance(condition, PathCond):
-            return bool(new_edges)
-        return False  # predicates / comparisons never match a delta alone
 
     # ------------------------------------------------------------ #
     # dispositions
@@ -361,3 +305,27 @@ class SiteMaintainer:
                 if name == condition.collection:
                     seeds.append({condition.var.name: member})
         return seeds
+
+
+def _query_reads(query: Query) -> Footprint:
+    """What ``query``'s where-clauses read, for the dependency index:
+    the labels of its constant-label edges and the collections it scans.
+    An arc variable or a regular path can read any edge, so it reads all
+    of them; a negation reads what its inner conditions read."""
+    reads = Footprint()
+
+    def note(condition: Condition) -> None:
+        if isinstance(condition, EdgeCond) and isinstance(condition.label, str):
+            reads.label_scans.add(condition.label)
+        elif isinstance(condition, (EdgeCond, PathCond)):
+            reads.all_edges = True
+        elif isinstance(condition, CollectionCond):
+            reads.collection_scans.add(condition.collection)
+        elif isinstance(condition, NotCond):
+            for inner in condition.inner:
+                note(inner)
+
+    for block in query.walk():
+        for condition in block.where:
+            note(condition)
+    return reads

@@ -24,8 +24,9 @@ persistent generator keeps the filename table, so retained pages keep
 their names and the whole output stays byte-identical to a from-scratch
 build (property-tested).
 
-Honest fallbacks, matching the maintainer's: deletions and negation make
-the maintainer replace the site graph wholesale, and the index answers
+Honest fallbacks, matching the maintainer's: deletions, negation and a
+truncated data-graph log make the maintainer replace the site graph
+wholesale, and the index answers
 ``COARSE`` when the bounded delta log was truncated -- both regenerate
 everything from an empty fragment cache (counted as ``coarse``).
 """
@@ -189,8 +190,9 @@ class RegeneratingSite:
     def _regenerate(self) -> RegenReport:
         site_graph = self.maintainer.site_graph
         if site_graph is not self._site_graph:
-            # the maintainer rebuilt the site graph wholesale (deletion
-            # or negation): page identity is gone, regenerate everything
+            # the maintainer rebuilt the site graph wholesale (deletion,
+            # negation or a truncated data log): page identity is gone,
+            # regenerate everything
             return self._full_build()
         stale = self._deps.affected(site_graph, self._site_epoch)
         if stale is COARSE:

@@ -199,12 +199,9 @@ class SiteBuilder:
 def _default_roots(definition: SiteDefinition) -> List[Union[Oid, str]]:
     """Default page roots: instances of every zero-argument Skolem
     function of the definition (RootPage() and friends)."""
-    schema = definition.site_schema()
-    roots: List[Union[Oid, str]] = []
-    for function in schema.functions:
-        creations = schema.creations_of(function)
-        if creations and all(not c.args for c in creations):
-            roots.append(f"{function}()")
+    roots: List[Union[Oid, str]] = [
+        f"{function}()" for function in definition.site_schema().root_functions()
+    ]
     if not roots:
         raise SiteDefinitionError(
             f"site {definition.name!r} has no zero-argument Skolem function; "

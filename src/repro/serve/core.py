@@ -97,22 +97,6 @@ def _not_found_entry(path: str) -> PageEntry:
     return PageEntry(404, _not_found_page(path).encode("utf-8"), "not-found")
 
 
-def default_roots(program: Union[Program, Query, str]) -> List[str]:
-    """The site's entry points: every zero-argument Skolem function, in
-    schema order (matches both the static generator's index page and the
-    dynamic server's root routing)."""
-    if isinstance(program, str):
-        program = parse(program)
-    if isinstance(program, Query):
-        program = Program(queries=[program])
-    schema = SiteSchema.from_program(program)
-    return [
-        f"{function}()"
-        for function in schema.functions
-        if all(not c.args for c in schema.creations_of(function))
-    ]
-
-
 class ServeCore:
     """Everything the HTTP tier needs, minus the sockets."""
 
@@ -134,7 +118,10 @@ class ServeCore:
         self.templates = templates
         self.dynamic_mode = dynamic
         self.site_name = site_name
-        self.roots = list(roots) if roots else default_roots(program)
+        self.roots = list(roots) if roots else [
+            f"{function}()"
+            for function in SiteSchema.from_program(program).root_functions()
+        ]
         self.swap_lock = RWLock()
         self.cache = GenerationCache()
         self._gen_counter = 0

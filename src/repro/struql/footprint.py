@@ -18,8 +18,8 @@ with the keys a :class:`~repro.graph.delta.GraphDelta` can have changed
 -- or :data:`COARSE` when the bounded delta log no longer reaches back.
 It is the one place that matches deltas against reads and the one place
 that decides the truncated-log fallback; click-time expansions, served
-pages, selectively regenerated pages and incremental constraint
-verdicts all ask it.
+pages, selectively regenerated pages, the maintained site graph and
+incremental constraint verdicts all ask it.
 
 The footprint is *semantic*, not physical: it is recorded from the
 bound/unbound pattern of each condition, before the index-vs-scan

@@ -8,12 +8,15 @@ The contracts under test:
   the delta log was truncated;
 * the differential property: one random edit script, with removals and
   one step of more than 4096 mutations, runs over one data graph watched
-  by all four index clients -- :class:`DynamicSite`, :class:`PageServer`,
-  :class:`RegeneratingSite` and :class:`IncrementalChecker` -- and after
-  every step each client equals a from-scratch evaluation; the big step
-  truncates the delta log and makes every client fall back to coarse.
-  Pages also embed the pages they cite, so cite cycles drive the
-  ``EMBED`` cycle cut-off through the regenerator's fragment cache.
+  by all five index clients -- :class:`DynamicSite`, :class:`PageServer`,
+  :class:`RegeneratingSite`, the :class:`SiteMaintainer` inside it, and
+  :class:`IncrementalChecker` -- and after every step each client equals
+  a from-scratch evaluation; the big step truncates the delta log and
+  makes every client fall back to coarse.  A draft that already carries
+  more edges than the log keeps, published by a pass the maintainer
+  seeds, covers the regenerator's own site-graph truncated log.  Pages
+  also embed the pages they cite, so cite cycles drive the ``EMBED``
+  cycle cut-off through the regenerator's fragment cache.
 """
 
 import re
@@ -120,7 +123,7 @@ def test_truncated_log_is_coarse():
 
 
 # ---------------------------------------------------------------------- #
-# differential property: four clients, one graph, one edit script
+# differential property: five clients, one graph, one edit script
 
 SITE_QUERY = """
 create Home()
@@ -148,6 +151,7 @@ on Pubs {
 #: A step that adds more mutations than the bounded delta log keeps (to a
 #: label no template renders, which keeps the later steps cheap).
 BURST = 4200
+_NOTES = [("note", string(f"n{i}")) for i in range(BURST)]
 
 _LABELS = ["title", "author", "tag"]
 _VALUES = [string("t0"), string("t1"), string("t2"), string("Ann"), integer(7)]
@@ -212,15 +216,22 @@ def edit_scripts(draw):
 
 def _apply(regen, pubs, drafts, step):
     """Drive one step through the regenerating site's maintainer-mediated
-    entry points; returns True for the burst step."""
+    entry points."""
     data = regen.maintainer.data_graph
     op = step[0]
     if op == "burst":
-        pubs.append(regen.add_object(
-            "Pubs", [("note", string(f"n{i}")) for i in range(BURST)]
-        ))
-        return True
-    if op == "new":
+        pubs.append(regen.add_object("Pubs", _NOTES))
+    elif op == "big-draft":
+        # half the notes come with the draft, half go straight into the
+        # data graph and are folded into the publishing pass: neither
+        # pass reaches the log bound, and publishing seeds every note
+        # into the site graph at once
+        draft = regen.add_object("Drafts", _NOTES[:BURST // 2])
+        for label, value in _NOTES[BURST // 2:]:
+            data.add_edge(draft, label, value)
+        regen.add_to_collection("Pubs", draft)
+        pubs.append(draft)
+    elif op == "new":
         pubs.append(regen.add_object(
             "Pubs", [("title", string(f"P{len(pubs)}")), ("tag", _VALUES[step[1]])]
         ))
@@ -235,7 +246,7 @@ def _apply(regen, pubs, drafts, step):
     elif pubs:
         source = pubs[step[1] % len(pubs)]
         if not data.has_node(source):
-            return False
+            return
         if op == "edge":
             regen.add_edge(source, step[2], _VALUES[step[3]])
         elif op == "cite":
@@ -248,7 +259,6 @@ def _apply(regen, pubs, drafts, step):
                 regen.remove_edge(source, step[2], targets[0])
         elif op == "remove":
             regen.remove_object(source)
-    return False
 
 
 def _data_graph():
@@ -271,6 +281,8 @@ def _data_graph():
 # that member's ``exclusive`` verdict flips although it did not change
 @example([("draft", 1), ("publish", 0), ("burst",)])
 @example([("edge", 1, "title", 3), ("remove", 0), ("burst",), ("cite", 1, 2)])
+# a published draft already carrying more edges than the log keeps
+@example([("big-draft",), ("edge", 0, "title", 2)])
 # a cite cycle (0 -> 1 -> 0): each page embeds the other up to the cut-off
 @example([("cite", 1, 0), ("edge", 0, "title", 2), ("burst",), ("edge", 1, "author", 3)])
 @settings(max_examples=8, deadline=None)
@@ -292,16 +304,21 @@ def test_every_index_client_equals_a_fresh_evaluation(script):
 
     for step in script:
         epoch, coarse_fallbacks = data.epoch, counters.coarse_fallbacks
-        burst = _apply(regen, pubs, drafts, step)
-        # the burst, and removing the burst's object, overflow the log
+        _apply(regen, pubs, drafts, step)
+        # the burst, the big draft, and removing either object overflow
+        # the log
         truncated = data.delta_since(epoch) is None
-        assert truncated or not burst
+        assert truncated or step[0] not in ("burst", "big-draft")
         refreshed = dynamic.refresh()
         served = server.refresh()
         checker.recheck()
         assert refreshed.coarse == served.coarse == truncated
         assert counters.coarse_fallbacks == coarse_fallbacks + truncated
-        if burst:
+        if step[0] == "burst":
+            # the maintainer's data log is truncated too: one rebuild
+            assert regen.last_report.coarse
+            assert regen.last_report.maintenance.full_rebuilds == 1
+        elif step[0] == "big-draft":
             # coarse through the site graph's own truncated log, not
             # through a maintainer rebuild
             assert regen.last_report.coarse

@@ -218,16 +218,6 @@ class TestSequences:
         maintainer.remove_edge(pub, "author", string("Grace"))
         _assert_consistent(maintainer)
 
-    def test_report_merge(self):
-        from repro.core import MaintenanceReport
-
-        left = MaintenanceReport(queries_seeded=1, edges_added=2)
-        right = MaintenanceReport(queries_skipped=3, edges_added=1)
-        left.merge(right)
-        assert left.queries_seeded == 1
-        assert left.queries_skipped == 3
-        assert left.edges_added == 3
-
 
 class TestUnseenDataChanges:
     """Data changes no maintenance pass saw are folded into the next one."""
@@ -268,4 +258,28 @@ class TestUnseenDataChanges:
             flat.add_edge(member, "name", string("lost"))
         flat.add_edge(member, "name", string("next"))
         assert flat.last_report.full_rebuilds == 0
+        _assert_consistent(flat)
+
+    def test_direct_node_addition_reaches_path_queries(self):
+        """A node added straight to the data graph is a new zero-length
+        path: the next maintained edit, even one that adds no edge,
+        brings the path query's pairs up to date."""
+        data = Graph()
+        a, b = data.add_node(), data.add_node()
+        data.add_edge(a, "to", b)
+        maintainer = SiteMaintainer(
+            'where x -> "to"* -> y create Pair(x, y) collect Pairs(Pair(x, y))',
+            data,
+        )
+        data.add_node()
+        maintainer.add_to_collection("Tagged", a)
+        fresh = evaluate(maintainer.program, maintainer.data_graph)
+        assert maintainer.site_graph.collection_cardinality("Pairs") == 4
+        assert ddl.dumps(maintainer.site_graph) == ddl.dumps(fresh)
+
+    def test_edit_larger_than_the_delta_log_rebuilds(self, flat):
+        flat.add_object(
+            "Items", [("name", string(f"n{index}")) for index in range(4200)]
+        )
+        assert flat.last_report.full_rebuilds == 1
         _assert_consistent(flat)

@@ -64,8 +64,8 @@ _homepage_updates = st.lists(
 class RecomputingMaintainer(SiteMaintainer):
     """Recomputes every query the delta matches instead of seeding it."""
 
-    def _classify(self, query, new_edges, new_members):
-        disposition = super()._classify(query, new_edges, new_members)
+    def _classify(self, query):
+        disposition = super()._classify(query)
         return "recompute" if disposition == "seed" else disposition
 
 
