@@ -17,6 +17,7 @@ regular-path-expression compilation in :mod:`repro.struql.paths`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import FrozenSet, List, Optional, Tuple, Union
 
 from ..graph import Atom
@@ -305,8 +306,19 @@ class NotCond(Condition):
 # ---------------------------------------------------------------------- #
 # construction clauses
 
+class _ConstructionClause:
+    """What construction needs of a ``create``, ``link`` or ``collect``
+    clause beyond its fields."""
+
+    @cached_property
+    def sorted_variables(self) -> Tuple[str, ...]:
+        """:meth:`variables`, sorted and computed once per clause: the
+        values construction keys its repeated applications on."""
+        return tuple(sorted(self.variables()))  # type: ignore[attr-defined]
+
+
 @dataclass(frozen=True)
-class SkolemTerm:
+class SkolemTerm(_ConstructionClause):
     """``AbstractPage(x)`` / ``RootPage()`` -- a Skolem-function application.
 
     Arguments are variables or constants; at evaluation time each argument
@@ -331,7 +343,7 @@ NodeRef = Union[SkolemTerm, Var]
 
 
 @dataclass(frozen=True)
-class LinkClause:
+class LinkClause(_ConstructionClause):
     """``P(x) -> l -> v`` in a ``link`` clause.
 
     ``label`` is a string constant or an arc variable; ``target`` may be a
@@ -362,7 +374,7 @@ class LinkClause:
 
 
 @dataclass(frozen=True)
-class CollectClause:
+class CollectClause(_ConstructionClause):
     """``collect TextOnlyRoot(New(p))`` -- put a node in an output collection."""
 
     collection: str

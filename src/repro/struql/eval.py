@@ -16,7 +16,11 @@ Semantics follow paper section 2.2 exactly:
   construct all new node oids, as specified in the create clause ...
   next, construct the new edges, as described in the link clause."
   Skolem functions are memoized per result graph, so composed queries
-  and repeated link clauses agree on identity.  "Edges are added from
+  and repeated link clauses agree on identity, and a repeated edge or
+  member is a no-op (set semantics).  So the semantics are per row,
+  while the implementation applies each clause once per distinct
+  binding of its own variables and skips only no-ops
+  (:class:`_Constructor`).  "Edges are added from
   new nodes to new or existing nodes; existing nodes are immutable and
   cannot be extended" -- enforced: a link source must resolve to a
   Skolem-created node of the result graph, otherwise
@@ -69,6 +73,7 @@ from ..resilience.chaos import maybe_fail
 from ..resilience.deadline import current_deadline
 from . import builtins
 from .ast import (
+    CollectClause,
     CollectionCond,
     ComparisonCond,
     Condition,
@@ -1183,12 +1188,24 @@ class QueryEngine:
 class _Constructor:
     """Applies create/link/collect clauses of a query tree to a result graph.
 
+    Paper section 2.2 constructs once per row of the binding relation.
+    A row that agrees with an earlier row on every variable of a clause
+    would re-apply it to the same values: a memoized Skolem term, an
+    edge already present, a member already collected.  The graph only
+    grows during :meth:`construct`, so such an application is a no-op,
+    and :meth:`construct` skips it.  It applies each clause once per
+    distinct binding of the clause's own variables
+    (``sorted_variables``), rows still in order, and resolves each
+    Skolem term once per call.  The effective mutations, and so the
+    result graph and its delta log, are the row-at-a-time ones.
+
     When a link or collect clause references a *data-graph* node (allowed:
     "each node in link or collect is either mentioned in create or is a
     node in the data graph"), that node is imported into the result graph
     together with everything reachable from it -- the site graph "models
     both the site's content and structure", so referenced content must be
-    renderable from the site graph alone.  Imported nodes stay immutable.
+    renderable from the site graph alone.  Imported nodes stay immutable,
+    and ``nodes_created``/``edges_created`` do not count them.
     """
 
     def __init__(self, result: Graph, metrics: Metrics, source: Graph) -> None:
@@ -1196,6 +1213,12 @@ class _Constructor:
         self.metrics = metrics
         self.source = source
         self._imported: Set[Oid] = set()
+        #: this call's Skolem memo: (function, raw argument values) -> oid
+        self._memo: Dict[Tuple[str, Tuple[object, ...]], Oid] = {}
+        #: the result's node and edge counts at the start of this call,
+        #: moved up by whatever :meth:`_import_subgraph` adds
+        self._nodes_base = 0
+        self._edges_base = 0
 
     def run(self, query: Query, rows: List[Binding], engine: QueryEngine) -> None:
         self.construct(query, rows)
@@ -1207,28 +1230,66 @@ class _Constructor:
 
     def construct(self, query: Query, rows: List[Binding]) -> None:
         """Apply ``query``'s own clauses (not its nested blocks') to
-        each row."""
+        ``rows``, each clause once per distinct binding of its variables.
+
+        Clauses with the same sorted variables share one set of the
+        bindings seen.  A clause whose variables are all those the rows
+        bind has none: callers pass distinct rows (``bindings()`` and
+        :func:`_project` return sets), and a duplicate row would only
+        re-apply no-ops.
+        """
+        if not rows:
+            return
+        result = self.result
+        self._memo = {}
+        self._nodes_base = result.node_count
+        self._edges_base = result.edge_count
+        dedup = len(rows) > 1
+        bound = rows[0].keys()
+        groups: Dict[Tuple[str, ...], int] = {}
+        keyed: List[Tuple[object, Set[object]]] = []
+        steps = []
+        for apply, clauses in (
+            (self._skolem, query.create),
+            (self._link, query.link),
+            (self._collect, query.collect),
+        ):
+            for clause in clauses:
+                names = clause.sorted_variables
+                group = -1
+                if dedup and bound != set(names):
+                    group = groups.get(names, -1)
+                    if group < 0:
+                        group = groups[names] = len(keyed)
+                        keyed.append((names[0] if len(names) == 1 else names, set()))
+                steps.append((apply, clause, group))
+        fresh: List[bool] = []
         for row in rows:
-            self._construct_row(query, row)
+            if keyed:
+                fresh = []
+                for names, seen in keyed:
+                    key = row.get(names) if names.__class__ is str else tuple(map(row.get, names))
+                    fresh.append(key not in seen)
+                    seen.add(key)
+            for apply, clause, group in steps:
+                if group < 0 or fresh[group]:
+                    apply(clause, row)
+        self.metrics.nodes_created += result.node_count - self._nodes_base
+        self.metrics.edges_created += result.edge_count - self._edges_base
 
     # ------------------------------------------------------------ #
 
-    def _construct_row(self, query: Query, row: Binding) -> None:
-        for term in query.create:
-            self._skolem(term, row)
-        for link in query.link:
-            self._link(link, row)
-        for collect in query.collect:
-            node = self._resolve_node(collect.node, row, importing=True)
-            self.result.add_to_collection(collect.collection, node)
-
     def _skolem(self, term: SkolemTerm, row: Binding) -> Oid:
+        values = tuple([
+            arg.atom if isinstance(arg, Const) else row.get(arg.name)
+            for arg in term.args
+        ])
+        key = (term.function, values)
+        oid = self._memo.get(key)
+        if oid is not None:
+            return oid
         args: List[object] = []
-        for arg in term.args:
-            if isinstance(arg, Const):
-                args.append(arg.atom)
-                continue
-            value = row.get(arg.name)
+        for arg, value in zip(term.args, values):
             if value is None:
                 raise StruqlEvaluationError(
                     f"Skolem argument {arg.name!r} unbound in {term}"
@@ -1236,43 +1297,42 @@ class _Constructor:
             if isinstance(value, str):
                 value = Atom(AtomType.STRING, value)
             args.append(value)
-        before = self.result.node_count
-        oid = self.result.skolem(term.function, *args)
-        if self.result.node_count > before:
-            self.metrics.nodes_created += 1
+        oid = self._memo[key] = self.result.skolem(term.function, *args)
         return oid
 
-    def _resolve_node(
-        self, ref, row: Binding, importing: bool
-    ) -> Oid:
+    def _collect(self, collect: CollectClause, row: Binding) -> None:
+        ref = collect.node
         if isinstance(ref, SkolemTerm):
-            return self._skolem(ref, row)
-        value = row.get(ref.name)
-        if not isinstance(value, Oid):
-            raise StruqlEvaluationError(
-                f"variable {ref.name!r} does not denote a node (got {value!r})"
-            )
-        if not self.result.has_node(value):
-            if not importing:
-                raise StruqlEvaluationError(f"node {value} not present in result graph")
-            self._import_subgraph(value)
-        return value
+            node = self._skolem(ref, row)
+        else:
+            node = row.get(ref.name)
+            if not isinstance(node, Oid):
+                raise StruqlEvaluationError(
+                    f"variable {ref.name!r} does not denote a node (got {node!r})"
+                )
+            if not self.result.has_node(node):
+                self._import_subgraph(node)
+        self.result.add_to_collection(collect.collection, node)
 
     def _import_subgraph(self, root: Oid) -> None:
         """Copy a data-graph node and its reachable closure into the result."""
+        result = self.result
+        nodes, edges = result.node_count, result.edge_count
         if root in self._imported or not self.source.has_node(root):
-            self.result.add_node(root)
-            return
-        reached = self.source.reachable(root)
-        for oid in reached:
-            self.result.add_node(oid)
-            self._imported.add(oid)
-        for oid in reached:
-            for label, target in self.source.out_edges(oid):
-                self.result.add_edge(oid, label, target)
+            result.add_node(root)
+        else:
+            reached = self.source.reachable(root)
+            for oid in reached:
+                result.add_node(oid)
+                self._imported.add(oid)
+            for oid in reached:
+                for label, target in self.source.out_edges(oid):
+                    result.add_edge(oid, label, target)
+        self._nodes_base += result.node_count - nodes
+        self._edges_base += result.edge_count - edges
 
     def _link(self, link: LinkClause, row: Binding) -> None:
-        source = self._resolve_node(link.source, row, importing=False) \
+        source = self._skolem(link.source, row) \
             if isinstance(link.source, SkolemTerm) else self._resolve_source_var(link.source, row)
         if isinstance(link.label, str):
             label = link.label
@@ -1287,10 +1347,7 @@ class _Constructor:
                     f"arc variable {link.label.name!r} is not bound to a label"
                 )
         target = self._resolve_target(link.target, row)
-        before = self.result.edge_count
         self.result.add_edge(source, label, target)
-        if self.result.edge_count > before:
-            self.metrics.edges_created += 1
 
     def _resolve_source_var(self, ref: Var, row: Binding) -> Oid:
         value = row.get(ref.name)

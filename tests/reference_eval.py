@@ -35,20 +35,26 @@ its target bound tests every node in ``nodes()`` order.  Negations run
 their inner conditions in written order: only emptiness matters.
 
 :func:`reference_evaluate` drives construction the same naive way: every
-nested block extends its parent's full rows, and every extended row is
-constructed, duplicates included.
+nested block extends its parent's full rows, and every extended row
+applies every create, link and collect clause of its block, duplicates
+included, with no skipping and no memo beyond the result graph's own
+Skolem registry.  ``nodes_created``/``edges_created`` count, per
+application, a Skolem node or a link edge the result did not have;
+nodes and edges imported with a data-graph node are not counted.
 """
 
 from functools import lru_cache
 
+from repro.errors import ImmutableNodeError, StruqlEvaluationError
 from repro.graph import (
     Atom, AtomType, Graph, Oid, atoms_equal, coercion_probes, compare_atoms,
 )
 from repro.struql import builtins
 from repro.struql.ast import (
-    CollectionCond, ComparisonCond, Const, EdgeCond, NotCond, PathCond, PredicateCond, Var,
+    CollectionCond, ComparisonCond, Const, EdgeCond, NotCond, PathCond, PredicateCond,
+    SkolemTerm, Var,
 )
-from repro.struql.eval import Metrics, _Constructor
+from repro.struql.eval import Metrics
 from repro.struql.paths import compile_path, path_exists, reverse_expr, sources_to, targets_from
 
 
@@ -69,7 +75,7 @@ def reference_evaluate(program, graph, plan=lambda conditions, bound: conditions
     result graph and the construction :class:`Metrics`.
 
     Each nested block gets its parent's full, unprojected rows, and
-    ``_Constructor._construct_row`` runs once per row.  ``plan(conditions,
+    every row applies all of its block's clauses.  ``plan(conditions,
     bound)`` orders each where-clause (default: as written), with
     ``bound`` the variables the rows it extends have bound.
     """
@@ -77,7 +83,7 @@ def reference_evaluate(program, graph, plan=lambda conditions, bound: conditions
 
     def construct(constructor, query, rows):
         for row in rows:
-            constructor._construct_row(query, row)
+            constructor.construct_row(query, row)
         for block in query.blocks:
             bound = frozenset(name for row in rows for name in row)
             block_rows = reference_bindings(graph, plan(block.where, bound), rows)
@@ -85,8 +91,93 @@ def reference_evaluate(program, graph, plan=lambda conditions, bound: conditions
 
     for query in program.queries:
         rows = reference_bindings(graph, plan(query.where, frozenset()))
-        construct(_Constructor(result, metrics, graph), query, rows)
+        construct(RowConstructor(result, metrics, graph), query, rows)
     return result, metrics
+
+
+class RowConstructor:
+    """Paper section 2.2's construction, one row at a time: create the
+    row's Skolem nodes, then its edges, then its collection members."""
+
+    def __init__(self, result, metrics, source):
+        self.result, self.metrics, self.source = result, metrics, source
+        self.imported = set()
+
+    def construct_row(self, query, row):
+        for term in query.create:
+            self.skolem(term, row)
+        for link in query.link:
+            self.link(link, row)
+        for collect in query.collect:
+            if isinstance(collect.node, SkolemTerm):
+                node = self.skolem(collect.node, row)
+            else:
+                node = self.node_var(collect.node.name, row)
+            self.result.add_to_collection(collect.collection, node)
+
+    def skolem(self, term, row):
+        args = []
+        for arg in term.args:
+            value = arg.atom if isinstance(arg, Const) else row.get(arg.name)
+            if value is None:
+                raise StruqlEvaluationError(f"Skolem argument {arg.name!r} unbound in {term}")
+            args.append(_as_value(value))
+        before = self.result.node_count
+        oid = self.result.skolem(term.function, *args)
+        self.metrics.nodes_created += self.result.node_count - before
+        return oid
+
+    def node_var(self, name, row):
+        value = row.get(name)
+        if not isinstance(value, Oid):
+            raise StruqlEvaluationError(f"variable {name!r} does not denote a node (got {value!r})")
+        if not self.result.has_node(value):
+            self.import_subgraph(value)
+        return value
+
+    def import_subgraph(self, root):
+        if root in self.imported or not self.source.has_node(root):
+            self.result.add_node(root)
+            return
+        reached = self.source.reachable(root)
+        for oid in reached:
+            self.result.add_node(oid)
+            self.imported.add(oid)
+        for oid in reached:
+            for label, target in self.source.out_edges(oid):
+                self.result.add_edge(oid, label, target)
+
+    def link(self, link, row):
+        if isinstance(link.source, SkolemTerm):
+            source = self.skolem(link.source, row)
+        else:
+            source = row.get(link.source.name)
+            if not isinstance(source, Oid):
+                raise StruqlEvaluationError(f"link source {link.source.name!r} does not denote a node")
+            if source not in self.result.skolems:
+                raise ImmutableNodeError(f"link source {source} is an existing node")
+        label = link.label
+        if isinstance(label, Var):
+            label = row.get(label.name)
+            if isinstance(label, Atom):
+                label = label.as_string()
+            elif not isinstance(label, str):
+                raise StruqlEvaluationError(f"arc variable {link.label.name!r} is not bound to a label")
+        target = link.target
+        if isinstance(target, SkolemTerm):
+            target = self.skolem(target, row)
+        elif isinstance(target, Const):
+            target = target.atom
+        elif isinstance(row.get(target.name), Oid):
+            target = self.node_var(target.name, row)
+        else:
+            target = row.get(target.name)
+            if target is None:
+                raise StruqlEvaluationError(f"link target {link.target.name!r} unbound")
+            target = _as_value(target)
+        before = self.result.edge_count
+        self.result.add_edge(source, label, target)
+        self.metrics.edges_created += self.result.edge_count - before
 
 
 def _extend(graph, condition, row, use_indexes):

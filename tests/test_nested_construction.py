@@ -1,31 +1,46 @@
-"""Nested blocks construct once per distinct binding of the variables
-they use.
+"""Construction applies each clause once per distinct binding of its
+own variables, and nested blocks run once per distinct binding of the
+variables they use.
 
-Paper section 2.2 gives a nested block set semantics: its where-clause
-extends the parent's binding relation and the block constructs once per
-extended row.  The engine hands each nested block only the distinct
-projections of its parent's rows onto the variables the block (and its
-descendants) mention.  The contracts under test:
+Paper section 2.2 constructs once per row of the binding relation: every
+row applies the block's create, link and collect clauses, and a nested
+block's where-clause extends the parent's relation.  The engine does
+less and must build the same graph:
+
+* a nested block gets only the distinct projections of its parent's
+  rows onto the variables it (and its descendants) mention;
+* within a block, a clause runs once per distinct binding of its own
+  variables (rows in order), and each Skolem term is resolved once per
+  ``construct`` call; a skipped application would have been a no-op.
+
+The contracts under test:
 
 * ``evaluate()`` builds exactly the graph of the row-at-a-time driver
-  ``reference_evaluate`` (full parent rows, one ``_construct_row`` per
-  row): same node order, out-edge order per node, collection member
-  order, and ``nodes_created``/``edges_created`` -- with the planner on
-  and off, on random graphs, for the Fig. 3 query and for nested-block
-  shapes where projection is easy to get wrong;
+  ``reference_evaluate`` (full parent rows, every clause of every row,
+  no skipping and no memo): same ``ddl.dumps``, node order, out-edge
+  order per node, collection member order, and
+  ``nodes_created``/``edges_created`` -- with the planner on and off, on
+  random graphs, for the Fig. 3 query and for shapes where projection
+  or clause-level dedup is easy to get wrong (duplicate rows, a
+  where-only variable, an arc-variable label and an equal STRING atom
+  as Skolem arguments, imported data-graph nodes);
+* an existing-node link source raises ``ImmutableNodeError`` at the
+  same point, with the same partial graph, as the reference;
 * ``bindings_produced`` counts distinct rows only: for Fig. 3, the
   top-level rows plus the distinct ``(x, y)`` and ``(x, c)`` rows.
 """
 
+import pytest
 from hypothesis import given, settings
 
-from repro.graph import Graph
-from repro.repository import graph_statistics
+from repro.errors import ImmutableNodeError
+from repro.graph import Graph, Oid, string
+from repro.repository import ddl, graph_statistics
 from repro.struql import order_conditions, parse, query_bindings
-from repro.struql.eval import Metrics, evaluate
+from repro.struql.eval import Metrics, _Constructor, evaluate
 from repro.workloads import HOMEPAGE_QUERY, bibliography_graph
 
-from .reference_eval import reference_evaluate
+from .reference_eval import RowConstructor, reference_evaluate
 from .test_perf_caches import _apply, mutation_scripts
 
 #: the random graphs' vocabulary: collection ``C``, "year" as "a",
@@ -101,12 +116,36 @@ create P(x)
 }
 """
 
+#: ``y`` is bound by the where-clause only, so no clause's variables
+#: cover a whole row: rows that differ in ``y`` alone repeat every clause
+WHERE_ONLY_VARIABLE = """
+where C(x), x -> "a" -> y, x -> l -> v
+create P(x)
+link P(x) -> l -> v, P(x) -> "p" -> P(x)
+collect Ps(P(x))
+{
+  create V(v)
+  link V(v) -> "of" -> P(x)
+}
+"""
+
+#: a data-graph node as link target and as collected node, the same
+#: ``x`` in many ``(x, l, v)`` rows: each is imported with its closure
+IMPORTS_DATA_NODES = """
+where C(x), x -> l -> v
+create P(x)
+link P(x) -> "item" -> x, P(x) -> l -> v
+collect Items(x), Ps(P(x))
+"""
+
 QUERIES = [
     FIG3_RANDOM,
     CHILD_USES_ARC,
     GRANDCHILD_USES_GRANDPARENT,
     CHILD_WITHOUT_WHERE,
     CHILD_NEGATES_PARENT_VAR,
+    WHERE_ONLY_VARIABLE,
+    IMPORTS_DATA_NODES,
 ]
 
 
@@ -134,9 +173,14 @@ def assert_matches_reference(program, graph):
             program, graph, plan=_plan(graph, optimize)
         )
         assert _layout(got) == _layout(expected), (str(program.queries[-1]), optimize)
-        assert (metrics.nodes_created, metrics.edges_created) == (
-            reference_metrics.nodes_created, reference_metrics.edges_created
-        )
+        assert_same_construction(got, metrics, expected, reference_metrics)
+
+
+def assert_same_construction(got, metrics, expected, reference_metrics):
+    assert ddl.dumps(got) == ddl.dumps(expected)
+    assert (metrics.nodes_created, metrics.edges_created) == (
+        reference_metrics.nodes_created, reference_metrics.edges_created
+    )
 
 
 def _script_graph(script):
@@ -175,3 +219,99 @@ def test_fig3_bindings_count_distinct_block_rows():
     categories = query_bindings('where Publications(x), x -> "category" -> c', graph)
     assert years and categories
     assert metrics.bindings_produced == len(top) + len(years) + len(categories)
+
+
+def _reference_rows(text, graph):
+    """The top-level rows of ``text`` in the reference's order."""
+    return query_bindings(text, graph, optimize=False)
+
+
+DUPLICATED_ROWS = """
+where Publications(x), x -> l -> v
+create P(x)
+link P(x) -> l -> v, Root() -> "p" -> P(x)
+collect Ps(P(x))
+"""
+
+
+@pytest.mark.parametrize("shape", ["appended", "adjacent"])
+def test_construct_given_duplicate_rows_matches_reference(shape):
+    """``construct()`` callers pass distinct rows, so the clauses whose
+    variables cover a whole row keep no seen set; a duplicate row only
+    re-applies no-ops."""
+    graph = bibliography_graph(12, seed=5)
+    rows = _reference_rows(DUPLICATED_ROWS, graph)
+    doubled = rows + rows if shape == "appended" else [r for r in rows for _ in (0, 1)]
+    got, metrics = Graph(), Metrics()
+    _Constructor(got, metrics, graph).construct(parse(DUPLICATED_ROWS).queries[0], doubled)
+    assert_same_construction(got, metrics, *reference_evaluate(parse(DUPLICATED_ROWS), graph))
+
+
+def test_where_only_variable_matches_reference():
+    graph = bibliography_graph(30, seed=21)
+    text = _translate(WHERE_ONLY_VARIABLE, [("C(x)", "Publications(x)"), ('"a"', '"author"')])
+    rows = _reference_rows(text, graph)
+    distinct_xlv = {(row["x"], row["l"], row["v"]) for row in rows}
+    assert len(distinct_xlv) < len(rows)  # some rows differ only in y
+    assert_matches_reference(parse(text), graph)
+
+
+def test_label_and_equal_string_atom_share_one_skolem_node():
+    """``K(l)`` with the label ``"year"`` and ``K(v)`` with the STRING atom
+    ``"year"`` are different memo keys but one registry oid: the node is
+    created (and counted) once."""
+    graph = Graph()
+    first, second = graph.add_node(Oid("p1")), graph.add_node(Oid("p2"))
+    graph.add_edge(first, "year", 1998)
+    graph.add_edge(first, "tag", string("year"))
+    graph.add_edge(second, "tag", string("year"))
+    graph.add_edge(second, "year", string("year"))
+    for node in (first, second):
+        graph.add_to_collection("C", node)
+    text = """
+    where C(x), x -> l -> v
+    create K(l), K(v)
+    link K(l) -> "value" -> v, K(v) -> "label" -> l, K(v) -> "from" -> K(l)
+    collect Ks(K(l)), Ks(K(v))
+    """
+    assert_matches_reference(parse(text), graph)
+    site = evaluate(text, graph)
+    assert site.skolem("K", string("year")) in site.collection("Ks")
+    assert len(site.collection("Ks")) == 3  # K("year"), K(1998), K("tag")
+
+
+def test_imported_data_nodes_are_not_counted():
+    graph = bibliography_graph(20, seed=2)
+    back = [(new, old) for old, new in RANDOM_VOCABULARY]
+    text = _translate(IMPORTS_DATA_NODES, back)
+    metrics = Metrics()
+    site = evaluate(text, graph, metrics=metrics)
+    publications = graph.collection("Publications")
+    assert site.collection("Items") == publications
+    assert metrics.nodes_created == len(publications)
+    assert site.node_count > metrics.nodes_created
+    assert_matches_reference(parse(text), graph)
+
+
+def test_existing_node_link_source_raises_like_the_reference():
+    """The first application of a key raises exactly where the
+    row-at-a-time reference does, leaving the same partial graph."""
+    graph = bibliography_graph(8, seed=1)
+    text = """
+    where Publications(x), x -> l -> v
+    create P(x)
+    link P(x) -> l -> v, x -> "shown" -> P(x)
+    """
+    query = parse(text).queries[0]
+    rows = _reference_rows(text, graph)
+    got, expected = Graph(), Graph()
+    with pytest.raises(ImmutableNodeError):
+        _Constructor(got, Metrics(), graph).construct(query, rows)
+    reference = RowConstructor(expected, Metrics(), graph)
+    with pytest.raises(ImmutableNodeError):
+        for row in rows:
+            reference.construct_row(query, row)
+    assert ddl.dumps(got) == ddl.dumps(expected)
+    assert got.node_count == 1  # P(x) of the first row only
+    with pytest.raises(ImmutableNodeError):
+        evaluate(text, graph)
