@@ -710,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--backend", choices=("ddl", "sqlite"), default="ddl",
                         help="repository backend for --repository: "
                              "checksummed DDL files or one SQLite database "
-                             "(materializes transactionally in-store)")
+                             "(each warehouse is committed in one transaction)")
     ingest.add_argument("--report", metavar="FILE",
                         help="write the resilience report as JSON")
     ingest.add_argument("--constraints", metavar="PATH",

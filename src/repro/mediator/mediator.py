@@ -90,7 +90,7 @@ class Mediator:
     ) -> None:
         #: either repository backend works here: the in-memory/DDL-file
         #: :class:`Repository` or a :class:`~repro.repository.sql.SqlRepository`
-        #: (whose ``rebuild`` hook materializes transactionally in-store)
+        #: (which bulk-loads each warehouse generation in one transaction)
         self.repository = repository
         #: default resilience policy; ``None`` keeps mediation strict
         self.policy = policy
@@ -250,12 +250,15 @@ class Mediator:
         previous generation of ``name`` is returned instead (``stale``);
         with no fallback available, a :class:`MediatorError` is raised.
 
-        The warehouse is written through ``repository.rebuild(name)``,
-        the one write path of both backends: imports, mappings,
-        constraint checks and the provenance stamp all write into the
-        graph it yields, which becomes the next generation of ``name``
-        only if the whole build succeeds (a plain :class:`Graph` when
-        there is no repository).
+        The warehouse is built through ``repository.rebuild(name)``, the
+        write contract of both backends: imports, mappings, constraint
+        checks and the provenance stamp all write into the in-memory
+        graph it yields, which the backend stores as the next generation
+        of ``name`` only if the whole build succeeds.  The result is
+        ``repository.fetch(name)`` -- for SQLite the stored
+        :class:`~repro.repository.sql.SqlGraph`, so site queries push
+        down to SQL -- or the built :class:`Graph` when there is no
+        repository.
         """
         if not self._sources:
             raise MediatorError("no sources registered")
@@ -292,6 +295,8 @@ class Mediator:
             if policy is not None:
                 self._stamp_provenance(warehouse, report)
         report.warehouse_size = warehouse.stats()
+        if self.repository is not None:
+            return self.repository.fetch(name)
         return warehouse
 
     def ingest(

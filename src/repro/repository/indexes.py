@@ -17,10 +17,12 @@ atomic values are global to the graph."
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from threading import Lock
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..errors import RepositoryError
 from ..graph import Atom, Graph
 from ..graph.delta import GraphDelta
 
@@ -304,8 +306,20 @@ def graph_schema_index(graph: Graph) -> SchemaIndex:
 
 
 class RepositoryCatalog:
-    """The catalog half of the repository interface, shared by both
-    backends; subclasses provide ``fetch`` and ``graph_names``."""
+    """The half of the repository interface shared by both backends:
+    the write contract and the catalog.  Subclasses provide ``store``,
+    ``fetch`` and ``graph_names``."""
+
+    @contextmanager
+    def rebuild(self, name: str) -> Iterator[Graph]:
+        """Yield an empty in-memory graph and :meth:`store` it as the
+        next generation of ``name`` if the block exits cleanly; on an
+        exception the previous generation stays current."""
+        if not name:
+            raise RepositoryError("graph name must be non-empty")
+        graph = Graph(name)
+        yield graph
+        self.store(name, graph)  # type: ignore[attr-defined]
 
     def statistics(self, name: str) -> IndexStatistics:
         """Index statistics for a stored graph (optimizer input), served

@@ -36,10 +36,12 @@ equality probes with a join instead of a per-row Python callback.
 
 from __future__ import annotations
 
+import itertools
 import os
 import sqlite3
 import sys
 import threading
+from collections import Counter
 from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
@@ -1470,148 +1472,107 @@ class SqlGraph:
     def _bulk_import(self, graph) -> None:
         """Load a whole graph in one pass with explicit sequential ids.
 
-        Equivalent to replaying ``graph.copy()``: edges are imported in
-        ``edges()`` order, which fixes every derived order (egroups,
-        labels, label_values, atom seq) exactly as the in-memory replay
-        would.  Runs inside the caller's transaction.
+        Every order the graph API exposes is taken from ``graph`` itself,
+        so the loaded graph iterates exactly like its source: node ids
+        follow ``nodes()``, edge groups ``labels_of``, label rows
+        ``labels()``, atom ``seq`` ``atoms()``, label-value rows
+        ``label_atoms`` and edge ids :func:`_edge_order`.  Runs inside
+        the caller's transaction on a truncated graph.
         """
         gid = self._graph_id
         store = self._store
 
-        node_base = int(store.scalar("SELECT COALESCE(MAX(id),0) FROM nodes") or 0)
-        node_ids: Dict[Oid, int] = {}
-        node_rows = []
-        for index, oid in enumerate(graph.nodes()):
-            node_ids[oid] = node_base + 1 + index
-            node_rows.append((node_base + 1 + index, gid, oid.name))
-        store.executemany(
-            "INSERT INTO nodes(id,graph,name) VALUES(?,?,?)", node_rows
-        )
+        def next_id(table: str) -> int:
+            return int(store.scalar(f"SELECT COALESCE(MAX(id),0)+1 FROM {table}"))
 
-        atom_base = int(store.scalar("SELECT COALESCE(MAX(id),0) FROM atoms") or 0)
-        edge_base = int(store.scalar("SELECT COALESCE(MAX(id),0) FROM edges") or 0)
-        atom_ids: Dict[Atom, int] = {}
-        atom_rows = []
-        edge_rows = []
-        egroup_order: Dict[Tuple[int, str], None] = {}
-        label_counts: Dict[str, int] = {}
-        label_value_counts: Dict[Tuple[str, Atom], int] = {}
-        for index, (source, label, target) in enumerate(graph.edges()):
-            src_id = node_ids[source]
-            if isinstance(target, Oid):
-                tgt_node: Optional[int] = node_ids[target]
-                tgt_atom: Optional[int] = None
-            else:
-                tgt_node = None
-                tgt_atom = atom_ids.get(target)
-                if tgt_atom is None:
-                    tgt_atom = atom_base + 1 + len(atom_ids)
-                    atom_ids[target] = tgt_atom
-                    atom_rows.append(
-                        (
-                            tgt_atom,
-                            gid,
-                            target.type.value,
-                            atom_val(target),
-                            target.as_string(),
-                            atom_num(target),
-                            len(atom_ids),  # seq: first-encounter order
-                        )
-                    )
-                key = (label, target)
-                label_value_counts[key] = label_value_counts.get(key, 0) + 1
-            edge_rows.append(
-                (edge_base + 1 + index, gid, src_id, label, tgt_node, tgt_atom)
+        node_ids = {oid: i for i, oid in enumerate(graph.nodes(), next_id("nodes"))}
+        atom_ids = {atom: i for i, atom in enumerate(graph.atoms(), next_id("atoms"))}
+        edge_rows = [
+            (
+                edge_id, gid, node_ids[source], label,
+                node_ids[target] if isinstance(target, Oid) else None,
+                None if isinstance(target, Oid) else atom_ids[target],
             )
-            egroup_order.setdefault((src_id, label), None)
-            label_counts[label] = label_counts.get(label, 0) + 1
+            for edge_id, (source, label, target) in enumerate(
+                _edge_order(graph), next_id("edges")
+            )
+        ]
+        refs = Counter(row[5] for row in edge_rows if row[5] is not None)
+        store.executemany(
+            "INSERT INTO nodes(id,graph,name) VALUES(?,?,?)",
+            [(node_id, gid, oid.name) for oid, node_id in node_ids.items()],
+        )
         store.executemany(
             "INSERT INTO atoms(id,graph,typ,val,str,num,refs,seq)"
-            " VALUES(?,?,?,?,?,?,1,?)",
-            atom_rows,
+            " VALUES(?,?,?,?,?,?,?,?)",
+            [
+                (
+                    atom_id, gid, atom.type.value, atom_val(atom),
+                    atom.as_string(), atom_num(atom), refs[atom_id], seq,
+                )
+                for seq, (atom, atom_id) in enumerate(atom_ids.items(), 1)
+            ],
         )
         store.executemany(
             "INSERT INTO edges(id,graph,src,label,tgt_node,tgt_atom)"
             " VALUES(?,?,?,?,?,?)",
             edge_rows,
         )
-        # refs: exact per-atom incoming-edge counts, now that edges exist
-        store.execute(
-            "UPDATE atoms SET refs="
-            "(SELECT COUNT(*) FROM edges e WHERE e.graph=? AND e.tgt_atom=atoms.id)"
-            " WHERE graph=?",
-            (gid, gid),
-        )
         store.executemany(
             "INSERT INTO egroups(graph,src,label) VALUES(?,?,?)",
-            [(gid, src, label) for src, label in egroup_order],
+            [
+                (gid, node_id, label)
+                for oid, node_id in node_ids.items()
+                for label in graph.labels_of(oid)
+            ],
         )
-        # labels() order is first-edge order = first appearance in the
-        # edges() replay
-        seen_labels: Dict[str, None] = {}
-        for row in edge_rows:
-            seen_labels.setdefault(row[3], None)
+        labels = graph.labels()
         store.executemany(
             "INSERT INTO labels(graph,label,count,distinct_values) VALUES(?,?,?,?)",
             [
                 (
-                    gid,
-                    label,
-                    label_counts[label],
-                    len(
-                        {
-                            atom
-                            for (lbl, atom) in label_value_counts
-                            if lbl == label
-                        }
-                    ),
+                    gid, label, graph.label_cardinality(label),
+                    graph.label_value_cardinality(label),
                 )
-                for label in seen_labels
+                for label in labels
             ],
         )
         store.executemany(
             "INSERT INTO label_values(graph,label,atom,count) VALUES(?,?,?,?)",
             [
                 (gid, label, atom_ids[atom], count)
-                for (label, atom), count in label_value_counts.items()
+                for label in labels
+                for atom, count in graph.label_atoms(label)
             ],
         )
-        member_rows = []
-        collection_rows = []
-        for coll in graph.collection_names():
-            members = graph.collection(coll)
-            collection_rows.append((gid, coll, len(members)))
-            for member in members:
-                member_rows.append((gid, coll, node_ids[member]))
+        collections = {c: graph.collection(c) for c in graph.collection_names()}
         store.executemany(
             "INSERT INTO collections(graph,name,count) VALUES(?,?,?)",
-            collection_rows,
+            [(gid, name, len(members)) for name, members in collections.items()],
         )
         store.executemany(
             "INSERT INTO members(graph,collection,node) VALUES(?,?,?)",
-            member_rows,
+            [
+                (gid, name, node_ids[member])
+                for name, members in collections.items()
+                for member in members
+            ],
         )
-        probe_rows = []
-        for atom, atom_id in atom_ids.items():
-            for rank, probe in enumerate(coercion_probes(atom)):
-                probe_id = atom_ids.get(probe)
-                if probe_id is not None:
-                    probe_rows.append((gid, atom_id, probe_id, rank))
         store.executemany(
             "INSERT OR IGNORE INTO atom_probes(graph,atom,probe,rank)"
             " VALUES(?,?,?,?)",
-            probe_rows,
+            [
+                (gid, atom_id, atom_ids[probe], rank)
+                for atom, atom_id in atom_ids.items()
+                for rank, probe in enumerate(coercion_probes(atom))
+                if probe in atom_ids
+            ],
         )
         store.execute(
             "UPDATE graphs SET node_count=?, edge_count=?, atoms_live=?"
             " WHERE id=?",
             (len(node_ids), len(edge_rows), len(atom_ids), gid),
         )
-        self.skolems = SkolemRegistry()
-        for function, args, _ in graph.skolems.terms():
-            self.skolems.apply(function, args)
-        self.allocator = OidAllocator()
-        self.allocator.reserve_past(self._max_anonymous())
 
     def __repr__(self) -> str:
         label = self.name or "graph"
@@ -1619,6 +1580,47 @@ class SqlGraph:
             f"<SqlGraph {label}: {self.node_count} nodes,"
             f" {self.edge_count} edges>"
         )
+
+
+def _edge_order(graph) -> List[Tuple[Oid, str, Target]]:
+    """Every edge of ``graph`` once, ordered so that each label extent
+    (``edges_with_label``) and each target's ``in_edges`` keep the
+    graph's own order -- the two orders ``edges.id`` must replay.
+
+    Both kinds of chain follow the time each live edge was added, so
+    they never disagree and a topological merge of them exists (a
+    ``targets`` list is a sub-chain of its label extent).
+    """
+    edges: List[Tuple[Oid, str, Target]] = []
+    after_in_label: List[int] = []  # next edge of the same extent, or -1
+    waiting: List[int] = []  # predecessors not yet placed
+    for label in graph.labels():
+        extent = [(s, label, t) for s, t in graph.edges_with_label(label)]
+        after_in_label.extend(range(len(edges) + 1, len(edges) + len(extent)))
+        after_in_label.append(-1)
+        waiting.append(0)
+        waiting.extend([1] * (len(extent) - 1))
+        edges.extend(extent)
+    position = dict(zip(edges, range(len(edges))))
+    after_at_target = [-1] * len(edges)
+    for target in itertools.chain(graph.nodes(), graph.atoms()):
+        chain = [position[(s, label, target)] for s, label in graph.in_edges(target)]
+        for previous, index in zip(chain, chain[1:]):
+            after_at_target[previous] = index
+            waiting[index] += 1
+    ready = [index for index in reversed(range(len(edges))) if not waiting[index]]
+    order: List[Tuple[Oid, str, Target]] = []
+    while ready:
+        index = ready.pop()
+        order.append(edges[index])
+        for following in (after_in_label[index], after_at_target[index]):
+            if following != -1:
+                waiting[following] -= 1
+                if not waiting[following]:
+                    ready.append(following)
+    if len(order) != len(edges):
+        raise GraphError("label extents and in-edge orders of the graph disagree")
+    return order
 
 
 # ------------------------------------------------------------------ #
@@ -1629,14 +1631,15 @@ class SqlRepository(RepositoryCatalog):
     """The ``Repository`` surface over one SQLite database file.
 
     Multiple named graphs share the file (a ``graph`` discriminator
-    column on every table).  :meth:`rebuild` is the one write path:
-    ``store()`` bulk-loads an in-memory graph inside it, and the
-    mediator materializes its warehouse straight into it.  ``fetch()``
-    hands out a live :class:`SqlGraph` without materializing anything.
-    ``directory=None`` keeps the whole store in ``:memory:``, which the
-    tests use.
+    column on every table).  :meth:`store` is the one write path: it
+    bulk-loads a graph in one transaction, order-exact to the source.
+    ``rebuild`` (shared with the DDL backend) yields an empty in-memory
+    graph and stores it on a clean exit; the mediator materializes its
+    warehouse that way.  ``fetch()`` hands out a live :class:`SqlGraph`
+    without materializing anything.  ``directory=None`` keeps the whole
+    store in ``:memory:``, which the tests use.
 
-    A directory-backed repository snapshots every graph it rebuilds as
+    A directory-backed repository snapshots every graph it stores as
     a DDL-store generation next to the database
     (:func:`~repro.repository.store.write_generation`), and runs
     ``PRAGMA quick_check`` on open.  A corrupt database (torn write, bit
@@ -1729,21 +1732,51 @@ class SqlRepository(RepositoryCatalog):
     # basic CRUD
 
     def store(self, name: str, graph, persist: bool = True) -> None:
-        """Register ``graph`` under ``name``.
+        """Store ``graph`` as the next generation of ``name``.
 
-        An in-memory graph is bulk-loaded as the next generation through
-        :meth:`rebuild`.  A :class:`SqlGraph` of this store is registered
-        in place; its edits are already durable.  ``persist`` is accepted
-        for interface compatibility; SQLite writes are always durable.
+        The one SQLite write path.  One transaction truncates the graph's
+        rows, bulk-loads ``graph`` (:meth:`SqlGraph._bulk_import`, every
+        iteration order exactly the source's) and seals the journal; on
+        an exception it rolls back and the previous generation stays
+        current.  The registered :class:`SqlGraph` is reused, so
+        ``fetch(name)`` returns the same object across generations.  A
+        directory-backed repository then writes ``graph`` as the next
+        snapshot generation.  A :class:`SqlGraph` of this store is
+        registered in place instead; its edits are already durable.
+        ``persist`` is accepted for interface compatibility; SQLite
+        writes are always durable.
         """
+        if not name:
+            raise RepositoryError("graph name must be non-empty")
         if isinstance(graph, SqlGraph) and graph._store is self.store_backend:
-            if not name:
-                raise RepositoryError("graph name must be non-empty")
             graph.name = name
             self._graphs[name] = graph
             return
-        with self.rebuild(name) as target:
-            target._bulk_import(graph)
+        store = self.store_backend
+        target = self._graphs.get(name)
+        try:
+            with store.batch():
+                graph_id = self._ensure_graph_row(name)
+                if target is None:
+                    target = SqlGraph(store, graph_id, name)
+                self._truncate(graph_id)
+                target._reset_caches()
+                target._bulk_import(graph)
+        except BaseException:
+            # the transaction rolled back; drop any cache entries the
+            # aborted load populated so the survivor reads fresh rows
+            if target is not None:
+                target._reset_caches()
+            raise
+        target.skolems = SkolemRegistry()
+        for function, args, _ in graph.skolems.terms():
+            target.skolems.apply(function, args)
+        target.allocator = OidAllocator()
+        target.allocator.reserve_past(target._max_anonymous())
+        self._graphs[name] = target
+        if self.directory is not None:
+            maybe_fail("sql.snapshot")
+            write_generation(generation_path(self.directory, name), name, graph)
 
     def fetch(self, name: str) -> SqlGraph:
         cached = self._graphs.get(name)
@@ -1783,45 +1816,6 @@ class SqlRepository(RepositoryCatalog):
         return sorted(names)
 
     # -------------------------------------------------------------- #
-    # the write path
-
-    @contextmanager
-    def rebuild(self, name: str) -> Iterator[SqlGraph]:
-        """Transactionally rebuild graph ``name`` in place.
-
-        Yields an empty :class:`SqlGraph` to materialize into (the
-        mediator writes its warehouse directly here, never holding a
-        full in-memory copy).  On exception the transaction rolls back
-        and the previous generation remains untouched; on success the
-        new generation is committed atomically, registered, and -- in a
-        directory-backed repository -- snapshotted.
-        """
-        if not name:
-            raise RepositoryError("graph name must be non-empty")
-        store = self.store_backend
-        target = None
-        try:
-            with store.batch():
-                graph_id = self._ensure_graph_row(name)
-                target = self._graphs.get(name)
-                if target is None:
-                    target = SqlGraph(store, graph_id, name)
-                self._truncate(graph_id)
-                target._reset_caches()
-                yield target
-                self._seal_journal(graph_id)
-        except BaseException:
-            # the transaction rolled back; drop any cache entries the
-            # aborted build populated so the survivor reads fresh rows
-            if target is not None:
-                target._reset_caches()
-            raise
-        self._graphs[name] = target
-        if self.directory is not None:
-            maybe_fail("sql.snapshot")
-            self.export_ddl(name, generation_path(self.directory, name))
-
-    # -------------------------------------------------------------- #
     # backend reporting / DDL bridge
 
     def file_size(self) -> int:
@@ -1855,27 +1849,18 @@ class SqlRepository(RepositoryCatalog):
         return graph_id
 
     def _truncate(self, graph_id: int) -> None:
-        """Clear a graph's rows, bumping its epoch so cached derived
-        state (plans, statistics, pages) observes the generation swap."""
+        """Clear a graph's rows and start a new epoch, so cached derived
+        state (plans, statistics, pages) observes the generation swap.
+        The journal starts empty at the new epoch: ``delta_since``
+        answers ``None`` (coarse invalidation) for anything older."""
         for table in _GRAPH_TABLES:
             self.store_backend.execute(
                 f"DELETE FROM {table} WHERE graph=?", (graph_id,)
             )
         self.store_backend.execute(
             "UPDATE graphs SET node_count=0, edge_count=0, atoms_live=0,"
-            " epoch=epoch+1 WHERE id=?",
+            " epoch=epoch+1, journal_floor=epoch+1 WHERE id=?",
             (graph_id,),
-        )
-
-    def _seal_journal(self, graph_id: int) -> None:
-        """After a wholesale load, pre-load delta snapshots are stale:
-        clear the journal and set the floor so ``delta_since`` answers
-        ``None`` (coarse invalidation) for anything older."""
-        self.store_backend.execute(
-            "DELETE FROM journal WHERE graph=?", (graph_id,)
-        )
-        self.store_backend.execute(
-            "UPDATE graphs SET journal_floor=epoch WHERE id=?", (graph_id,)
         )
 
 

@@ -10,10 +10,10 @@ The repository deliberately has *no schema catalog to enforce*: graphs are
 semistructured, and the queryable schema is whatever
 :class:`~repro.repository.indexes.SchemaIndex` observes.
 
-Both backends write graphs through one contract: :meth:`Repository.rebuild`
-(and :meth:`SqlRepository.rebuild <repro.repository.sql.SqlRepository.rebuild>`)
-yields an empty graph and stores it as the next generation only if the
-block exits cleanly.
+Both backends write graphs through one contract:
+:meth:`~repro.repository.indexes.RepositoryCatalog.rebuild` yields an
+empty graph and hands it to the backend's ``store`` as the next
+generation only if the block exits cleanly.
 
 This module also owns the one on-disk generation format, shared with the
 SQLite backend's snapshots: :func:`write_generation` writes a checksummed
@@ -28,8 +28,7 @@ intact.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from ..errors import RepositoryCorruptionError, RepositoryError
 from ..graph import Graph
@@ -75,15 +74,6 @@ class Repository(RepositoryCatalog):
         self._graphs[name] = graph
         if persist and self.directory is not None:
             write_generation(self._path(name), name, graph)
-
-    @contextmanager
-    def rebuild(self, name: str) -> Iterator[Graph]:
-        """Yield an empty graph and store it as the next generation of
-        ``name`` if the block exits cleanly; on an exception the
-        previous generation stays current."""
-        graph = Graph(name)
-        yield graph
-        self.store(name, graph)
 
     def fetch(self, name: str) -> Graph:
         """Return the named graph, loading it from disk if not cached.

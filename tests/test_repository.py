@@ -3,8 +3,17 @@
 import pytest
 
 from repro.errors import RepositoryError
-from repro.graph import Graph, string
-from repro.repository import IndexStatistics, Repository, SchemaIndex
+from repro.graph import Graph, Oid, string
+from repro.mediator import Mediator
+from repro.repository import (
+    IndexStatistics,
+    Repository,
+    SchemaIndex,
+    SqlRepository,
+    ddl,
+)
+from repro.repository.store import generation_path, read_generation
+from repro.wrappers import DdlWrapper
 
 
 def _small_graph():
@@ -136,3 +145,74 @@ class TestSchemaIndex:
         repo = Repository()
         repo.store("g", _small_graph())
         assert repo.schema_index("g").has_collection("C")
+
+
+# ---------------------------------------------------------------------- #
+# the one rebuild contract, on both backends
+
+
+def _interleaved(graph):
+    """Fill ``graph`` so that its label extents and in-edge orders are
+    not the ``edges()`` replay order."""
+    a, b = graph.add_node(Oid("a")), graph.add_node(Oid("b"))
+    graph.add_edge(b, "t", string("one"))
+    graph.add_edge(a, "t", string("two"))
+    graph.add_edge(b, "to", a)
+    graph.add_edge(a, "to", a)
+    graph.add_to_collection("C", b)
+    graph.add_to_collection("C", a)
+    return graph
+
+
+@pytest.fixture(params=["ddl", "sqlite"])
+def backend(request):
+    return {"ddl": Repository, "sqlite": SqlRepository}[request.param]
+
+
+@pytest.fixture(params=["memory", "directory"])
+def directory(request, tmp_path):
+    return None if request.param == "memory" else str(tmp_path)
+
+
+def test_rebuild_rejects_an_empty_name_before_yielding(backend, directory):
+    repo = backend(directory)
+    entered = []
+    with pytest.raises(RepositoryError):
+        with repo.rebuild("") as graph:
+            entered.append(graph)
+    assert entered == []
+
+
+def test_rebuild_error_keeps_the_previous_generation(backend, directory):
+    repo = backend(directory)
+    repo.store("g", _small_graph())
+    previous = repo.fetch("g")
+    dump = ddl.dumps(previous)
+    with pytest.raises(RuntimeError):
+        with repo.rebuild("g") as graph:
+            _interleaved(graph)
+            raise RuntimeError("abort the rebuild")
+    assert repo.fetch("g") is previous
+    assert ddl.dumps(repo.fetch("g")) == dump
+
+
+def test_rebuild_stores_the_built_graph_and_its_snapshot(backend, directory):
+    repo = backend(directory)
+    repo.store("g", _small_graph())
+    with repo.rebuild("g") as graph:
+        _interleaved(graph)
+    assert ddl.dumps(repo.fetch("g")) == ddl.dumps(graph)
+    if directory is not None:
+        snapshot = read_generation(generation_path(directory, "g"), "g")
+        assert ddl.dumps(snapshot) == ddl.dumps(repo.fetch("g"))
+
+
+def test_materialize_returns_the_fetched_generation(backend, directory):
+    repo = backend(directory)
+    mediator = Mediator(repository=repo)
+    mediator.add_source(
+        "s", DdlWrapper('collection C\nobject x { name: "X" }\nmember C: x\n')
+    )
+    mediator.import_source("s")
+    for _ in range(2):
+        assert mediator.materialize("data") is repo.fetch("data")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import DeadlineExceeded, RepositoryError
-from repro.graph import Graph, integer, real, string, url
+from repro.graph import Graph, Oid, integer, real, string, url
 from repro.mediator import Mediator
 from repro.repository import (
     Repository,
@@ -21,18 +21,21 @@ from repro.repository import (
     graph_statistics,
     open_repository,
 )
-from repro.repository.sql import SqlGraph
+from repro.repository.sql import SqlGraph, SqlStore
 from repro.resilience.deadline import Deadline, deadline_scope
 from repro.struql import (
     QueryEngine,
     SqlQueryEngine,
     clear_plan_cache,
+    evaluate,
     explain_pushdown,
     make_engine,
     order_conditions,
+    parse,
     parse_query,
 )
 from repro.struql.builtins import register_object_predicate
+from repro.workloads import build_mediator
 from repro.wrappers import DdlWrapper
 
 from .reference_eval import reference_bindings
@@ -121,11 +124,9 @@ def test_replay_equivalence(mem):
     repository = SqlRepository()  # in-memory SQLite
     repository.store("h", mem, persist=False)
     sql = repository.fetch("h")
-    # Both backends normalize edge-index order to replay (``edges()``)
-    # order on store -- the DDL backend through serialize/parse, the
-    # SQLite backend through bulk import -- so the replay normal form
-    # ``mem.copy()`` is the baseline, not the interleaved original.
-    baseline = mem.copy()
+    # The bulk import reproduces every order of the source graph, so the
+    # interleaved original itself is the baseline.
+    baseline = mem
     pushdowns = 0
     for text in _BATTERY:
         conditions = parse_query(text).where
@@ -141,6 +142,140 @@ def test_replay_equivalence(mem):
         assert got == want, text  # rows AND order
         pushdowns += engine.metrics.sql_pushdowns
     assert pushdowns > 0  # the battery must actually exercise pushdown
+
+
+# --------------------------------------------------------------------- #
+# store is order-exact to its source graph
+
+#: node ops pick from a small index space, so removals and re-adds of
+#: the same node, edge or member occur often; edge adds are drawn most
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["node", "edge_node", "edge_atom", "edge_atom", "edge_atom",
+             "remove_edge", "remove_node", "collect", "uncollect"]
+        ),
+        st.integers(0, 5),
+        st.integers(0, 5),
+        _LABELS,
+        _ATOMS,
+    ),
+    min_size=8,
+    max_size=30,
+)
+
+
+def _mutate(graph, nodes, step):
+    op, i, j, label, atom = step
+    if op == "node" or len(nodes) < 2:
+        nodes.append(graph.add_node(hint="n"))
+        return
+    source = nodes[i % len(nodes)]
+    if not graph.has_node(source):
+        graph.add_node(source)  # a removed node comes back at the end
+        return
+    if op == "edge_node":
+        target = nodes[j % len(nodes)]
+        if graph.has_node(target):
+            graph.add_edge(source, label, target)
+    elif op == "edge_atom":
+        graph.add_edge(source, label, atom)
+    elif op == "remove_edge":
+        targets = graph.targets(source, label)
+        if targets:
+            graph.remove_edge(source, label, targets[j % len(targets)])
+    elif op == "remove_node":
+        graph.remove_node(source)
+    elif op == "collect":
+        graph.add_to_collection(f"C{j % 2}", source)
+    elif op == "uncollect" and graph.in_collection(f"C{j % 2}", source):
+        graph.remove_from_collection(f"C{j % 2}", source)
+
+
+def _orders(graph):
+    """Every iteration order the graph API exposes."""
+    labels = list(graph.labels())
+    atoms = list(graph.atoms())
+    nodes = list(graph.nodes())
+    return {
+        "nodes": nodes,
+        "edges": list(graph.edges()),
+        "labels": labels,
+        "atoms": atoms,
+        "edges_with_label": {l: list(graph.edges_with_label(l)) for l in labels},
+        "in_edges": [list(graph.in_edges(t)) for t in nodes + atoms],
+        "label_atoms": {l: list(graph.label_atoms(l)) for l in labels},
+        "collections": [(c, graph.collection(c)) for c in graph.collection_names()],
+        "stats": graph.stats(),
+    }
+
+
+@given(_STEPS, _STEPS)
+@settings(max_examples=60, deadline=None)
+def test_store_reproduces_every_order_of_the_source(first, second):
+    repository = SqlRepository()
+    repository.store("other", _corner_graph())  # nonzero id bases
+    mem = Graph("h")
+    nodes = []
+    fetched = None
+    try:
+        for script in (first, second):
+            for step in script:
+                _mutate(mem, nodes, step)
+            repository.store("h", mem)
+            if fetched is not None:
+                assert repository.fetch("h") is fetched
+            fetched = repository.fetch("h")
+            assert _orders(fetched) == _orders(mem)
+    finally:
+        repository.store_backend.close()
+
+
+def test_store_keeps_label_extent_order_of_the_source():
+    g = Graph("g")
+    a, b = g.add_node(Oid("a")), g.add_node(Oid("b"))
+    g.add_edge(b, "t", string("one"))
+    g.add_edge(a, "t", string("two"))
+    repository = SqlRepository()
+    repository.store("g", g)
+    program = parse(
+        'where x -> "t" -> v create P(x) link P(x) -> "v" -> v collect Ps(P(x))'
+    )
+    want = ddl.dumps(evaluate(program, g))
+    assert ddl.dumps(evaluate(program, repository.fetch("g"))) == want
+    assert '"P(b)", "P(a)"' in want
+
+
+def _counting_store_calls(monkeypatch):
+    """Count every statement a SqlStore runs (``scalar`` goes through
+    ``query``)."""
+    calls = [0]
+    for name in ("execute", "executemany", "query", "query_named"):
+        original = getattr(SqlStore, name)
+
+        def counted(self, *args, _original=original, **kwargs):
+            calls[0] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SqlStore, name, counted)
+    return calls
+
+
+def test_materialize_store_calls_do_not_grow_with_the_warehouse(monkeypatch):
+    calls = _counting_store_calls(monkeypatch)
+    counts = {}
+    for people in (20, 80):
+        mediator = build_mediator(people=people, seed=0)
+        mediator.repository = SqlRepository()
+        calls[0] = 0
+        graph = mediator.materialize("data")
+        epoch_before = graph.epoch
+        assert mediator.materialize("data") is graph  # replaces a generation
+        counts[people] = calls[0]
+        assert isinstance(graph, SqlGraph) and graph.edge_count > 0
+        assert graph.delta_since(epoch_before) is None
+        assert graph.delta_since(graph.epoch).empty
+    assert counts[20] == counts[80]
 
 
 # --------------------------------------------------------------------- #
