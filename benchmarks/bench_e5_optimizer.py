@@ -7,8 +7,12 @@ provide many benefits to our query language."
 We compare the real evaluator (index lookups + greedy cost ordering)
 against the ablation (written-order evaluation over full scans) on a
 query suite over the mediated org-site data graph, reporting wall time
-and edges examined.  The expected shape: indexes win by one to three
-orders of magnitude on selective queries, and never lose.
+and, for the engine, edges examined.  The ablation is the full-scan
+mode of the reference evaluator in ``tests/reference_eval.py`` (run
+from the repository root with ``python -m pytest`` so ``tests`` is
+importable); it keeps no metrics and searches paths one row at a time,
+unbatched.  The expected shape: indexes win by one to three orders of
+magnitude on selective queries, and never lose.
 """
 
 import time
@@ -18,6 +22,7 @@ import pytest
 from repro.repository import IndexStatistics
 from repro.struql import PlanCache, QueryEngine, parse_query
 from repro.workloads import build_mediator
+from tests.reference_eval import reference_bindings
 
 QUERY_SUITE = [
     ("collection scan + copy", "where People(p), p -> l -> v"),
@@ -39,21 +44,28 @@ def data_graph():
     return build_mediator(people=200, seed=13).materialize()
 
 
-def _run(graph, query_text, optimize, use_indexes):
+def _run(graph, query_text):
     query = parse_query(query_text + " create Probe()")
-    engine = QueryEngine(graph, optimize=optimize, use_indexes=use_indexes)
+    engine = QueryEngine(graph)
     start = time.perf_counter()
     rows = engine.bindings(query.where)
     elapsed = time.perf_counter() - start
     return rows, elapsed, engine.metrics.edges_examined
 
 
+def _run_naive(graph, query_text):
+    query = parse_query(query_text + " create Probe()")
+    start = time.perf_counter()
+    rows = reference_bindings(graph, query.where, use_indexes=False)
+    return rows, time.perf_counter() - start
+
+
 def test_e5_indexed_vs_naive(report, data_graph, benchmark):
     rows_out = []
     speedups = []
     for name, text in QUERY_SUITE:
-        fast_rows, fast_time, fast_edges = _run(data_graph, text, True, True)
-        slow_rows, slow_time, slow_edges = _run(data_graph, text, False, False)
+        fast_rows, fast_time, fast_edges = _run(data_graph, text)
+        slow_rows, slow_time = _run_naive(data_graph, text)
         assert len(fast_rows) == len(slow_rows), name
         speedup = slow_time / max(fast_time, 1e-9)
         speedups.append(speedup)
@@ -65,19 +77,19 @@ def test_e5_indexed_vs_naive(report, data_graph, benchmark):
                 "naive ms": round(slow_time * 1e3, 2),
                 "speedup x": round(speedup, 1),
                 "edges (indexed)": fast_edges,
-                "edges (naive)": slow_edges,
             }
         )
     report("E5_optimizer_ablation", rows_out,
-           note="Full indexing + cost ordering vs written-order full scans "
-                "on the 5-source org data graph (200 people).")
+           note="Full indexing + cost ordering vs the reference evaluator's "
+                "written-order full scans on the 5-source org data graph "
+                "(200 people).")
     # indexes must win overall and never lose badly
     assert sum(speedups) / len(speedups) > 2.0
     assert all(s > 0.5 for s in speedups)
 
     # benchmark the indexed path on the most selective query
     benchmark.pedantic(
-        lambda: _run(data_graph, QUERY_SUITE[1][1], True, True),
+        lambda: _run(data_graph, QUERY_SUITE[1][1]),
         rounds=5, iterations=1,
     )
 

@@ -554,7 +554,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_explain(args: argparse.Namespace) -> int:
     graph = _load_graph(args.data) if args.data else None
     text = _read(args.query) if os.path.exists(args.query) else args.query
-    print(explain_plan(text, graph, use_indexes=not args.naive))
+    print(explain_plan(text, graph))
     return 0
 
 
@@ -726,8 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain_cmd = sub.add_parser("explain", help="show a query's execution plan")
     explain_cmd.add_argument("query", help="STRUQL text or file")
     explain_cmd.add_argument("--data", help="DDL graph for statistics")
-    explain_cmd.add_argument("--naive", action="store_true",
-                             help="plan without indexes (ablation view)")
     explain_cmd.set_defaults(func=_cmd_explain)
 
     dot = sub.add_parser("dot", help="render a DDL graph as GraphViz")

@@ -36,7 +36,14 @@ from ..errors import ConstraintError, ConstraintViolation
 from ..graph import Graph, Oid
 from ..struql.ast import AnyLabel, LabelIs, PathExpr, Star
 from ..struql.lexer import Token, tokenize
-from ..struql.paths import compile_path, path_exists, reverse_expr, sources_to, targets_from
+from ..struql.paths import (
+    _ANY_LABEL_TEST,
+    compile_path,
+    path_exists,
+    reverse_expr,
+    sources_to,
+    targets_from,
+)
 from .schema import NS, SchemaEdge, SiteSchema
 
 # ---------------------------------------------------------------------- #
@@ -502,7 +509,7 @@ def _provable_for_creation(
     """Search the schema graph for a guard-compatible, argument-chained
     path between the creation's function and some B-function matching
     the regular path expression."""
-    nfa = compile_path(path) if from_b else compile_path(path)
+    nfa = compile_path(path)
     # Walk the schema product with the NFA.  State: (function, nfa states,
     # current argument tuple).  Arguments must chain: each traversed edge's
     # endpoint args must equal the args we arrived with.
@@ -572,13 +579,13 @@ def _step_wildcard(nfa, states: frozenset) -> frozenset:
     """Step the NFA over an edge whose label is data-dependent.
 
     Sound direction: the step may only use transitions that accept *every*
-    label (true / AnyLabel tests); a transition testing a specific label
-    might not match the run-time label, so it cannot be relied upon.
-    We detect universal tests by probing with two unlikely sentinels.
+    label, i.e. those compiled from ``true`` (AnyLabel).  A transition
+    testing a specific label or a label predicate might not match the
+    run-time label, so it cannot be relied upon.
     """
     out = set()
     for state in states:
         for test, nxt in nfa.transitions.get(state, ()):
-            if test("sentinel-a") and test("sentinel-b"):
+            if test is _ANY_LABEL_TEST:
                 out.add(nxt)
     return nfa.closure(frozenset(out))

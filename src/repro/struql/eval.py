@@ -238,9 +238,7 @@ def _record_edge_footprint(
     label_value: Optional[str],
     target_value: Optional[Value],
 ) -> None:
-    """Semantic dependence of one edge-condition bound/unbound pattern;
-    recorded before any index-vs-scan branch, so the footprint is the
-    same with and without ``use_indexes``."""
+    """Semantic dependence of one edge-condition bound/unbound pattern."""
     if source_value is not None:
         if isinstance(source_value, Oid):
             if label_value is not None:
@@ -359,9 +357,7 @@ class QueryEngine:
     naive nested-loop evaluator in ``tests/reference_eval.py`` run over
     the same condition order, so a warm engine reproduces a cold one.
 
-    ``optimize=False`` keeps the written condition order;
-    ``use_indexes=False`` additionally replaces index lookups with full
-    scans (the E5 ablation baseline).
+    ``optimize=False`` keeps the written condition order.
 
     Construction is O(1): statistics come lazily from the shared
     epoch-stamped provider (:func:`~repro.repository.indexes.graph_statistics`)
@@ -376,14 +372,12 @@ class QueryEngine:
         self,
         graph: Graph,
         optimize: bool = True,
-        use_indexes: bool = True,
         stats: Optional[IndexStatistics] = None,
         metrics: Optional[Metrics] = None,
         plan_cache: Optional[PlanCache] = None,
     ) -> None:
         self.graph = graph
         self.optimize = optimize
-        self.use_indexes = use_indexes
         self._explicit_stats = stats
         self._seen_stats: Optional[IndexStatistics] = None
         self.metrics = metrics if metrics is not None else Metrics()
@@ -516,17 +510,17 @@ class QueryEngine:
         """The ordered plan, via the compiled-plan cache.
 
         The key ties the plan to the exact condition objects, the seed
-        binding pattern, the index mode, and the statistics fingerprint
+        binding pattern, and the statistics fingerprint
         ``(graph, epoch)`` -- so any graph mutation invalidates it.
         """
         stats = self.stats
-        key = PlanCache.plan_key(conditions, bound, self.use_indexes, stats.fingerprint())
+        key = PlanCache.plan_key(conditions, bound, stats.fingerprint())
         cached = self.plan_cache.get_plan(key)
         if cached is not None:
             self.metrics.plan_cache_hits += 1
             return cached
         self.metrics.plan_cache_misses += 1
-        ordered = order_conditions(conditions, bound, stats, self.use_indexes)
+        ordered = order_conditions(conditions, bound, stats)
         self.plan_cache.put_plan(key, conditions, ordered)
         return ordered
 
@@ -612,12 +606,7 @@ class QueryEngine:
                 footprint.membership_reads.add((name, value))
             verdict = verdicts.get(value, _UNSET)
             if verdict is _UNSET:
-                if self.use_indexes:
-                    verdict = isinstance(value, Oid) and graph.in_collection(name, value)
-                else:
-                    if members is None:
-                        members = graph.collection(name)
-                    verdict = value in members
+                verdict = isinstance(value, Oid) and graph.in_collection(name, value)
                 verdicts[value] = verdict
                 metrics.hash_join_probes += 1
             else:
@@ -746,17 +735,6 @@ class QueryEngine:
         if deadline is not None:
             deadline.check("engine.edge-probe")
         matches: List[Tuple[Oid, str, Target]] = []
-        if not self.use_indexes:
-            for source, label, edge_target in graph.edges():
-                metrics.edges_examined += 1
-                if source_value is not None and source != source_value:
-                    continue
-                if label_value is not None and label != label_value:
-                    continue
-                if target_value is not None and not _values_equal(edge_target, target_value):
-                    continue
-                matches.append((source, label, edge_target))
-            return matches
         if source_value is not None:
             if not isinstance(source_value, Oid) or not graph.has_node(source_value):
                 return matches
@@ -940,7 +918,6 @@ class QueryEngine:
         graph = self.graph
         footprint = self.footprint
         metrics = self.metrics
-        use_indexes = self.use_indexes
         alphabet_known = False
         alphabet: Optional[Set[str]] = None
 
@@ -1019,13 +996,12 @@ class QueryEngine:
         # fully-bound checks can search from either side; let the
         # optimizer pick the cheaper frontier from the statistics
         pair_direction = "forward"
-        if pair_rows and use_indexes:
+        if pair_rows:
             pair_direction = choose_path_direction(
                 len({sv for sv, _ in pair_rows}),
                 len({tv for _, tv in pair_rows}),
                 self.stats,
             )
-        if pair_rows:
             if pair_direction == "forward":
                 for sv, _ in pair_rows:
                     forward_seeds[sv] = None
@@ -1033,12 +1009,11 @@ class QueryEngine:
                 for _, tv in pair_rows:
                     for probe in probes_for(tv):
                         backward_seeds[probe] = None
-        if use_indexes:
-            for tv in target_only:
-                for probe in probes_for(tv):
-                    backward_seeds[probe] = None
+        for tv in target_only:
+            for probe in probes_for(tv):
+                backward_seeds[probe] = None
         all_nodes: List[Oid] = []
-        if enumerate_all or (target_only and not use_indexes):
+        if enumerate_all:
             all_nodes = list(graph.nodes())
             for node in all_nodes:
                 forward_seeds[node] = None
@@ -1106,15 +1081,9 @@ class QueryEngine:
                 sources = tv_sources.get(target_value)
                 if sources is None:
                     found: Dict[Oid, None] = {}
-                    if use_indexes:
-                        for probe in probes_for(target_value):
-                            for source in backward_map[probe]:
-                                found.setdefault(source, None)
-                    else:
-                        probes = probes_for(target_value)
-                        for node in all_nodes:
-                            if any(p in forward_set(node) for p in probes):
-                                found.setdefault(node, None)
+                    for probe in probes_for(target_value):
+                        for source in backward_map[probe]:
+                            found.setdefault(source, None)
                     sources = tuple(found)
                     tv_sources[target_value] = sources
                 prefix, suffix = row[:source_index], row[source_index + 1:]
@@ -1427,7 +1396,6 @@ def evaluate(
     source: Graph,
     into: Optional[Graph] = None,
     optimize: bool = True,
-    use_indexes: bool = True,
     metrics: Optional[Metrics] = None,
     engine: Optional[QueryEngine] = None,
 ) -> Graph:
@@ -1453,7 +1421,6 @@ def evaluate(
         engine = make_engine(
             source,
             optimize=optimize,
-            use_indexes=use_indexes,
             metrics=shared_metrics,
         )
     else:
@@ -1468,7 +1435,6 @@ def query_bindings(
     text: Union[str, Sequence[Condition]],
     graph: Graph,
     optimize: bool = True,
-    use_indexes: bool = True,
 ) -> List[Binding]:
     """Evaluate just a where-clause and return its binding relation.
 
@@ -1481,5 +1447,5 @@ def query_bindings(
         conditions: Sequence[Condition] = program.queries[0].where
     else:
         conditions = text
-    engine = make_engine(graph, optimize=optimize, use_indexes=use_indexes)
+    engine = make_engine(graph, optimize=optimize)
     return engine.bindings(conditions)

@@ -56,7 +56,6 @@ def explain(
     query: Union[str, Query, Sequence[Condition]],
     graph: Optional[Graph] = None,
     stats: Optional[IndexStatistics] = None,
-    use_indexes: bool = True,
     counts: bool = False,
 ) -> str:
     """Render the execution plan for a where clause.
@@ -80,7 +79,7 @@ def explain(
         header = f"{len(conditions)} conditions"
     if stats is None:
         stats = graph_statistics(graph) if graph is not None else IndexStatistics()
-    ordered = order_conditions(conditions, frozenset(), stats, use_indexes)
+    ordered = order_conditions(conditions, frozenset(), stats)
 
     op_stats: List["OperatorStats"] = []
     if counts:
@@ -89,9 +88,7 @@ def explain(
         from .eval import make_engine
         from .plancache import PlanCache
 
-        engine = make_engine(
-            graph, use_indexes=use_indexes, stats=stats, plan_cache=PlanCache()
-        )
+        engine = make_engine(graph, stats=stats, plan_cache=PlanCache())
         engine.bindings(conditions)
         op_stats = engine.last_operator_stats
 
@@ -104,7 +101,7 @@ def explain(
     rows: List[List[str]] = [header_row]
     bound: Set[str] = set()
     for index, condition in enumerate(ordered, start=1):
-        cost = estimate_cost(condition, bound, stats, conditions, use_indexes)
+        cost = estimate_cost(condition, bound, stats, conditions)
         newly = sorted(_binds(condition, bound) - bound)
         row = [str(index), _fmt(cost), ", ".join(newly) or "-"]
         if counts:
@@ -120,7 +117,7 @@ def explain(
                 ]
             else:
                 row += ["-", "-", "-", "-"]
-        row.append(_access_path(condition, bound, use_indexes))
+        row.append(_access_path(condition, bound))
         rows.append(row)
         bound |= set(newly)
     width_count = len(rows[0])
@@ -141,7 +138,7 @@ def _fmt(cost: float) -> str:
     return f"{cost:.1f}"
 
 
-def _access_path(condition: Condition, bound: Set[str], use_indexes: bool) -> str:
+def _access_path(condition: Condition, bound: Set[str]) -> str:
     if isinstance(condition, CollectionCond):
         if condition.var.name in bound:
             return f"membership check {condition.collection}({condition.var})"
@@ -162,7 +159,7 @@ def _access_path(condition: Condition, bound: Set[str], use_indexes: bool) -> st
         inner = ", ".join(str(c) for c in condition.inner)
         return f"anti-join not({inner})"
     if isinstance(condition, EdgeCond):
-        return _edge_access(condition, bound, use_indexes)
+        return _edge_access(condition, bound)
     if isinstance(condition, PathCond):
         source_bound = condition.source.name in bound
         target_bound = (
@@ -178,12 +175,10 @@ def _access_path(condition: Condition, bound: Set[str], use_indexes: bool) -> st
     return str(condition)
 
 
-def _edge_access(condition: EdgeCond, bound: Set[str], use_indexes: bool) -> str:
+def _edge_access(condition: EdgeCond, bound: Set[str]) -> str:
     label = (
         f'"{condition.label}"' if isinstance(condition.label, str) else str(condition.label)
     )
-    if not use_indexes:
-        return f"FULL SCAN filtering {condition.source} -> {label} -> {condition.target}"
     source_bound = condition.source.name in bound
     target_bound = (
         not isinstance(condition.target, Var) or condition.target.name in bound

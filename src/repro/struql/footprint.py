@@ -22,9 +22,9 @@ pages, selectively regenerated pages, the maintained site graph and
 incremental constraint verdicts all ask it.
 
 The footprint is *semantic*, not physical: it is recorded from the
-bound/unbound pattern of each condition, before the index-vs-scan
-branch, so naive and indexed evaluation of the same query record the
-same footprint.  Coercing value probes are exact because
+bound/unbound pattern of each condition, not from the index the
+operator probes: it names what the query depends on, not how the
+operator found it.  Coercing value probes are exact because
 ``_coercion_probes`` enumerates the complete finite set of atoms a
 constant can match.
 

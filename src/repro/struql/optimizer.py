@@ -23,9 +23,6 @@ A condition is *ready* when the variables it needs bound are bound:
 * edge, path and collection conditions are always ready (they can
   generate), they just cost more when unbound.
 
-The same estimates serve the naive mode (``use_indexes=False``) with
-scan costs, which experiment E5 uses as the ablation baseline.
-
 The plan fixes the row order: the engine's block operators return the
 rows a naive nested loop over the planned order would (the reference
 evaluator in ``tests/reference_eval.py``), so the plan is a pure
@@ -98,17 +95,13 @@ def estimate_cost(
     bound: Set[str],
     stats: IndexStatistics,
     positives: Sequence[Condition],
-    use_indexes: bool = True,
 ) -> float:
     """Estimated number of bindings this condition will produce per input
     binding, or ``inf`` when it is not ready."""
     if isinstance(condition, CollectionCond):
         if condition.var.name in bound:
             return _FILTER_COST
-        size = stats.estimate_collection(condition.collection)
-        if not use_indexes:
-            return max(size, stats.node_count)
-        return max(size, 1)
+        return max(stats.estimate_collection(condition.collection), 1)
     if isinstance(condition, PredicateCond):
         return _FILTER_COST if condition.var.name in bound else _NOT_READY
     if isinstance(condition, ComparisonCond):
@@ -125,24 +118,16 @@ def estimate_cost(
             return 2.0
         return _NOT_READY
     if isinstance(condition, EdgeCond):
-        return _edge_cost(condition, bound, stats, use_indexes)
+        return _edge_cost(condition, bound, stats)
     if isinstance(condition, PathCond):
         return _path_cost(condition, bound, stats)
     raise StruqlEvaluationError(f"unknown condition type: {condition!r}")
 
 
-def _edge_cost(
-    condition: EdgeCond, bound: Set[str], stats: IndexStatistics, use_indexes: bool
-) -> float:
+def _edge_cost(condition: EdgeCond, bound: Set[str], stats: IndexStatistics) -> float:
     src_bound = condition.source.name in bound
     tgt_bound = not isinstance(condition.target, Var) or condition.target.name in bound
     label_known = isinstance(condition.label, str) or condition.label.name in bound
-    if not use_indexes:
-        # a scan examines every edge regardless of what is bound
-        scan = max(stats.edge_count, 1)
-        if src_bound and tgt_bound and label_known:
-            return scan * 0.5
-        return float(scan)
     if src_bound and tgt_bound and label_known:
         return _FILTER_COST + 0.1  # has_edge lookup
     degree = max(stats.average_out_degree(), 1.0)
@@ -174,7 +159,6 @@ def order_conditions(
     conditions: Sequence[Condition],
     initially_bound: FrozenSet[str],
     stats: IndexStatistics,
-    use_indexes: bool = True,
 ) -> List[Condition]:
     """Greedy cost-ordered plan: cheapest ready condition first.
 
@@ -189,7 +173,7 @@ def order_conditions(
         best_index = -1
         best_cost = _NOT_READY
         for index, condition in enumerate(remaining):
-            cost = estimate_cost(condition, bound, stats, conditions, use_indexes)
+            cost = estimate_cost(condition, bound, stats, conditions)
             if cost < best_cost:
                 best_cost = cost
                 best_index = index

@@ -10,8 +10,8 @@ which is exactly the click-time server's workload.
 :class:`PlanCache` amortizes both:
 
 * **ordered-condition plans**, keyed by the *identity* of the condition
-  objects, the initially-bound variable set, the index mode, and the
-  statistics fingerprint ``(graph identity, graph epoch)``.  The epoch in
+  objects, the initially-bound variable set, and the statistics
+  fingerprint ``(graph identity, graph epoch)``.  The epoch in
   the key is the invalidation rule: any graph mutation bumps the epoch,
   so stale plans can never be served -- they simply age out of the LRU.
 * **compiled path NFAs**, keyed by path-expression identity.  NFAs
@@ -43,9 +43,9 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from .ast import Condition, PathExpr
 from .paths import NFA, compile_path, reverse_expr
 
-#: A plan-cache key: (condition identities, bound vars, index mode,
-#: statistics fingerprint).
-PlanKey = Tuple[Tuple[int, ...], FrozenSet[str], bool, Tuple[int, int]]
+#: A plan-cache key: (condition identities, bound vars, statistics
+#: fingerprint).
+PlanKey = Tuple[Tuple[int, ...], FrozenSet[str], Tuple[int, int]]
 
 #: A path-memo key: (NFA identity, graph identity, graph epoch, endpoint).
 PathMemoKey = Tuple[int, int, int, object]
@@ -92,10 +92,9 @@ class PlanCache:
     def plan_key(
         conditions: Sequence[Condition],
         bound: FrozenSet[str],
-        use_indexes: bool,
         fingerprint: Tuple[int, int],
     ) -> PlanKey:
-        return (tuple(map(id, conditions)), bound, use_indexes, fingerprint)
+        return (tuple(map(id, conditions)), bound, fingerprint)
 
     def get_plan(self, key: PlanKey) -> Optional[List[Condition]]:
         """The cached plan for ``key``, or None.  Counts hits/misses."""

@@ -31,7 +31,9 @@ then label, then target).
 
 With ``use_indexes=False`` every edge condition is a filtered ``edges()``
 scan, membership tests the ``collection(C)`` list, and a path with only
-its target bound tests every node in ``nodes()`` order.  Negations run
+its target bound tests every node in ``nodes()`` order.  This full-scan
+mode is the naive baseline of experiment E5; the engine has no such
+mode, and its rows equal this mode's as a set, not in order.  Negations run
 their inner conditions in written order: only emptiness matters.
 
 :func:`reference_evaluate` drives construction the same naive way: every

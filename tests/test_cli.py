@@ -192,14 +192,14 @@ class TestLintAndExplain:
         assert "plan for:" in out
         assert "collection scan Publications" in out
 
-    def test_explain_naive_mode(self, workspace, capsys):
+    def test_explain_rejects_naive_flag(self, workspace):
         data = _wrap(workspace)
-        code = main([
-            "explain", 'where Publications(x), x -> "year" -> y',
-            "--data", str(data), "--naive",
-        ])
-        assert code == 0
-        assert "FULL SCAN" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "explain", 'where Publications(x), x -> "year" -> y',
+                "--data", str(data), "--naive",
+            ])
+        assert exit_info.value.code == 2
 
     def test_explain_from_file(self, workspace, capsys):
         code = main(["explain", str(workspace / "site.struql")])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import check_constraints
 from repro.core import (
     And,
     ClassAtom,
@@ -20,7 +21,7 @@ from repro.core import (
 )
 from repro.errors import ConstraintError, ConstraintViolation
 from repro.graph import Graph, Oid, string
-from repro.struql import evaluate, parse
+from repro.struql import evaluate, parse, register_label_predicate
 from repro.workloads import HOMEPAGE_QUERY, bibliography_graph
 
 
@@ -211,3 +212,44 @@ class TestStaticVerification:
         for constraint in candidates:
             if verify_static(constraint, schema) is Verdict.VERIFIED:
                 assert check(constraint, site).holds, constraint
+
+
+class TestArcVariableSoundness:
+    """An arc-variable schema edge can carry any label, so only a ``true``
+    step may cross it: a label predicate rejects some labels."""
+
+    QUERY = (
+        "where Pubs(x), x -> l -> v "
+        "create A(x), B() link B() -> l -> A(x)"
+    )
+    NOT_YEAR = "forall X (A(X) => exists Y (B(Y) and Y -> notYear -> X))"
+    ANY = "forall X (A(X) => exists Y (B(Y) and Y -> true -> X))"
+
+    @pytest.fixture
+    def not_year(self):
+        unregister = register_label_predicate("notYear", lambda l: l != "year")
+        yield
+        unregister()
+
+    def _year_only_site(self):
+        data = Graph()
+        pub = data.add_node(Oid("pub"))
+        data.add_to_collection("Pubs", pub)
+        data.add_edge(pub, "year", string("1998"))
+        program = parse(self.QUERY)
+        return SiteSchema.from_program(program), evaluate(program, data)
+
+    def test_label_predicate_over_arc_variable_is_unknown(self, not_year):
+        schema, site = self._year_only_site()
+        assert not check(self.NOT_YEAR, site).holds
+        assert verify_static(self.NOT_YEAR, schema) is Verdict.UNKNOWN
+
+    def test_analyzer_leaves_label_predicate_to_model_checking(self, not_year):
+        schema, _ = self._year_only_site()
+        (diag,) = check_constraints([self.NOT_YEAR], schema)
+        assert diag.code == "CON003"  # CON002 would claim it verified
+
+    def test_true_over_arc_variable_still_verified(self):
+        schema, site = self._year_only_site()
+        assert verify_static(self.ANY, schema) is Verdict.VERIFIED
+        assert check(self.ANY, site).holds

@@ -14,6 +14,8 @@ from repro.wrappers import (
     Table,
 )
 
+from .reference_eval import reference_bindings
+
 
 class TestReverseIndexCoercion:
     """When the optimizer binds the target first (y = const) and then
@@ -43,11 +45,9 @@ class TestReverseIndexCoercion:
 
     def test_indexed_path_agrees_with_scan(self):
         graph = self._graph()
-        fast = query_bindings('where x -> "year" -> y, y = "1998"', graph)
-        slow = query_bindings(
-            'where x -> "year" -> y, y = "1998"', graph,
-            optimize=False, use_indexes=False,
-        )
+        text = 'where x -> "year" -> y, y = "1998"'
+        fast = query_bindings(text, graph)
+        slow = reference_bindings(graph, parse_query(text).where, use_indexes=False)
         assert len(fast) == len(slow)
 
     def test_url_string_equivalence(self):

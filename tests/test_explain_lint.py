@@ -47,12 +47,6 @@ class TestExplain:
         )
         assert "anti-join" in plan
 
-    def test_naive_mode_shows_full_scans(self, graph):
-        plan = explain(
-            'where Publications(x), x -> "year" -> y', graph, use_indexes=False
-        )
-        assert "FULL SCAN" in plan
-
     def test_path_access_paths(self, graph):
         plan = explain("where Publications(x), x -> * -> y", graph)
         assert "path expansion" in plan

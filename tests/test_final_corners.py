@@ -5,8 +5,10 @@ import pytest
 
 from repro.graph import Graph, Oid, integer, string, text_file
 from repro.repository import Repository
-from repro.struql import evaluate, query_bindings
+from repro.struql import evaluate, parse_query, query_bindings
 from repro.struql.explain import explain
+
+from .reference_eval import reference_bindings
 
 
 class TestExplainAccessPaths:
@@ -54,11 +56,9 @@ class TestCoercionProbesFileAtoms:
         graph = Graph()
         oid = graph.add_node()
         graph.add_edge(oid, "body", text_file("hello"))
-        fast = query_bindings('where x -> "body" -> b, b = "hello"', graph)
-        slow = query_bindings(
-            'where x -> "body" -> b, b = "hello"', graph,
-            optimize=False, use_indexes=False,
-        )
+        text = 'where x -> "body" -> b, b = "hello"'
+        fast = query_bindings(text, graph)
+        slow = reference_bindings(graph, parse_query(text).where, use_indexes=False)
         assert len(fast) == len(slow) == 1
 
 

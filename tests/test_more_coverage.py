@@ -7,9 +7,11 @@ import pytest
 from repro.core import DynamicSite, NodeInstance, SiteMaintainer
 from repro.graph import Graph, Oid, string
 from repro.mediator import Mediator
-from repro.struql import evaluate, parse, query_bindings
+from repro.struql import evaluate, parse, parse_query, query_bindings
 from repro.template import Renderer, parse_template
 from repro.wrappers import DdlWrapper
+
+from .reference_eval import reference_bindings
 
 
 class TestUnboundPathCondition:
@@ -27,10 +29,9 @@ class TestUnboundPathCondition:
         nodes = [graph.add_node() for _ in range(4)]
         for left, right in zip(nodes, nodes[1:]):
             graph.add_edge(left, "n", right)
-        fast = query_bindings('where x -> "n"* -> y', graph)
-        slow = query_bindings(
-            'where x -> "n"* -> y', graph, optimize=False, use_indexes=False
-        )
+        text = 'where x -> "n"* -> y'
+        fast = query_bindings(text, graph)
+        slow = reference_bindings(graph, parse_query(text).where, use_indexes=False)
         def canon(rows):
             return sorted((str(r["x"]), str(r["y"])) for r in rows)
         assert canon(fast) == canon(slow)

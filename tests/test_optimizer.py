@@ -71,12 +71,6 @@ class TestCostModel:
         unbound = estimate_cost(condition, set(), stats, [condition])
         assert bound < unbound
 
-    def test_scan_mode_costs_more(self, stats):
-        (condition,) = _conditions('where x -> "year" -> y')
-        indexed = estimate_cost(condition, {"x"}, stats, [condition], use_indexes=True)
-        scanned = estimate_cost(condition, {"x"}, stats, [condition], use_indexes=False)
-        assert scanned > indexed
-
     def test_equality_binding_costs_one(self, stats):
         (condition,) = _conditions('where y = "1998"')
         assert estimate_cost(condition, set(), stats, [condition]) == 1.0

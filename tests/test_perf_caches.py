@@ -234,7 +234,7 @@ def test_plan_cache_lru_eviction():
     cache = PlanCache(max_entries=2)
     queries = [parse_query(text) for text in _QUERY_TEXTS]
     keys = [
-        PlanCache.plan_key(q.where, frozenset(), True, (1, 0)) for q in queries
+        PlanCache.plan_key(q.where, frozenset(), (1, 0)) for q in queries
     ]
     for query, key in zip(queries, keys):
         cache.put_plan(key, query.where, list(query.where))

@@ -110,9 +110,7 @@ class TestPlanCacheConcurrency:
         conditions = tuple(program.queries[0].where)
 
         def worker(index, round_index):
-            key = PlanCache.plan_key(
-                conditions, frozenset(), True, (1, round_index % 7)
-            )
+            key = PlanCache.plan_key(conditions, frozenset(), (1, round_index % 7))
             if cache.get_plan(key) is None:
                 cache.put_plan(key, conditions, list(conditions))
             assert cache.get_plan(key) is not None
