@@ -19,10 +19,10 @@ import time
 
 import pytest
 
-from repro.repository import IndexStatistics
 from repro.struql import PlanCache, QueryEngine, parse_query
 from repro.workloads import build_mediator
 from tests.reference_eval import reference_bindings
+from tests.reference_stats import recount_statistics
 
 QUERY_SUITE = [
     ("collection scan + copy", "where People(p), p -> l -> v"),
@@ -112,7 +112,7 @@ def test_e5_warm_engine_speedup(report, json_report, data_graph, benchmark):
         for query in queries:
             engine = QueryEngine(
                 data_graph,
-                stats=IndexStatistics.from_graph(data_graph),
+                stats=recount_statistics(data_graph),
                 plan_cache=PlanCache(),
             )
             results.append(engine.bindings(query.where))

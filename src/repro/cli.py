@@ -521,13 +521,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             print(f"  violated: {violation}")
         if len(violations) > 5:
             print(f"  ... and {len(violations) - 5} more")
-    from .repository import statistics_refresh_counters
-
-    refreshes = statistics_refresh_counters()
-    print(
-        f"stats refresh: full_snapshots={refreshes['stats_full_snapshots']} "
-        f"delta_refreshes={refreshes['stats_delta_refreshes']}"
-    )
     if args.resilience is not None:
         from .resilience import ResilienceReport
 

@@ -214,18 +214,18 @@ class ConstraintChecker:
             return True
         return False
 
-    def check_all(self, refute: bool = True) -> List[Violation]:
+    def check_all(self) -> List[Violation]:
         """Every violation in the graph, in collection/member order.
 
-        With ``refute`` (the default), constraints the value index
-        proves unviolable are skipped wholesale and counted as
+        Constraints the value index proves unviolable
+        (:meth:`refuted_on_data`) are skipped wholesale and counted as
         ``refuted`` instead of ``checked``.
         """
         counters = self.counters
         bump(counters, "full_checks")
         violations: List[Violation] = []
         for constraint in self.set:
-            if refute and self.refuted_on_data(constraint):
+            if self.refuted_on_data(constraint):
                 bump(counters, "refuted")
                 continue
             for oid in self.graph.collection(constraint.collection):

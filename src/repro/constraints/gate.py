@@ -30,14 +30,10 @@ from .model import CheckCounters, ConstraintSet, Violation
 
 @dataclass(frozen=True)
 class ConstraintPolicy:
-    """Which data constraints an ingest enforces, and how hard.
-
-    ``refute`` enables the value-index fast path: constraints the graph
-    can prove unviolable are skipped without a member scan.
-    """
+    """Which data constraints an ingest enforces, and the counters
+    their checks accumulate."""
 
     constraint_set: ConstraintSet
-    refute: bool = True
     counters: CheckCounters = field(default_factory=CheckCounters, compare=False)
 
     @property
@@ -63,7 +59,7 @@ def apply_constraint_gate(
     if policy is None:
         return []
     checker = ConstraintChecker(graph, policy.constraint_set, policy.counters)
-    violations = checker.check_all(refute=policy.refute)
+    violations = checker.check_all()
     if not violations:
         return violations
     if not getattr(wrap_policy, "quarantine", False):

@@ -58,7 +58,6 @@ class GraphDelta:
         "nodes_added", "nodes_removed",
         "members_added", "members_removed",
         "collections_created",
-        "_labels", "_collections",
     )
 
     def __init__(self, base_epoch: int, epoch: int) -> None:
@@ -71,8 +70,6 @@ class GraphDelta:
         self.members_added: List[Tuple[str, Oid]] = []
         self.members_removed: List[Tuple[str, Oid]] = []
         self.collections_created: List[str] = []
-        self._labels: Optional[Set[str]] = None
-        self._collections: Optional[Set[str]] = None
 
     # ------------------------------------------------------------ #
     # summaries
@@ -98,21 +95,6 @@ class GraphDelta:
 
     def member_changes(self) -> List[Tuple[str, Oid]]:
         return self.members_added + self.members_removed
-
-    def labels(self) -> Set[str]:
-        """Edge labels touched by any change (cached)."""
-        if self._labels is None:
-            self._labels = {label for _, label, _ in self.edges_added}
-            self._labels.update(label for _, label, _ in self.edges_removed)
-        return self._labels
-
-    def collections(self) -> Set[str]:
-        """Collection names touched by membership changes or creation."""
-        if self._collections is None:
-            self._collections = {name for name, _ in self.members_added}
-            self._collections.update(name for name, _ in self.members_removed)
-            self._collections.update(self.collections_created)
-        return self._collections
 
     def touched_oids(self) -> Set[Oid]:
         """Oids whose *own* state changed: sources of changed edges,

@@ -26,6 +26,7 @@ maintains, incrementally, a label extent index, a reverse-adjacency index
 
 from __future__ import annotations
 
+import itertools
 import sys
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
@@ -39,6 +40,11 @@ Target = Union[Oid, Atom]
 
 #: A fully-specified edge.
 Edge = Tuple[Oid, str, Target]
+
+#: Process-unique tokens for graphs of both backends (and hand-built
+#: statistics): derived-state caches key on ``(token, epoch)``.  Unlike
+#: ``id()``, a token is never reused after its graph is freed.
+cache_tokens = itertools.count(1)
 
 
 class Graph:
@@ -56,6 +62,7 @@ class Graph:
 
     def __init__(self, name: str = "") -> None:
         self.name = name
+        self.token = next(cache_tokens)
         self._out: Dict[Oid, Dict[str, List[Target]]] = {}
         self._in: Dict[Target, Dict[Tuple[Oid, str], None]] = {}
         self._by_label: Dict[str, Dict[Tuple[Oid, Target], None]] = {}
@@ -67,8 +74,6 @@ class Graph:
         self._distinct_atoms = 0
         #: epoch-stamped IndexStatistics snapshot, owned by repository.indexes
         self._stats_cache: Optional[object] = None
-        #: (epoch, SchemaIndex), owned by repository.indexes
-        self._schema_cache: Optional[tuple] = None
         #: bounded structured mutation history, one record per epoch bump
         self._delta_log = DeltaLog()
         self.allocator = OidAllocator()

@@ -4,7 +4,7 @@ Semistructured data has no a-priori schema, but a *posteriori* schema --
 which collections exist, which attributes their members carry, how
 irregular the attribute sets are -- is still queryable ("our query
 language ... can also query the schema", paper section 2.1) and is what
-the repository's schema index stores.
+the graph's schema index (``labels()``, ``collection_names()``) holds.
 
 :func:`summarize` computes a :class:`GraphSchema`: per-collection
 attribute statistics plus irregularity measures.  The irregularity

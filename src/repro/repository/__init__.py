@@ -9,12 +9,7 @@ edge-triple :class:`~repro.repository.sql.SqlRepository`
 
 from . import ddl
 from .atomic import atomic_write_text
-from .indexes import (
-    IndexStatistics,
-    SchemaIndex,
-    graph_statistics,
-    statistics_refresh_counters,
-)
+from .indexes import IndexStatistics, graph_statistics
 from .sql import SqlGraph, SqlRepository, SqlStore, open_repository
 from .store import Repository
 from .summary import LabelSummary, label_summary
@@ -23,7 +18,6 @@ __all__ = [
     "IndexStatistics",
     "LabelSummary",
     "Repository",
-    "SchemaIndex",
     "SqlGraph",
     "SqlRepository",
     "SqlStore",
@@ -32,5 +26,4 @@ __all__ = [
     "graph_statistics",
     "label_summary",
     "open_repository",
-    "statistics_refresh_counters",
 ]

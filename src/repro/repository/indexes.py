@@ -20,11 +20,11 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from threading import Lock
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Tuple
 
 from ..errors import RepositoryError
-from ..graph import Atom, Graph
-from ..graph.delta import GraphDelta
+from ..graph import Graph
+from ..graph.graph import cache_tokens
 
 
 @dataclass
@@ -46,38 +46,15 @@ class IndexStatistics:
     label_distinct_values: Dict[str, int] = field(default_factory=dict)
     #: graph epoch at snapshot time (-1 for hand-built statistics)
     epoch: int = -1
-    #: identity of the snapshotted graph (0 for hand-built statistics)
-    graph_key: int = 0
-
-    @classmethod
-    def from_graph(cls, graph: Graph) -> "IndexStatistics":
-        """Full-scan snapshot: recount everything from the raw indexes.
-
-        O(edges) -- kept as the ground truth that :meth:`snapshot` (the
-        incremental fast path) is property-tested against, and as the
-        seed's cold-construction baseline in the benchmarks.
-        """
-        label_distinct: Dict[str, int] = {}
-        for label in graph.labels():
-            values = {t for _, t in graph.edges_with_label(label) if isinstance(t, Atom)}
-            label_distinct[label] = len(values)
-        return cls(
-            node_count=graph.node_count,
-            edge_count=graph.edge_count,
-            label_cardinality={l: graph.label_cardinality(l) for l in graph.labels()},
-            collection_cardinality={
-                c: graph.collection_cardinality(c) for c in graph.collection_names()
-            },
-            distinct_atoms=sum(1 for _ in graph.atoms()),
-            label_distinct_values=label_distinct,
-            epoch=graph.epoch,
-            graph_key=id(graph),
-        )
+    #: the snapshotted graph's ``token``; hand-built statistics draw a
+    #: fresh one from the same counter, so they never share a cache key
+    graph_key: int = field(default_factory=cache_tokens.__next__)
 
     @classmethod
     def snapshot(cls, graph: Graph) -> "IndexStatistics":
         """O(labels + collections) snapshot from the graph's incremental
-        counters; agrees exactly with :meth:`from_graph`."""
+        counters; agrees exactly with an O(edges) recount of the raw
+        indexes (property-tested)."""
         labels = graph.labels()
         return cls(
             node_count=graph.node_count,
@@ -91,51 +68,14 @@ class IndexStatistics:
                 l: graph.label_value_cardinality(l) for l in labels
             },
             epoch=graph.epoch,
-            graph_key=id(graph),
-        )
-
-    def advance(self, graph: Graph, delta: GraphDelta) -> "IndexStatistics":
-        """A new snapshot derived from this one by applying a delta.
-
-        Only the labels and collections the delta touched are re-read
-        from the graph's incremental counters -- O(|delta|) work instead
-        of :meth:`snapshot`'s O(labels + collections).  Agrees exactly
-        with a fresh :meth:`snapshot` (property-tested).
-        """
-        label_cardinality = dict(self.label_cardinality)
-        label_distinct = dict(self.label_distinct_values)
-        for label in delta.labels():
-            cardinality = graph.label_cardinality(label)
-            if cardinality > 0:
-                label_cardinality[label] = cardinality
-                label_distinct[label] = graph.label_value_cardinality(label)
-            else:
-                label_cardinality.pop(label, None)
-                label_distinct.pop(label, None)
-        collection_cardinality = dict(self.collection_cardinality)
-        for name in delta.collections():
-            collection_cardinality[name] = graph.collection_cardinality(name)
-        return IndexStatistics(
-            node_count=graph.node_count,
-            edge_count=graph.edge_count,
-            label_cardinality=label_cardinality,
-            collection_cardinality=collection_cardinality,
-            distinct_atoms=graph.distinct_atom_count,
-            label_distinct_values=label_distinct,
-            epoch=graph.epoch,
-            graph_key=id(graph),
+            graph_key=graph.token,
         )
 
     def fingerprint(self) -> Tuple[int, int]:
-        """Identity of this snapshot for plan-cache keys.
-
-        Graph-stamped snapshots compare equal exactly when they describe
-        the same graph at the same epoch; hand-built statistics fall back
-        to object identity (never shared, never falsely equal).
-        """
-        if self.epoch >= 0 and self.graph_key:
-            return (self.graph_key, self.epoch)
-        return (id(self), -1)
+        """Identity of this snapshot for plan-cache keys: equal exactly
+        when two snapshots describe the same graph at the same epoch
+        (hand-built statistics carry a token of their own)."""
+        return (self.graph_key, self.epoch)
 
     # -------------------------------------------------------------- #
     # estimates used by the optimizer
@@ -178,39 +118,25 @@ class IndexStatistics:
         return self.edge_count / targets if targets else 0.0
 
 
-#: process-wide refresh counters, surfaced by ``repro stats``
-_refresh_counters = {"stats_full_snapshots": 0, "stats_delta_refreshes": 0}
-_refresh_counters_lock = Lock()
-
 #: serializes snapshot refreshes (concurrent engines over shared graphs:
 #: exactly one thread recomputes after a mutation, the rest reuse it)
 _stats_provider_lock = Lock()
-
-
-def statistics_refresh_counters() -> Dict[str, int]:
-    """How statistics snapshots were refreshed so far in this process:
-    ``stats_delta_refreshes`` advanced an existing snapshot by a delta
-    (O(|delta|)); ``stats_full_snapshots`` re-read every counter."""
-    with _refresh_counters_lock:
-        return dict(_refresh_counters)
 
 
 def graph_statistics(graph: Graph) -> IndexStatistics:
     """The shared, epoch-stamped statistics provider.
 
     Returns the graph's cached snapshot when the graph has not mutated
-    since it was taken (same epoch).  After a mutation, the stale
-    snapshot is *advanced* by the graph's delta log (O(|delta|), the
-    common add-edge case touches one label) when the log still reaches
-    back to the snapshot's epoch; only when it does not -- or no
-    snapshot exists -- is a full O(labels + collections) snapshot
-    taken.  Every consumer -- the query engine, EXPLAIN, the repository
+    since it was taken (same epoch); otherwise takes one
+    O(labels + collections) :meth:`IndexStatistics.snapshot` of the
+    graph's incremental counters and caches it for the new epoch.
+    Every consumer -- the query engine, EXPLAIN, the repository
     catalog -- goes through this function, so they all see the same
-    estimates and an unchanged graph is never re-scanned.
+    estimates and an unchanged graph is never re-read.
 
     Thread-safe: the fresh-snapshot fast path is a lock-free read of an
     immutable snapshot; refreshes after a mutation are serialized, so N
-    worker engines sharing a graph pay for one recount, not N.
+    worker engines sharing a graph pay for one snapshot, not N.
     """
     cached = graph._stats_cache
     if isinstance(cached, IndexStatistics) and cached.epoch == graph.epoch:
@@ -220,89 +146,9 @@ def graph_statistics(graph: Graph) -> IndexStatistics:
         cached = graph._stats_cache
         if isinstance(cached, IndexStatistics) and cached.epoch == graph.epoch:
             return cached
-        stats: Optional[IndexStatistics] = None
-        if isinstance(cached, IndexStatistics) and cached.graph_key == id(graph):
-            delta = graph.delta_since(cached.epoch)
-            if delta is not None:
-                stats = cached.advance(graph, delta)
-                with _refresh_counters_lock:
-                    _refresh_counters["stats_delta_refreshes"] += 1
-        if stats is None:
-            stats = IndexStatistics.snapshot(graph)
-            with _refresh_counters_lock:
-                _refresh_counters["stats_full_snapshots"] += 1
+        stats = IndexStatistics.snapshot(graph)
         graph._stats_cache = stats
         return stats
-
-
-@dataclass
-class SchemaIndex:
-    """The schema index: names of all collections and attributes.
-
-    STRUQL arc variables query this ("our query language ... can also
-    query the schema"), and the site builder's tooling lists it.
-    """
-
-    labels: List[str]
-    collections: List[str]
-
-    @classmethod
-    def from_graph(cls, graph: Graph) -> "SchemaIndex":
-        return cls(labels=graph.labels(), collections=graph.collection_names())
-
-    def advanced(self, delta: GraphDelta) -> Optional["SchemaIndex"]:
-        """A new index patched by an additions-only delta, or ``None``.
-
-        Edge/node/membership removals can retire a label from the
-        schema, which would require consulting the graph to know -- in
-        that case return ``None`` and let the caller rebuild.  Additions
-        are replayed in mutation order, so the name lists match
-        :meth:`from_graph` exactly (including order).
-        """
-        if delta.has_removals:
-            return None
-        known_labels = set(self.labels)
-        labels = list(self.labels)
-        for _, label, _ in delta.edges_added:
-            if label not in known_labels:
-                known_labels.add(label)
-                labels.append(label)
-        known_collections = set(self.collections)
-        collections = list(self.collections)
-        for name in delta.collections_created:
-            if name not in known_collections:
-                known_collections.add(name)
-                collections.append(name)
-        return SchemaIndex(labels=labels, collections=collections)
-
-    def has_label(self, label: str) -> bool:
-        return label in self.labels
-
-    def has_collection(self, name: str) -> bool:
-        return name in self.collections
-
-
-def graph_schema_index(graph: Graph) -> SchemaIndex:
-    """The graph's schema index, cached on the graph per mutation epoch.
-
-    A stale entry is first *patched* from the graph's delta log (the
-    common add-edge/add-collection case appends at most one name); only
-    removals -- which can retire a label -- or a truncated log force a
-    rebuild from the raw indexes.
-    """
-    cached = graph._schema_cache
-    if cached is not None:
-        epoch, index = cached
-        if epoch == graph.epoch:
-            return index
-        delta = graph.delta_since(epoch)
-        patched = index.advanced(delta) if delta is not None else None
-        if patched is not None:
-            graph._schema_cache = (graph.epoch, patched)
-            return patched
-    index = SchemaIndex.from_graph(graph)
-    graph._schema_cache = (graph.epoch, index)
-    return index
 
 
 class RepositoryCatalog:
@@ -326,10 +172,6 @@ class RepositoryCatalog:
         from the graph's epoch-stamped snapshot: an unchanged graph is
         never re-scanned."""
         return graph_statistics(self.fetch(name))  # type: ignore[attr-defined]
-
-    def schema_index(self, name: str) -> SchemaIndex:
-        """The schema index (collection and attribute names) of a graph."""
-        return graph_schema_index(self.fetch(name))  # type: ignore[attr-defined]
 
     def catalog(self) -> Dict[str, Dict[str, int]]:
         """Size summary of every stored graph."""

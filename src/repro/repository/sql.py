@@ -8,7 +8,7 @@ paper insists on realized as real SQL indexes, WAL journaling, and a
 bulk-load path.  :class:`SqlGraph` exposes the full ``Graph`` read/write
 API over that schema -- including iteration *order*, which STRUQL binding
 relations observe -- and :class:`SqlRepository` exposes the familiar
-``Repository`` surface (store/fetch/delete/statistics/schema_index).
+``Repository`` surface (store/fetch/delete/statistics).
 
 Ordering is replicated structurally rather than by sorting in Python:
 
@@ -74,6 +74,7 @@ from ..graph.delta import (
     _NODE_REMOVE,
     GraphDelta,
 )
+from ..graph.graph import cache_tokens
 from .indexes import RepositoryCatalog
 from .store import Repository, delete_generations, generation_path, write_generation
 
@@ -453,10 +454,9 @@ class SqlGraph:
         self._store = store
         self._graph_id = graph_id
         self.name = name
+        self.token = next(cache_tokens)
         #: epoch-stamped IndexStatistics snapshot, owned by repository.indexes
         self._stats_cache: Optional[object] = None
-        #: (epoch, SchemaIndex), owned by repository.indexes
-        self._schema_cache: Optional[tuple] = None
         self.allocator = OidAllocator()
         self.skolems = SkolemRegistry()
         # id->object caches never go stale (AUTOINCREMENT ids are not
@@ -487,7 +487,6 @@ class SqlGraph:
 
     def _reset_caches(self) -> None:
         self._stats_cache = None
-        self._schema_cache = None
         self._oid_of_id.clear()
         self._atom_of_id.clear()
         self._id_of_name.clear()
@@ -1731,7 +1730,7 @@ class SqlRepository(RepositoryCatalog):
     # -------------------------------------------------------------- #
     # basic CRUD
 
-    def store(self, name: str, graph, persist: bool = True) -> None:
+    def store(self, name: str, graph) -> None:
         """Store ``graph`` as the next generation of ``name``.
 
         The one SQLite write path.  One transaction truncates the graph's
@@ -1743,8 +1742,6 @@ class SqlRepository(RepositoryCatalog):
         directory-backed repository then writes ``graph`` as the next
         snapshot generation.  A :class:`SqlGraph` of this store is
         registered in place instead; its edits are already durable.
-        ``persist`` is accepted for interface compatibility; SQLite
-        writes are always durable.
         """
         if not name:
             raise RepositoryError("graph name must be non-empty")

@@ -7,8 +7,8 @@ catalog of per-graph statistics.  It can also be used fully in memory
 (``directory=None``), which the tests and benchmarks do.
 
 The repository deliberately has *no schema catalog to enforce*: graphs are
-semistructured, and the queryable schema is whatever
-:class:`~repro.repository.indexes.SchemaIndex` observes.
+semistructured, and the queryable schema is whatever the graph's own
+indexes hold (``graph.labels()``, ``graph.collection_names()``).
 
 Both backends write graphs through one contract:
 :meth:`~repro.repository.indexes.RepositoryCatalog.rebuild` yields an
@@ -60,7 +60,7 @@ class Repository(RepositoryCatalog):
     # -------------------------------------------------------------- #
     # basic CRUD
 
-    def store(self, name: str, graph: Graph, persist: bool = True) -> None:
+    def store(self, name: str, graph: Graph) -> None:
         """Register ``graph`` under ``name`` (and write it to disk).
 
         Overwrites silently: storing is how graphs are refreshed after
@@ -72,7 +72,7 @@ class Repository(RepositoryCatalog):
             raise RepositoryError("graph name must be non-empty")
         graph.name = name
         self._graphs[name] = graph
-        if persist and self.directory is not None:
+        if self.directory is not None:
             write_generation(self._path(name), name, graph)
 
     def fetch(self, name: str) -> Graph:

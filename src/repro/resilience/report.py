@@ -8,9 +8,9 @@ into one JSON-able document.  ``repro ingest`` writes one next to its
 output and ``repro stats --resilience`` prints one, so operators can see
 *that* the site degraded and *why* without reading logs.
 
-Repository recovery events are also recorded in a process-wide log
-(mirroring :func:`repro.repository.statistics_refresh_counters`), since
-recoveries happen inside ``fetch`` calls far from any report object.
+Repository recovery events are also recorded in a process-wide log,
+since recoveries happen inside ``fetch`` calls far from any report
+object.
 """
 
 from __future__ import annotations

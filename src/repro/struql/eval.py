@@ -1124,7 +1124,7 @@ class QueryEngine:
         for everyone downstream.
         """
         graph = self.graph
-        fingerprint = (id(graph), graph.epoch)
+        fingerprint = (graph.token, graph.epoch)
         cache = self.plan_cache
         metrics = self.metrics
         found: Dict[object, Tuple[object, ...]] = {}

@@ -11,7 +11,7 @@ which is exactly the click-time server's workload.
 
 * **ordered-condition plans**, keyed by the *identity* of the condition
   objects, the initially-bound variable set, and the statistics
-  fingerprint ``(graph identity, graph epoch)``.  The epoch in
+  fingerprint ``(graph token, graph epoch)``.  The epoch in
   the key is the invalidation rule: any graph mutation bumps the epoch,
   so stale plans can never be served -- they simply age out of the LRU.
 * **compiled path NFAs**, keyed by path-expression identity.  NFAs
@@ -20,7 +20,7 @@ which is exactly the click-time server's workload.
   NFA's structural reversal (:meth:`~repro.struql.paths.NFA.reversed`),
   not a second Thompson construction.
 * **path reachability memos**, keyed by ``(NFA identity, graph
-  identity, graph epoch, endpoint)``.  The block evaluator's batched
+  token, graph epoch, endpoint)``.  The block evaluator's batched
   path search records, per distinct endpoint, the full answer of one
   product-automaton BFS; any later row -- in the same query or a later
   warm query over the unchanged graph -- reuses it.  The epoch in the
@@ -28,7 +28,9 @@ which is exactly the click-time server's workload.
 
 Cache values pin the AST objects they were keyed by, which keeps their
 ``id()`` values from being recycled while an entry is alive (the ABA
-hazard of identity keys).  Entries are evicted LRU once ``max_entries``
+hazard of identity keys).  Nothing pins a graph, so graphs are keyed
+by their process-unique ``token`` instead: CPython reuses a freed
+graph's ``id()``.  Entries are evicted LRU once ``max_entries``
 is exceeded.  A process-wide cache (:func:`global_plan_cache`) is the
 default for every :class:`~repro.struql.eval.QueryEngine`; engines and
 benchmarks that need isolation pass their own instance.
@@ -47,7 +49,7 @@ from .paths import NFA, compile_path, reverse_expr
 #: fingerprint).
 PlanKey = Tuple[Tuple[int, ...], FrozenSet[str], Tuple[int, int]]
 
-#: A path-memo key: (NFA identity, graph identity, graph epoch, endpoint).
+#: A path-memo key: (NFA identity, graph token, graph epoch, endpoint).
 PathMemoKey = Tuple[int, int, int, object]
 
 #: A compiled-SQL key: (ordered condition identities, frame variable

@@ -472,7 +472,7 @@ def test_stats_snapshot_direction_choice_is_consistent():
     """Fully-bound pairs answered under either direction choice agree
     with the reference (the optimizer picks by cardinality estimates)."""
     graph = _fanin_graph()
-    stats = IndexStatistics.from_graph(graph)
+    stats = IndexStatistics.snapshot(graph)
     query = parse_query('where C(x), C(y), x -> "to"* -> y create Probe()')
     assert_matches_reference(graph, query.where, stats=stats)
 

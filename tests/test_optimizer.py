@@ -10,7 +10,7 @@ from repro.workloads import bibliography_graph
 
 @pytest.fixture
 def stats():
-    return IndexStatistics.from_graph(bibliography_graph(30, seed=0))
+    return IndexStatistics.snapshot(bibliography_graph(30, seed=0))
 
 
 def _conditions(text):

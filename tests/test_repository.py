@@ -8,7 +8,6 @@ from repro.mediator import Mediator
 from repro.repository import (
     IndexStatistics,
     Repository,
-    SchemaIndex,
     SqlRepository,
     ddl,
 )
@@ -88,22 +87,17 @@ class TestPersistence:
         repo.delete("g")
         assert "g" not in Repository(str(tmp_path))
 
-    def test_store_without_persist(self, tmp_path):
-        repo = Repository(str(tmp_path))
-        repo.store("g", _small_graph(), persist=False)
-        assert "g" not in Repository(str(tmp_path))
-
 
 class TestIndexStatistics:
     def test_snapshot_counts(self):
-        stats = IndexStatistics.from_graph(_small_graph())
+        stats = IndexStatistics.snapshot(_small_graph())
         assert stats.node_count == 2
         assert stats.edge_count == 2
         assert stats.label_cardinality == {"name": 1, "to": 1}
         assert stats.collection_cardinality == {"C": 1}
 
     def test_estimates(self):
-        stats = IndexStatistics.from_graph(_small_graph())
+        stats = IndexStatistics.snapshot(_small_graph())
         assert stats.estimate_label_extent("name") == 1
         assert stats.estimate_label_extent("missing") == 0
         assert stats.estimate_any_label_extent() == 2
@@ -114,16 +108,16 @@ class TestIndexStatistics:
         oid = graph.add_node()
         for index in range(10):
             graph.add_edge(oid, "v", string(f"x{index}"))
-        stats = IndexStatistics.from_graph(graph)
+        stats = IndexStatistics.snapshot(graph)
         assert stats.estimate_value_lookup("v") == 1  # all distinct
         assert stats.estimate_value_lookup() >= 1
 
     def test_average_out_degree(self):
-        stats = IndexStatistics.from_graph(_small_graph())
+        stats = IndexStatistics.snapshot(_small_graph())
         assert stats.average_out_degree() == 1.0
 
     def test_empty_graph_estimates(self):
-        stats = IndexStatistics.from_graph(Graph())
+        stats = IndexStatistics.snapshot(Graph())
         assert stats.average_out_degree() == 0.0
         assert stats.estimate_value_lookup() == 0
 
@@ -131,20 +125,6 @@ class TestIndexStatistics:
         repo = Repository()
         repo.store("g", _small_graph())
         assert repo.statistics("g").node_count == 2
-
-
-class TestSchemaIndex:
-    def test_contents(self):
-        index = SchemaIndex.from_graph(_small_graph())
-        assert index.labels == ["name", "to"]
-        assert index.collections == ["C"]
-        assert index.has_label("name")
-        assert not index.has_collection("D")
-
-    def test_repository_accessor(self):
-        repo = Repository()
-        repo.store("g", _small_graph())
-        assert repo.schema_index("g").has_collection("C")
 
 
 # ---------------------------------------------------------------------- #

@@ -122,7 +122,7 @@ _BATTERY = [
 @settings(max_examples=30, deadline=None)
 def test_replay_equivalence(mem):
     repository = SqlRepository()  # in-memory SQLite
-    repository.store("h", mem, persist=False)
+    repository.store("h", mem)
     sql = repository.fetch("h")
     # The bulk import reproduces every order of the source graph, so the
     # interleaved original itself is the baseline.
@@ -303,7 +303,7 @@ def _corner_graph():
 def corner_pair():
     mem = _corner_graph()
     repository = SqlRepository()
-    repository.store("c", mem, persist=False)
+    repository.store("c", mem)
     return mem, repository.fetch("c")
 
 
@@ -334,7 +334,7 @@ def test_repeated_variable_takes_one_value(text):
     a, b = mem.add_node(hint="a"), mem.add_node(hint="b")
     mem.add_edge(a, "n", b)
     repository = SqlRepository()
-    repository.store("r", mem, persist=False)
+    repository.store("r", mem)
     assert _bindings(mem, text)[0] == []
     got, engine = _bindings(repository.fetch("r"), text, pushdown_cutoff=0.0)
     assert got == []

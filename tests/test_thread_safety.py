@@ -16,10 +16,7 @@ pin down the pieces the audit made safe:
 import threading
 
 from repro.graph import Graph
-from repro.repository.indexes import (
-    graph_statistics,
-    statistics_refresh_counters,
-)
+from repro.repository.indexes import IndexStatistics, graph_statistics
 from repro.resilience.retry import BreakerState, CircuitBreaker, ManualClock
 from repro.serve import AdmissionControl, Generation, PageEntry
 from repro.serve.core import WorkerMetrics
@@ -54,21 +51,24 @@ def _hammer(worker, threads=8, rounds=50):
 
 
 class TestStatisticsProvider:
-    def test_unchanged_graph_refreshes_once(self):
+    def test_unchanged_graph_refreshes_once(self, monkeypatch):
         graph = bibliography_graph(10, seed=1)
         graph._stats_cache = None
-        before = statistics_refresh_counters()
+        taken = []
+        snapshot = IndexStatistics.snapshot
+
+        def counting_snapshot(of):
+            taken.append(of)
+            return snapshot(of)
+
+        monkeypatch.setattr(IndexStatistics, "snapshot", counting_snapshot)
         results = {}
 
         def worker(index, round_index):
             results[(index, round_index)] = graph_statistics(graph)
 
         _hammer(worker, threads=8, rounds=30)
-        after = statistics_refresh_counters()
-        taken = (
-            after["stats_full_snapshots"] - before["stats_full_snapshots"]
-        ) + (after["stats_delta_refreshes"] - before["stats_delta_refreshes"])
-        assert taken == 1  # one refresh, every thread reused it
+        assert taken == [graph]  # one refresh, every thread reused it
         snapshots = set(map(id, results.values()))
         assert len(snapshots) == 1
 
@@ -89,7 +89,7 @@ class TestStatisticsProvider:
             while not stop.is_set():
                 stats = graph_statistics(graph)
                 # a snapshot must describe a real epoch of this graph
-                if stats.epoch > graph.epoch or stats.graph_key != id(graph):
+                if stats.epoch > graph.epoch or stats.graph_key != graph.token:
                     failures.append(stats.epoch)
 
         readers = [threading.Thread(target=reader) for _ in range(6)]
