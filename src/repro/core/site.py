@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..errors import SiteAnalysisError, SiteDefinitionError
-from ..graph import Graph, Oid
+from ..graph import Graph, Oid, collection_paused
 from ..struql import Metrics, Program, QueryEngine, evaluate, make_engine, parse
 from ..template import GeneratedSite, HtmlGenerator, TemplateSet
 from .constraints import CheckResult, Formula, check
@@ -146,6 +146,7 @@ class SiteBuilder:
         )
         return analyzer.run(suppress=suppress)
 
+    @collection_paused()
     def build(
         self,
         name: str,

@@ -3,6 +3,7 @@
 Public surface of the substrate every other Strudel component builds on.
 """
 
+from .collector import collection_paused
 from .delta import DeltaLog, GraphDelta
 from .dot import to_dot
 from .graph import Edge, Graph, Target
@@ -46,6 +47,7 @@ __all__ = [
     "atoms_equal",
     "boolean",
     "coercion_probes",
+    "collection_paused",
     "compare_atoms",
     "from_python",
     "html_file",

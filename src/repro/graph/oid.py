@@ -15,39 +15,45 @@ hands out fresh anonymous oids.  :class:`SkolemRegistry` memoizes
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
 from typing import Dict, Iterator, Optional, Set, Tuple
 
 from .values import Atom
 
 
-@dataclass(frozen=True)
-class Oid:
+class Oid(tuple):
     """An object identifier.
 
     ``name`` is a human-readable identity string.  Anonymous oids are named
     ``&<n>``; Skolem-created oids are named after their term, e.g.
     ``YearPage(1998)``, which makes site graphs self-describing in dumps
     and gives stable page file names to the HTML generator.
+
+    An oid is a one-element tuple subclass holding its name, so hashing
+    and ``==`` run in C: every index probe, binding-row dedup and hash
+    join hashes oids, about a million times per cold build of a
+    2,000-entry site.  ``__slots__ = ()`` leaves no instance dict, and
+    ``name`` is a read-only property.  Equality is the tuple's:
+    an oid equals the oid of the same name and never a ``str`` or an
+    :class:`~repro.graph.values.Atom`.  Pickling and copying rebuild the
+    oid from its name (:meth:`__getnewargs__`).
     """
 
-    name: str
+    __slots__ = ()
 
-    def __hash__(self) -> int:
-        # oids live in every binding tuple; skip the generated hash's
-        # per-call tuple construction by caching the name's hash
-        try:
-            return self._hash  # type: ignore[attr-defined]
-        except AttributeError:
-            value = hash(self.name)
-            object.__setattr__(self, "_hash", value)
-            return value
+    def __new__(cls, name: str) -> "Oid":
+        return tuple.__new__(cls, (name,))
+
+    name = property(operator.itemgetter(0), doc="The oid's identity string.")
+
+    def __getnewargs__(self) -> Tuple[str]:
+        return (self[0],)
 
     def __str__(self) -> str:
-        return self.name
+        return self[0]
 
     def __repr__(self) -> str:
-        return f"Oid({self.name})"
+        return f"Oid({self[0]})"
 
 
 class OidAllocator:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from ..errors import MediatorError, StrudelError
-from ..graph import Graph, Oid, boolean, integer, string
+from ..graph import Graph, Oid, boolean, collection_paused, integer, string
 from ..repository import Repository
 from ..resilience import (
     ChaosFault,
@@ -237,6 +237,7 @@ class Mediator:
         assert isinstance(wrapped, Graph)
         return wrapped
 
+    @collection_paused()
     def materialize(
         self, name: str = "data", policy: Optional[ResiliencePolicy] = None
     ) -> Graph:

@@ -29,10 +29,7 @@ rows were answered from its per-key cache instead::
 from __future__ import annotations
 
 import io
-from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Union
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .eval import OperatorStats
+from typing import FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..graph import Graph
 from ..repository.indexes import IndexStatistics, graph_statistics
@@ -48,8 +45,10 @@ from .ast import (
     Query,
     Var,
 )
+from .eval import Binding, OperatorStats, QueryEngine, _project, make_engine
 from .optimizer import _binds, estimate_cost, order_conditions
 from .parser import parse
+from .plancache import PlanCache
 
 
 def explain(
@@ -64,47 +63,97 @@ def explain(
     statistics; with neither, an empty-statistics plan is shown (all
     estimates zero -- still useful to see the ordering logic).
 
+    Program text with more than one query block is explained block by
+    block, depth first: one table per block, headed by the block's name,
+    and each nested block planned with the variables its enclosing
+    blocks bind already bound, as the evaluator runs it.
+
     ``counts=True`` requires a graph: the plan is *executed* by the
     block engine and each step gains observed rows-in/rows-out, index
     probes, and per-key cache hits.
     """
-    if isinstance(query, str):
-        conditions: Sequence[Condition] = parse(query).queries[0].where
-        header = query.strip().splitlines()[0].strip()
-    elif isinstance(query, Query):
-        conditions = query.where
-        header = f"query {query.name or '?'}"
-    else:
-        conditions = list(query)
-        header = f"{len(conditions)} conditions"
     if stats is None:
         stats = graph_statistics(graph) if graph is not None else IndexStatistics()
-    ordered = order_conditions(conditions, frozenset(), stats)
-
-    op_stats: List["OperatorStats"] = []
+    engine = None
     if counts:
         if graph is None:
             raise ValueError("counts=True requires a graph to execute against")
-        from .eval import make_engine
-        from .plancache import PlanCache
-
         engine = make_engine(graph, stats=stats, plan_cache=PlanCache())
-        engine.bindings(conditions)
+    if isinstance(query, str):
+        queries = parse(query).queries
+        if len(queries) > 1 or queries[0].blocks:
+            return "\n".join(
+                section
+                for top in queries
+                for section in _explain_tree(top, "", frozenset(), stats, engine, None)
+            )
+        header = query.strip().splitlines()[0].strip()
+        conditions: Sequence[Condition] = queries[0].where
+    elif isinstance(query, Query):
+        header = f"query {query.name or '?'}"
+        conditions = query.where
+    else:
+        conditions = list(query)
+        header = f"{len(conditions)} conditions"
+    return _plan_table(header, conditions, frozenset(), stats, engine, None)[0]
+
+
+def _explain_tree(
+    block: Query,
+    parent: str,
+    outer: FrozenSet[str],
+    stats: IndexStatistics,
+    engine: Optional[QueryEngine],
+    rows: Optional[List[Binding]],
+) -> Iterator[str]:
+    """The plan tables of ``block`` and its nested blocks, depth first.
+    ``outer`` is what the enclosing blocks bind and ``rows`` their
+    binding rows (with ``counts``), of which the block sees its own
+    variables, as in evaluation."""
+    own = block.variables()
+    bound = outer & own
+    header = f"query {block.name or '?'}"
+    if parent:
+        names = ", ".join(sorted(bound))
+        header += f", nested in {parent}" + (f" (bound: {names})" if names else "")
+    initial = None if rows is None else _project(rows, own)
+    text, inner, rows = _plan_table(header, block.where, bound, stats, engine, initial)
+    yield text
+    for child in block.blocks:
+        yield from _explain_tree(child, block.name or "?", inner, stats, engine, rows)
+
+
+def _plan_table(
+    header: str,
+    conditions: Sequence[Condition],
+    initially_bound: FrozenSet[str],
+    stats: IndexStatistics,
+    engine: Optional[QueryEngine],
+    initial: Optional[List[Binding]],
+) -> Tuple[str, FrozenSet[str], Optional[List[Binding]]]:
+    """One block's plan table, the variables bound after the block and,
+    when ``engine`` executed it from the ``initial`` rows, its rows."""
+    ordered = order_conditions(conditions, initially_bound, stats)
+
+    op_stats: List[OperatorStats] = []
+    found: Optional[List[Binding]] = None
+    if engine is not None:
+        found = engine.bindings(conditions, initial=initial)
         op_stats = engine.last_operator_stats
 
     out = io.StringIO()
     out.write(f"plan for: {header}\n")
     header_row = ["step", "est.", "binds"]
-    if counts:
+    if engine is not None:
         header_row += ["rows in", "rows out", "probes", "dedup"]
     header_row.append("access path")
     rows: List[List[str]] = [header_row]
-    bound: Set[str] = set()
+    bound: Set[str] = set(initially_bound)
     for index, condition in enumerate(ordered, start=1):
         cost = estimate_cost(condition, bound, stats, conditions)
         newly = sorted(_binds(condition, bound) - bound)
         row = [str(index), _fmt(cost), ", ".join(newly) or "-"]
-        if counts:
+        if engine is not None:
             # the engine ran the same ordered plan; a step past an empty
             # frontier was never executed
             if index - 1 < len(op_stats):
@@ -127,7 +176,7 @@ def explain(
             "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
             + "\n"
         )
-    return out.getvalue()
+    return out.getvalue(), frozenset(bound), found
 
 
 def _fmt(cost: float) -> str:

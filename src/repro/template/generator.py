@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 import re
+import weakref
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -178,7 +179,10 @@ class HtmlGenerator(PageRegistry):
     def __init__(self, graph: Graph, templates: TemplateSet) -> None:
         self.graph = graph
         self.templates = templates
-        self._renderer = Renderer(graph, registry=self)
+        # the renderer calls back through a weak proxy, so no cycle keeps
+        # a dropped generator -- and with it the site graph -- alive
+        # until the cyclic collector happens to run
+        self._renderer = Renderer(graph, registry=weakref.proxy(self))
         self._filenames: Dict[Oid, str] = {}
         self._used_names: Dict[str, int] = {}
         self._queue: deque = deque()

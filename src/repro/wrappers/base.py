@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..errors import QuarantineExceeded, StrudelError, WrapperError
-from ..graph import Graph
+from ..graph import Graph, collection_paused
 from ..resilience.chaos import maybe_fail
 from ..resilience.quarantine import QuarantineReport, WrapPolicy
 
@@ -40,6 +40,7 @@ class Wrapper:
         #: per-record failures of the most recent tolerant wrap
         self.last_quarantine = QuarantineReport(source=self.source_name)
 
+    @collection_paused()
     def wrap(self, policy: Optional[WrapPolicy] = None) -> Graph:
         """Translate the source into a fresh graph.
 

@@ -205,3 +205,27 @@ class TestLintAndExplain:
         code = main(["explain", str(workspace / "site.struql")])
         assert code == 0
         assert "plan for:" in capsys.readouterr().out
+
+    def test_explain_shows_every_query_block(self, capsys):
+        """The homepage fixture's first block has no where clause; the
+        ``Publications(x)`` block and its nested blocks must be shown."""
+        fixture = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "examples", "fixtures", "clean", "homepage",
+        )
+        code = main([
+            "explain", os.path.join(fixture, "site.struql"),
+            "--data", os.path.join(fixture, "data.ddl"),
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        headers = [line for line in out.splitlines() if line.startswith("plan for:")]
+        assert headers == [
+            "plan for: query Q1",
+            "plan for: query Q2",
+            "plan for: query Q3, nested in Q2 (bound: x)",
+            "plan for: query Q4, nested in Q2 (bound: x)",
+        ]
+        assert "collection scan Publications" in out
+        assert 'forward adjacency x -> "year"' in out
+        assert 'forward adjacency x -> "category"' in out

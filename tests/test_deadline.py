@@ -355,7 +355,12 @@ class TestServe504:
     def test_504_entry_never_cached(self, tmp_path):
         """A cancelled render must not poison the generation cache: the
         page stays renderable once the deadline pressure is gone."""
-        graph = _cyclic_graph(120, 4)
+        # sized like the test above: at a fixed size a fast run can
+        # finish inside the budget and never exercise the cancelled path
+        size = _over_budget_size(0.05, margin=4.0, k=4)
+        if size % 7 == 0:
+            size += 1  # steps of 7 keep every node reachable only then
+        graph = _cyclic_graph(size, 4)
         core = ServeCore(
             ADVERSARIAL_QUERY, graph, _adversarial_templates(), dynamic=True
         )

@@ -60,6 +60,30 @@ class TestExplain:
         plan = explain(program.queries[0], graph)
         assert "plan for: query Q1" in plan
 
+    def test_program_explains_every_block(self, graph):
+        plan = explain(HOMEPAGE_QUERY, graph, counts=True)
+        sections = {
+            section.splitlines()[0]: section.splitlines()[2:]
+            for section in plan.strip().split("\n\n")
+        }
+        assert list(sections) == [
+            "plan for: query Q1",
+            "plan for: query Q2",
+            "plan for: query Q3, nested in Q2 (bound: x)",
+            "plan for: query Q4, nested in Q2 (bound: x)",
+        ]
+        assert sections["plan for: query Q1"] == []  # no where clause
+        assert "collection scan Publications" in sections["plan for: query Q2"][0]
+        # a nested block starts from its parent's distinct x values
+        (year_step,) = sections["plan for: query Q3, nested in Q2 (bound: x)"]
+        publications = len(graph.collection("Publications"))
+        assert year_step.split()[3] == str(publications)
+        assert 'forward adjacency x -> "year"' in year_step
+
+    def test_single_block_program_keeps_its_text_header(self, graph):
+        text = 'where Publications(x), x -> "year" -> y create P(x)'
+        assert explain(text, graph).splitlines()[0] == f"plan for: {text}"
+
 
 class TestLinter:
     def test_clean_templates_have_no_errors(self):

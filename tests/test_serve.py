@@ -191,6 +191,37 @@ class TestHTTPServing:
         paths = json.loads(_get(server, "/_paths")[2])
         assert "/" in paths and len(paths) > 5
 
+    def test_json_bodies_carry_no_oids(self, server):
+        """``/_stats`` and ``/_paths`` are encoded with ``default=str``,
+        which never sees a tuple subclass: an oid in a payload would come
+        out as a one-element list.  Pin both bodies: paths are strings,
+        and ``/_stats`` has a fixed key set whose leaves are scalars."""
+        paths = json.loads(_get(server, "/_paths")[2])
+        assert paths == server.core.known_paths()
+        assert paths == sorted(paths)
+        assert all(type(path) is str and path.startswith("/") for path in paths)
+
+        stats = json.loads(_get(server, "/_stats")[2])
+        assert set(stats) == {
+            "uptime_s", "workers", "queue_depth", "draining",
+            "deadline_budget_s", "admission", "core", "refresher", "watchdog",
+        }
+        assert set(stats["core"]) == {
+            "mode", "workers_seen", "requests", "cache_hits", "cache_misses",
+            "dynamic_renders", "not_found", "degraded", "deadline_exceeded",
+            "refreshes_applied", "refreshes_failed", "rebuilds", "generations",
+        }
+
+        def leaves(value):
+            if isinstance(value, dict):
+                for item in value.values():
+                    yield from leaves(item)
+            else:
+                yield value
+
+        for leaf in leaves(stats):
+            assert leaf is None or type(leaf) in (str, int, float, bool), leaf
+
     def test_served_bytes_match_static_build(self, setup, server):
         data, program = setup
         static = generate_site(

@@ -10,12 +10,18 @@ pin down the pieces the audit made safe:
   (:func:`~repro.repository.indexes.graph_statistics`): concurrent
   readers of an unchanged graph trigger exactly one refresh;
 * engine/server counters, which are per-worker by construction and
-  aggregated with ``merge()`` -- never incremented across threads.
+  aggregated with ``merge()`` -- never incremented across threads;
+* the process-wide cyclic-collector pause
+  (:func:`~repro.graph.collection_paused`) that builds run under.
 """
 
+import gc
+import os
+import sys
 import threading
+import time
 
-from repro.graph import Graph
+from repro.graph import Graph, collection_paused
 from repro.repository.indexes import IndexStatistics, graph_statistics
 from repro.resilience.retry import BreakerState, CircuitBreaker, ManualClock
 from repro.serve import AdmissionControl, Generation, PageEntry
@@ -286,3 +292,55 @@ class TestCircuitBreakerConcurrency:
         assert snapshot["state"] in ("closed", "open", "half-open")
         assert snapshot["total_failures"] <= 8 * 200
         assert snapshot["times_opened"] <= snapshot["total_failures"]
+
+
+class TestCollectorPause:
+    def test_concurrent_nested_pauses_restore_the_collector(self):
+        """Builds on many threads at once: while any thread is inside a
+        pause the collector is off, and once every thread has left, it is
+        back to its setting at the start.  A lost update of the shared
+        nesting depth breaks one or the other."""
+        threads = max(8, 4 * (os.cpu_count() or 1))
+        started_enabled = gc.isenabled()
+        stop_at = time.monotonic() + 0.5
+        violations = []
+        barrier = threading.Barrier(threads)
+
+        def worker(index):
+            barrier.wait(timeout=10)
+            rounds = 0
+            while time.monotonic() < stop_at:
+                rounds += 1
+                try:
+                    with collection_paused():
+                        time.sleep(0)  # let other threads enter and leave
+                        if gc.isenabled():
+                            violations.append((index, "outer"))
+                        with collection_paused():
+                            time.sleep(0)
+                            if gc.isenabled():
+                                violations.append((index, "inner"))
+                            if (index + rounds) % 5 == 0:
+                                raise LookupError(index)
+                        [[] for _ in range(50)]  # container allocations
+                        if gc.isenabled():
+                            violations.append((index, "after inner"))
+                except LookupError:
+                    pass
+
+        original_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [
+                threading.Thread(target=worker, args=(i,), daemon=True)
+                for i in range(threads)
+            ]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in pool)
+        finally:
+            sys.setswitchinterval(original_interval)
+        assert violations == []
+        assert gc.isenabled() == started_enabled
