@@ -28,6 +28,7 @@ from .incremental import (
     ClickMetrics,
     DynamicSite,
     ExpandedEdge,
+    LazySiteGraph,
     NodeInstance,
     RefreshResult,
 )
@@ -40,7 +41,7 @@ from .propagation import (
     PropagationResult,
 )
 from .schema import NS, SchemaCreation, SchemaEdge, SiteSchema
-from .server import LazySiteGraph, PageServer
+from .server import PageServer
 from .site import BuiltSite, SiteBuilder, SiteDefinition
 from .stats import SiteStats, measure_site
 from .versions import VersionDiff, derive_version, diff_definitions

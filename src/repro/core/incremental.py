@@ -11,6 +11,10 @@ edges" (paper section 2.5).  This module implements that decomposition:
   the instance's values, and evaluating the edge's governing conjunction
   (the where-clauses of the block path) over the data graph -- the
   *incremental query* of that node;
+* the rows go to the static constructor (``_Constructor.construct``) for
+  the edge's link clause, which writes into one lazily materialized
+  :class:`LazySiteGraph`.  Its :class:`~repro.graph.oid.SkolemRegistry`
+  gives every click-time node the oid a static build gives it;
 * :class:`BrowseSession` simulates a user clicking through the site,
   evaluating incremental queries on demand, with two optimizations the
   paper sketches: **caching** of incremental-query results ("our
@@ -23,7 +27,7 @@ matches the out-edges of the corresponding node in the fully materialized
 site graph -- is asserted by the test suite and is what makes E6 a fair
 comparison.
 
-Cached results stay warm across data-graph edits: every cached expansion
+Cached results stay warm across data-graph edits: every cached row set
 and instance list records its read :class:`~repro.struql.footprint.Footprint`
 in one :class:`~repro.struql.footprint.DependencyIndex`, and
 :meth:`DynamicSite.refresh` drops only the entries the index reports
@@ -33,16 +37,17 @@ affected by the delta -- or everything, when it answers ``COARSE``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..errors import SiteDefinitionError
-from ..graph import Atom, AtomType, Graph, Oid
+from ..graph import Atom, Graph, Oid
 from ..graph.delta import GraphDelta
-from ..struql.ast import Const, Program, Query, SkolemTerm, Var
-from ..struql.eval import Binding, QueryEngine, Value, make_engine
-from ..struql.footprint import COARSE, DependencyIndex, Footprint
+from ..graph.oid import skolem_term_name
+from ..struql.ast import Program, Query
+from ..struql.eval import Binding, Metrics, Value, _Constructor, make_engine
+from ..struql.footprint import COARSE, DependencyIndex, Footprint, changed_nodes
 from ..struql.parser import parse
-from .schema import NS, SchemaCreation, SchemaEdge, SiteSchema
+from .schema import SchemaEdge, SiteSchema
 
 #: Instance argument values are binding values: oids, atoms, labels.
 InstanceArgs = Tuple[Value, ...]
@@ -50,22 +55,20 @@ InstanceArgs = Tuple[Value, ...]
 
 @dataclass(frozen=True)
 class NodeInstance:
-    """A dynamic site-graph node: Skolem function + argument values."""
+    """A dynamic site-graph node: the ``(function, args)`` term of a
+    :class:`~repro.graph.oid.SkolemRegistry`, as a value."""
 
     function: str
     args: InstanceArgs
 
     def __str__(self) -> str:
-        rendered = ", ".join(str(a) for a in self.args)
-        return f"{self.function}({rendered})"
+        return skolem_term_name(self.function, self.args)
 
     def oid(self) -> Oid:
         """The oid this instance has in a statically materialized site
         graph -- Skolem identity is deterministic, so the rendered term
         names agree by construction."""
-        from ..graph.oid import skolem_term_name
-
-        return Oid(skolem_term_name(self.function, self.args))
+        return Oid(str(self))
 
 
 #: An expanded edge: label plus a NodeInstance / data node / atom target.
@@ -125,6 +128,9 @@ class RefreshResult:
     retained: int = 0
     #: cache entries dropped
     dropped: int = 0
+    #: site-graph nodes de-materialized: the delta's changed data nodes
+    #: and the owners of dropped entries
+    changed: Set[Oid] = field(default_factory=set)
 
 
 class DynamicSite:
@@ -150,9 +156,11 @@ class DynamicSite:
         # one warm engine for every click: plans, the statistics
         # snapshot and the path-reachability memo carry across requests
         self._engine = make_engine(data_graph)
-        #: key -> (expanded edges, owning instance)
+        #: the site graph clicks construct into, one node at a time
+        self.graph = LazySiteGraph(self)
+        #: key -> (seeded rows of one schema edge, owning instance)
         self._edge_cache: Dict[
-            Tuple[int, InstanceArgs], Tuple[List[ExpandedEdge], NodeInstance]
+            Tuple[int, InstanceArgs], Tuple[List[Binding], NodeInstance]
         ] = {}
         #: function -> instances
         self._instance_cache: Dict[str, List[NodeInstance]] = {}
@@ -166,9 +174,9 @@ class DynamicSite:
 
         The engine itself needs nothing: its statistics and plans are
         keyed by the graph's mutation epoch and refresh on the next
-        query.  Only the materialized expansion caches must go.  Prefer
-        :meth:`refresh`, which drops only the entries the mutation can
-        have affected.
+        query.  The cached rows and instance lists go, and the site graph
+        starts over empty.  Prefer :meth:`refresh`, which drops only the
+        entries the mutation can have affected.
         """
         if self._edge_cache or self._instance_cache:
             self.metrics.coarse_invalidations += 1
@@ -176,21 +184,28 @@ class DynamicSite:
         self._instance_cache.clear()
         self._index = DependencyIndex()
         self._synced_epoch = self.data_graph.epoch
+        self.graph = LazySiteGraph(self)
 
     def refresh(self) -> RefreshResult:
         """Selective invalidation after data-graph mutations.
 
         The dependency index maps the delta since the caches were last
         consistent to the entries whose read footprint it touches, and
-        only those are dropped -- the warm cost of an edit scales with
-        |delta|, not |site|.  Falls back to :meth:`invalidate` when the
-        index answers ``COARSE`` (the bounded delta log no longer
-        reaches back; always sound).
+        only those are dropped; the site-graph nodes the delta changed
+        and the owners of dropped entries are de-materialized -- the
+        warm cost of an edit scales with |delta|, not |site|.  Falls
+        back to :meth:`invalidate` when the index answers ``COARSE``
+        (the bounded delta log no longer reaches back; always sound) or
+        when caching is off (no entry recorded what it read).
         """
         current = self.data_graph.epoch
         if current == self._synced_epoch:
             return RefreshResult(delta=None, coarse=False)
-        stale = self._index.affected(self.data_graph, self._synced_epoch)
+        stale = (
+            self._index.affected(self.data_graph, self._synced_epoch)
+            if self.cache_enabled
+            else COARSE
+        )
         if stale is COARSE:
             self.invalidate()
             return RefreshResult(delta=None, coarse=True)
@@ -202,6 +217,10 @@ class DynamicSite:
                 result.dropped_functions.append(key)
             else:
                 result.dropped_instances.append(self._edge_cache.pop(key)[1])
+        result.changed = changed_nodes(stale.delta)
+        result.changed.update(owner.oid() for owner in result.dropped_instances)
+        for oid in result.changed:
+            self.graph.demote(oid)
         result.retained = len(self._index)
         self.metrics.fine_invalidations += result.dropped
         self.metrics.entries_retained += result.retained
@@ -226,8 +245,8 @@ class DynamicSite:
         """All instances of a Skolem function the site query creates.
 
         Evaluates the creation conjunction(s) of the function and
-        projects onto the formal arguments -- this answers "what pages of
-        this type exist?" without materializing the site.
+        constructs each creating term over the rows -- this answers
+        "what pages of this type exist?" without materializing the site.
         """
         cached = self._instance_cache.get(function)
         if cached is not None:
@@ -237,16 +256,18 @@ class DynamicSite:
             raise SiteDefinitionError(
                 f"{function!r} is not a Skolem function of this site definition"
             )
-        found: Dict[NodeInstance, None] = {}
+        created = Graph()
+        constructor = _Constructor(created, Metrics(), self.data_graph)
         footprint = Footprint()
         with self._engine.record_into(footprint):
             for creation in creations:
                 self.metrics.queries_evaluated += 1
-                for row in self._engine.bindings(list(creation.conditions)):
-                    args = _project_args(creation.args, row)
-                    if args is not None:
-                        found.setdefault(NodeInstance(function, args), None)
-        instances = list(found)
+                rows = self._engine.bindings(list(creation.conditions))
+                constructor.construct(Query(create=[creation.term]), rows)
+        instances = [
+            NodeInstance(function, args)
+            for args, _ in created.skolems.instances_of(function)
+        ]
         if self.cache_enabled:
             self._instance_cache[function] = instances
             self._index.add(function, footprint)
@@ -262,22 +283,32 @@ class DynamicSite:
         ]
 
     def expand(self, instance: NodeInstance) -> List[ExpandedEdge]:
-        """The outgoing edges of a dynamic node -- one click's work."""
+        """The outgoing edges of a dynamic node -- one click's work.
+
+        The node is read from :attr:`graph`, constructed afresh from its
+        schema edges' rows unless caching is on and it is materialized
+        already (then every row set it was built from is still cached:
+        :meth:`refresh` de-materializes the owner of each dropped one)."""
         self.metrics.expansions += 1
+        graph = self.graph
+        oid = graph.skolems.apply(instance.function, instance.args)
+        if self.cache_enabled and oid in graph._materialized:
+            for schema_edge in self.schema.edges_from(instance.function):
+                self.edge_rows(schema_edge, instance)  # counts the cache hits
+        else:
+            graph.demote(oid)
         edges: List[ExpandedEdge] = []
-        seen: Dict[Tuple[str, EdgeTarget], None] = {}
-        for schema_edge in self.schema.edges_from(instance.function):
-            for edge in self._expand_edge(schema_edge, instance):
-                if edge not in seen:
-                    seen[edge] = None
-                    edges.append(edge)
+        for label, target in graph.out_edges(oid):
+            term = graph.skolems.term(target) if isinstance(target, Oid) else None
+            edges.append((label, target if term is None else NodeInstance(*term)))
         return edges
 
-    # ------------------------------------------------------------ #
-
-    def _expand_edge(
-        self, schema_edge: SchemaEdge, instance: NodeInstance
-    ) -> List[ExpandedEdge]:
+    def edge_rows(self, schema_edge: SchemaEdge, instance: NodeInstance) -> List[Binding]:
+        """The rows of ``schema_edge``'s conditions with its formal source
+        arguments seeded from ``instance``; cached per (edge, instance)
+        when caching is on.  A formal repeated in the source term must get
+        one value twice (``==``, the rule Skolem identity uses), else
+        there are no rows."""
         if len(schema_edge.source_args) != len(instance.args):
             return []
         key = (id(schema_edge), instance.args)
@@ -287,99 +318,125 @@ class DynamicSite:
                 self.metrics.cache_hits += 1
                 return cached[0]
         seed: Binding = {}
-        consistent = True
-        for name, value in zip(schema_edge.source_args, instance.args):
-            if name in seed and not _values_same(seed[name], value):
-                consistent = False
-                break
-            seed[name] = value
-        edges: List[ExpandedEdge] = []
+        rows: List[Binding] = []
         footprint = Footprint()
-        if consistent:
+        if all(
+            seed.setdefault(name, value) == value
+            for name, value in zip(schema_edge.source_args, instance.args)
+        ):
             self.metrics.queries_evaluated += 1
             with self._engine.record_into(footprint):
-                for row in self._engine.bindings(
+                rows = self._engine.bindings(
                     list(schema_edge.conditions), initial=[seed]
-                ):
-                    rendered = self._edge_from_row(schema_edge, row)
-                    if rendered is not None:
-                        edges.append(rendered)
-        edges = _dedupe_edges(edges)
+                )
         if self.cache_enabled:
-            self._edge_cache[key] = (edges, instance)
+            self._edge_cache[key] = (rows, instance)
             self._index.add(key, footprint)
-        return edges
+        return rows
 
-    def _edge_from_row(
-        self, schema_edge: SchemaEdge, row: Binding
-    ) -> Optional[ExpandedEdge]:
-        if schema_edge.label_is_variable:
-            label_value = row.get(schema_edge.label)
-            if isinstance(label_value, Atom):
-                label = label_value.as_string()
-            elif isinstance(label_value, str):
-                label = label_value
-            else:
-                return None
-        else:
-            label = schema_edge.label
-        link = schema_edge.link
-        assert link is not None
-        if isinstance(link.target, SkolemTerm):
-            args = _term_args(link.target, row)
-            if args is None:
-                return None
-            return (label, NodeInstance(link.target.function, args))
-        if isinstance(link.target, Const):
-            return (label, link.target.atom)
-        value = row.get(link.target.name)
-        if value is None:
-            return None
-        if isinstance(value, str):
-            value = Atom(AtomType.STRING, value)
-        return (label, value)
+    def _construct(self, graph: Graph, instance: NodeInstance) -> None:
+        """Write ``instance``'s out-edges into ``graph``: each schema
+        edge's rows through the static constructor's link clause."""
+        constructor = _Constructor(graph, Metrics(), self.data_graph)
+        for schema_edge in self.schema.edges_from(instance.function):
+            rows = self.edge_rows(schema_edge, instance)
+            constructor.construct(Query(link=[schema_edge.link]), rows)
 
 
-def _project_args(formals: Tuple[str, ...], row: Binding) -> Optional[InstanceArgs]:
-    values: List[Value] = []
-    for formal in formals:
-        value = row.get(formal)
-        if value is None:
-            return None
-        if isinstance(value, str):
-            value = Atom(AtomType.STRING, value)
-        values.append(value)
-    return tuple(values)
+class LazySiteGraph(Graph):
+    """A site graph whose nodes materialize on first touch.
 
+    Backed by a :class:`DynamicSite`: touching a node this graph's
+    :class:`~repro.graph.oid.SkolemRegistry` created constructs its
+    out-edges from its incremental queries; touching a *data-graph* node
+    (a link target) copies its out-edges from the data graph, one level
+    at a time.  Every read accessor the renderer and template selector
+    use is overridden to ensure the node first -- :meth:`has_node`
+    included, so the constructor finds a linked data node present and
+    never imports its reachable closure.
+    """
 
-def _term_args(term: SkolemTerm, row: Binding) -> Optional[InstanceArgs]:
-    values: List[Value] = []
-    for arg in term.args:
-        if isinstance(arg, Const):
-            values.append(arg.atom)
-            continue
-        value = row.get(arg.name)
-        if value is None:
-            return None
-        if isinstance(value, str):
-            value = Atom(AtomType.STRING, value)
-        values.append(value)
-    return tuple(values)
+    def __init__(self, dynamic: DynamicSite) -> None:
+        super().__init__("lazy-site")
+        self.dynamic = dynamic
+        self._materialized: Dict[Oid, None] = {}
+        self.expansions = 0
 
+    # ------------------------------------------------------------ #
+    # lazy materialization
 
-def _values_same(left: Value, right: Value) -> bool:
-    if isinstance(left, Oid) or isinstance(right, Oid):
-        return left == right
-    left_atom = left if isinstance(left, Atom) else Atom(AtomType.STRING, str(left))
-    right_atom = right if isinstance(right, Atom) else Atom(AtomType.STRING, str(right))
-    return left_atom == right_atom
+    def _ensure(self, oid: Oid) -> None:
+        if oid in self._materialized:
+            return
+        self._materialized[oid] = None
+        term = self.skolems.term(oid)
+        if term is not None:
+            self.expansions += 1
+            self.add_node(oid)
+            try:
+                self.dynamic._construct(self, NodeInstance(*term))
+            except BaseException:
+                self.demote(oid)  # a failed click must not leave half a node
+                raise
+            return
+        data = self.dynamic.data_graph
+        if data.has_node(oid):
+            self.add_node(oid)
+            for label, target in data.out_edges(oid):
+                if isinstance(target, Oid):
+                    self.add_node(target)
+                self.add_edge(oid, label, target)
 
+    def demote(self, oid: Oid) -> None:
+        """De-materialize one node: drop its copied out-edges so the next
+        touch re-runs its incremental queries (or re-copies it from the
+        data graph).  Incoming edges from other materialized nodes are
+        kept -- the node itself still exists, only its expansion is
+        stale."""
+        if oid not in self._materialized:
+            return
+        del self._materialized[oid]
+        if Graph.has_node(self, oid):
+            for label, target in list(Graph.out_edges(self, oid)):
+                self.remove_edge(oid, label, target)
 
-def _dedupe_edges(edges: List[ExpandedEdge]) -> List[ExpandedEdge]:
-    seen: Dict[ExpandedEdge, None] = {}
-    for edge in edges:
-        seen.setdefault(edge, None)
-    return list(seen)
+    # ------------------------------------------------------------ #
+    # read accessors used by the renderer / template selection
+
+    def has_node(self, oid: Oid) -> bool:
+        self._ensure(oid)
+        return super().has_node(oid)
+
+    def targets(self, oid: Oid, label: str):
+        self._ensure(oid)
+        return super().targets(oid, label)
+
+    def attribute(self, oid: Oid, label: str):
+        self._ensure(oid)
+        return super().attribute(oid, label)
+
+    def out_edges(self, oid: Oid):
+        self._ensure(oid)
+        return super().out_edges(oid)
+
+    def labels_of(self, oid: Oid):
+        self._ensure(oid)
+        return super().labels_of(oid)
+
+    def collections_of(self, oid: Oid) -> List[str]:
+        """Collection membership is derived from the site schema's collect
+        clauses (for Skolem nodes) or the data graph (for data nodes)."""
+        term = self.skolems.term(oid)
+        if term is not None:
+            return [
+                name
+                for name, functions in self.dynamic.schema.collections.items()
+                if term[0] in functions
+            ]
+        data = self.dynamic.data_graph
+        if data.has_node(oid):
+            return data.collections_of(oid)
+        return []
 
 
 class BrowseSession:

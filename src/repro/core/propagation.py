@@ -26,12 +26,12 @@ Skolem targets) or when the trace is ambiguous.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from ..errors import StrudelError
 from ..graph import Atom, Oid, Target, atoms_equal, from_python
-from ..struql.ast import Const, EdgeCond, Var
-from ..struql.eval import Binding, QueryEngine, make_engine
+from ..struql.ast import EdgeCond, Var
+from ..struql.eval import Binding, link_label
 from .incremental import DynamicSite, NodeInstance
 from .maintenance import SiteMaintainer
 from .schema import SchemaEdge
@@ -75,12 +75,13 @@ class EditPropagator:
     # tracing
 
     def instance_for(self, oid: Oid) -> Optional[NodeInstance]:
-        """The NodeInstance whose Skolem term materializes as ``oid``."""
-        for function in self._dynamic.schema.functions:
-            for instance in self._dynamic.instances_of(function):
-                if instance.oid() == oid:
-                    return instance
-        return None
+        """The NodeInstance whose Skolem term materializes as ``oid`` in
+        the maintained site graph."""
+        site_graph = self.maintainer.site_graph
+        term = site_graph.skolems.term(oid)
+        if term is None or not site_graph.has_node(oid):
+            return None
+        return NodeInstance(*term)
 
     def trace(
         self, page_oid: Oid, label: str, value: Union[Atom, object]
@@ -95,18 +96,13 @@ class EditPropagator:
                 f"{page_oid} is not a Skolem-created page of this site"
             )
         origins: Dict[DataOrigin, None] = {}
-        engine = make_engine(self.maintainer.data_graph)
         for schema_edge in self._dynamic.schema.edges_from(instance.function):
-            if len(schema_edge.source_args) != len(instance.args):
-                continue
             link = schema_edge.link
             assert link is not None
             if not isinstance(link.target, Var):
                 continue  # constants and Skolem targets are not data copies
-            seed: Binding = dict(zip(schema_edge.source_args, instance.args))
-            for row in engine.bindings(list(schema_edge.conditions), initial=[seed]):
-                rendered_label = self._row_label(schema_edge, row)
-                if rendered_label != label:
+            for row in self._dynamic.edge_rows(schema_edge, instance):
+                if link_label(link, row) != label:
                     continue
                 bound = row.get(link.target.name)
                 if not isinstance(bound, Atom) or not atoms_equal(bound, value):
@@ -115,17 +111,6 @@ class EditPropagator:
                 if origin is not None:
                     origins[origin] = None
         return list(origins)
-
-    @staticmethod
-    def _row_label(schema_edge: SchemaEdge, row: Binding) -> Optional[str]:
-        if not schema_edge.label_is_variable:
-            return schema_edge.label
-        bound = row.get(schema_edge.label)
-        if isinstance(bound, Atom):
-            return bound.as_string()
-        if isinstance(bound, str):
-            return bound
-        return None
 
     @staticmethod
     def _origin_from_row(

@@ -11,11 +11,11 @@ answers ``GET``-style requests by
 1. resolving the request path to a Skolem-term :class:`NodeInstance`;
 2. computing the node's outgoing edges with the *incremental query* of
    its site-schema edges (:class:`~repro.core.incremental.DynamicSite`,
-   with caching and optional lookahead);
-3. rendering the node's HTML template against a
-   :class:`LazySiteGraph` -- a site graph materialized on demand, one
-   node expansion at a time, so a request touches only the data it
-   displays.
+   with caching and optional lookahead), built by the static constructor;
+3. rendering the node's HTML template against the dynamic site's
+   :class:`~repro.core.incremental.LazySiteGraph` -- a site graph
+   materialized on demand, one node expansion at a time, so a request
+   touches only the data it displays.
 
 Rendered pages are cached with the lazy site-graph nodes each render
 read (recorded through a :class:`~repro.struql.footprint.RecordingView`
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 import html as html_escape
 
@@ -43,124 +43,13 @@ from ..errors import (
     StrudelError,
     TemplateResolutionError,
 )
-from ..graph import Atom, Graph, Oid
+from ..graph import Graph, Oid
 from ..resilience.chaos import ChaosFault
 from ..struql.ast import Program, Query
-from ..struql.footprint import DependencyIndex, RecordingView, changed_nodes
+from ..struql.footprint import DependencyIndex, RecordingView
 from ..template import Renderer, Template, TemplateSet
 from ..template.eval import PageRegistry
-from .incremental import DynamicSite, NodeInstance, RefreshResult
-
-
-class LazySiteGraph(Graph):
-    """A site graph whose nodes materialize on first touch.
-
-    Backed by a :class:`DynamicSite`: touching a Skolem node runs its
-    incremental queries and installs the resulting edges; touching a
-    *data-graph* node (referenced by a link clause) copies its out-edges
-    from the data graph, one level at a time.  Every read accessor the
-    renderer and template selector use is overridden to ensure the node
-    first.
-    """
-
-    def __init__(self, dynamic: DynamicSite) -> None:
-        super().__init__("lazy-site")
-        self.dynamic = dynamic
-        self._instances: Dict[Oid, NodeInstance] = {}
-        self._materialized: Dict[Oid, None] = {}
-        self.expansions = 0
-
-    # ------------------------------------------------------------ #
-    # instance bookkeeping
-
-    def register_instance(self, instance: NodeInstance) -> Oid:
-        oid = instance.oid()
-        self._instances[oid] = instance
-        return oid
-
-    def instance_for(self, oid: Oid) -> Optional[NodeInstance]:
-        return self._instances.get(oid)
-
-    # ------------------------------------------------------------ #
-    # lazy materialization
-
-    def _ensure(self, oid: Oid) -> None:
-        if oid in self._materialized:
-            return
-        self._materialized[oid] = None
-        instance = self._instances.get(oid)
-        if instance is not None:
-            self.expansions += 1
-            self.add_node(oid)
-            for label, target in self.dynamic.expand(instance):
-                if isinstance(target, NodeInstance):
-                    target_oid = self.register_instance(target)
-                    self.add_node(target_oid)
-                    self.add_edge(oid, label, target_oid)
-                elif isinstance(target, Oid):
-                    self.add_node(target)
-                    self.add_edge(oid, label, target)
-                else:
-                    self.add_edge(oid, label, target)
-            return
-        data = self.dynamic.data_graph
-        if data.has_node(oid):
-            self.add_node(oid)
-            for label, target in data.out_edges(oid):
-                if isinstance(target, Oid):
-                    self.add_node(target)
-                self.add_edge(oid, label, target)
-
-    def demote(self, oid: Oid) -> None:
-        """De-materialize one node: drop its copied out-edges so the next
-        touch re-runs its incremental queries (or re-copies it from the
-        data graph).  Incoming edges from other materialized nodes are
-        kept -- the node itself still exists, only its expansion is
-        stale."""
-        if oid not in self._materialized:
-            return
-        del self._materialized[oid]
-        if Graph.has_node(self, oid):
-            for label, target in list(Graph.out_edges(self, oid)):
-                self.remove_edge(oid, label, target)
-
-    # ------------------------------------------------------------ #
-    # read accessors used by the renderer / template selection
-
-    def has_node(self, oid: Oid) -> bool:
-        self._ensure(oid)
-        return super().has_node(oid)
-
-    def targets(self, oid: Oid, label: str):
-        self._ensure(oid)
-        return super().targets(oid, label)
-
-    def attribute(self, oid: Oid, label: str):
-        self._ensure(oid)
-        return super().attribute(oid, label)
-
-    def out_edges(self, oid: Oid):
-        self._ensure(oid)
-        return super().out_edges(oid)
-
-    def labels_of(self, oid: Oid):
-        self._ensure(oid)
-        return super().labels_of(oid)
-
-    def collections_of(self, oid: Oid) -> List[str]:
-        """Collection membership is derived from the site schema's collect
-        clauses (for Skolem nodes) or the data graph (for data nodes)."""
-        instance = self._instances.get(oid)
-        if instance is not None:
-            return [
-                name
-                for name, functions in self.dynamic.schema.collections.items()
-                if instance.function in functions
-            ]
-        data = self.dynamic.data_graph
-        if data.has_node(oid):
-            return data.collections_of(oid)
-        return []
+from .incremental import DynamicSite, LazySiteGraph, NodeInstance, RefreshResult
 
 
 @dataclass(frozen=True)
@@ -201,7 +90,10 @@ class PageServer(PageRegistry):
         self.templates = templates
         self._paths: Dict[str, Oid] = {}
         self._hrefs: Dict[Oid, str] = {}
-        self._new_site_graph()
+        #: known pages whose instance was gone at the last coarse reset:
+        #: their terms, so a later reset can register them again
+        self._vanished: Dict[Oid, Tuple[str, Tuple[object, ...]]] = {}
+        self._bind_site_graph()
         #: path -> last successfully rendered HTML; survives invalidation,
         #: so a failing re-render can fall back to it
         self._last_good: Dict[str, str] = {}
@@ -218,10 +110,15 @@ class PageServer(PageRegistry):
                 "serve as the root page"
             )
         for index, root in enumerate(roots):
-            oid = self.graph.register_instance(root)
+            oid = self.graph.skolems.apply(root.function, root.args)
             path = "/" if index == 0 else self._path_for(oid)
             self._paths[path] = oid
             self._hrefs[oid] = path
+
+    @property
+    def graph(self) -> LazySiteGraph:
+        """The dynamic site's lazily materialized site graph."""
+        return self.dynamic.graph
 
     # ------------------------------------------------------------ #
     # PageRegistry interface
@@ -319,25 +216,22 @@ class PageServer(PageRegistry):
     def refresh(self) -> RefreshResult:
         """Selective invalidation after data-graph mutations.
 
-        Refreshes the :class:`DynamicSite`, then (a) de-materializes
-        only the lazy site-graph nodes the delta changed or whose
-        expansions the dynamic site dropped and (b) drops only the
-        cached pages whose recorded reads include one of those nodes.
-        Unaffected pages keep serving their cached bytes -- the warm
-        cost of an edit scales with |delta|, not |site|.  Falls back to
-        a coarse reset when the dynamic site's refresh was coarse.
+        Refreshes the :class:`DynamicSite`, which de-materializes only
+        the site-graph nodes the delta changed or whose expansions it
+        dropped, then drops only the cached pages whose recorded reads
+        include one of those nodes.  Unaffected pages keep serving their
+        cached bytes -- the warm cost of an edit scales with |delta|,
+        not |site|.  Falls back to a coarse reset when the dynamic
+        site's refresh was coarse.
         """
+        graph = self.graph
         result = self.dynamic.refresh()
         if result.coarse:
-            self._coarse_reset()
+            self._coarse_reset(graph)
             return result
         if result.delta is None:
             return result
-        changed = changed_nodes(result.delta)
-        changed.update(owner.oid() for owner in result.dropped_instances)
-        for oid in changed:
-            self.graph.demote(oid)
-        stale = self._page_deps.readers(changed)
+        stale = self._page_deps.readers(result.changed)
         for path in stale:
             del self._page_cache[path]
             self._page_deps.discard(path)
@@ -357,12 +251,13 @@ class PageServer(PageRegistry):
         and statistics snapshot -- survives; only its materialized
         expansion caches and the lazily built site graph are dropped.
         """
+        graph = self.graph
         self.dynamic.invalidate()
-        self._coarse_reset()
+        self._coarse_reset(graph)
 
-    def _new_site_graph(self) -> None:
-        """Start over with an empty lazy site graph and page cache."""
-        self.graph = LazySiteGraph(self.dynamic)
+    def _bind_site_graph(self) -> None:
+        """Render from the dynamic site's current graph, with an empty
+        page cache."""
         self._view = RecordingView(self.graph)
         self._renderer = Renderer(self._view, registry=self)
         #: path -> rendered HTML
@@ -370,24 +265,26 @@ class PageServer(PageRegistry):
         #: path -> the lazy site-graph nodes its render read
         self._page_deps = DependencyIndex()
 
-    def _coarse_reset(self) -> None:
-        self._new_site_graph()
-        # re-register every known page instance so old paths keep
-        # working: one oid -> instance map per Skolem function, built
-        # on first need
-        by_function: Dict[str, Dict[Oid, NodeInstance]] = {}
+    def _coarse_reset(self, previous: LazySiteGraph) -> None:
+        """Serve from the dynamic site's fresh graph.  Every known page
+        whose term (from ``previous``'s registry, or set aside at an
+        earlier reset) is still an instance is registered again, so old
+        paths keep working; one instance set per Skolem function, built
+        on first need."""
+        self._bind_site_graph()
+        live: Dict[str, Set[NodeInstance]] = {}
         for oid in self._paths.values():
-            for function in self.dynamic.schema.functions:
-                if oid.name.startswith(function + "("):
-                    instances = by_function.get(function)
-                    if instances is None:
-                        instances = by_function[function] = {
-                            candidate.oid(): candidate
-                            for candidate in self.dynamic.instances_of(function)
-                        }
-                    if oid in instances:
-                        self.graph.register_instance(instances[oid])
-                    break
+            term = previous.skolems.term(oid) or self._vanished.pop(oid, None)
+            if term is None:
+                continue
+            function, args = term
+            instances = live.get(function)
+            if instances is None:
+                instances = live[function] = set(self.dynamic.instances_of(function))
+            if NodeInstance(function, args) in instances:
+                self.graph.skolems.apply(function, args)
+            else:
+                self._vanished[oid] = term
 
     def links_of(self, path: str) -> List[str]:
         """The local hrefs on a served page -- the next clickable paths."""

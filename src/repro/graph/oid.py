@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from .values import Atom
 
@@ -116,14 +116,15 @@ class SkolemRegistry:
 
     def __init__(self) -> None:
         self._terms: Dict[Tuple[str, Tuple[object, ...]], Oid] = {}
-        self._oids: Set[Oid] = set()
+        #: the reverse map: oid -> the first ``(function, args)`` naming it
+        self._by_oid: Dict[Oid, Tuple[str, Tuple[object, ...]]] = {}
 
     def __len__(self) -> int:
         return len(self._terms)
 
     def __contains__(self, oid: object) -> bool:
         """True when ``oid`` was created by applying a Skolem function."""
-        return oid in self._oids
+        return oid in self._by_oid
 
     def apply(self, function: str, args: Tuple[object, ...]) -> Oid:
         """Apply Skolem function ``function`` to ``args``; memoized.
@@ -137,12 +138,17 @@ class SkolemRegistry:
             return existing
         oid = Oid(skolem_term_name(function, args))
         self._terms[key] = oid
-        self._oids.add(oid)
+        self._by_oid.setdefault(oid, key)
         return oid
 
     def lookup(self, function: str, args: Tuple[object, ...]) -> Optional[Oid]:
         """Return the oid for a term if it was ever created, else None."""
         return self._terms.get((function, args))
+
+    def term(self, oid: object) -> Optional[Tuple[str, Tuple[object, ...]]]:
+        """The ``(function, args)`` term that created ``oid``, or None for
+        an oid no Skolem application in this registry produced."""
+        return self._by_oid.get(oid)
 
     def terms(self) -> Iterator[Tuple[str, Tuple[object, ...], Oid]]:
         """Iterate ``(function, args, oid)`` for every created term."""

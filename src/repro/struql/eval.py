@@ -1140,9 +1140,10 @@ class QueryEngine:
             metrics.path_memo_misses += len(missing)
             metrics.hash_join_probes += len(missing)
             if backward:
-                computed = sources_to_many(graph, nfa, missing)
+                computed, examined = sources_to_many(graph, nfa, missing)
             else:
-                computed = targets_from_many(graph, nfa, missing)
+                computed, examined = targets_from_many(graph, nfa, missing)
+            metrics.edges_examined += examined
             for seed in missing:
                 reached = computed.get(seed, ())
                 cache.path_memo_put(nfa, fingerprint, seed, reached)
@@ -1303,18 +1304,7 @@ class _Constructor:
     def _link(self, link: LinkClause, row: Binding) -> None:
         source = self._skolem(link.source, row) \
             if isinstance(link.source, SkolemTerm) else self._resolve_source_var(link.source, row)
-        if isinstance(link.label, str):
-            label = link.label
-        else:
-            bound = row.get(link.label.name)
-            if isinstance(bound, Atom):
-                label = bound.as_string()
-            elif isinstance(bound, str):
-                label = bound
-            else:
-                raise StruqlEvaluationError(
-                    f"arc variable {link.label.name!r} is not bound to a label"
-                )
+        label = link_label(link, row)
         target = self._resolve_target(link.target, row)
         self.result.add_edge(source, label, target)
 
@@ -1346,6 +1336,21 @@ class _Constructor:
         if isinstance(value, str):
             return Atom(AtomType.STRING, value)
         return value
+
+
+def link_label(link: LinkClause, row: Binding) -> str:
+    """The label ``link`` writes for ``row``: its constant, or the label
+    its arc variable is bound to."""
+    if isinstance(link.label, str):
+        return link.label
+    bound = row.get(link.label.name)
+    if isinstance(bound, Atom):
+        return bound.as_string()
+    if isinstance(bound, str):
+        return bound
+    raise StruqlEvaluationError(
+        f"arc variable {link.label.name!r} is not bound to a label"
+    )
 
 
 def _project(rows: List[Binding], names: FrozenSet[str]) -> List[Binding]:

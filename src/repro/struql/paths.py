@@ -293,7 +293,7 @@ def sources_to(graph: Graph, reversed_nfa: NFA, target: Target) -> List[Oid]:
 
 def targets_from_many(
     graph: Graph, nfa: NFA, sources: Sequence[Oid]
-) -> Dict[Oid, Tuple[Target, ...]]:
+) -> Tuple[Dict[Oid, Tuple[Target, ...]], int]:
     """Batched :func:`targets_from`: one BFS over the product automaton
     seeded with every distinct source at once.
 
@@ -301,7 +301,8 @@ def targets_from_many(
     (and their discovery order) are exactly what the single-source
     search yields -- but the ``(state set, label) -> next states``
     computation, the dominant per-edge cost, is memoized once for the
-    whole batch instead of once per source.
+    whole batch instead of once per source.  Returns the per-source
+    results and the number of edges the search examined.
     """
     results: Dict[Oid, Dict[Target, None]] = {}
     start_states = nfa.initial
@@ -323,6 +324,7 @@ def targets_from_many(
             found[source] = None
     step = nfa.step
     deadline = current_deadline()
+    examined = 0
     while queue:
         if deadline is not None:
             deadline.tick("paths.targets_from_many")
@@ -330,6 +332,7 @@ def targets_from_many(
         if not isinstance(obj, Oid):
             continue
         for label, target in graph.out_edges(obj):
+            examined += 1
             step_key = (states, label)
             next_states = step_memo.get(step_key)
             if next_states is None:
@@ -345,14 +348,15 @@ def targets_from_many(
             if accept in next_states and target not in found:
                 found[target] = None
             queue.append((origin, target, next_states))
-    return {source: tuple(found) for source, found in results.items()}
+    return {source: tuple(found) for source, found in results.items()}, examined
 
 
 def sources_to_many(
     graph: Graph, reversed_nfa: NFA, targets: Iterable[Target]
-) -> Dict[Target, Tuple[Oid, ...]]:
+) -> Tuple[Dict[Target, Tuple[Oid, ...]], int]:
     """Batched :func:`sources_to`: one reverse BFS seeded with every
-    distinct target at once, origin-tagged like :func:`targets_from_many`."""
+    distinct target at once, origin-tagged like :func:`targets_from_many`
+    and, like it, returning the number of edges examined too."""
     results: Dict[Target, Dict[Oid, None]] = {}
     start_states = reversed_nfa.initial
     accept = reversed_nfa.accept
@@ -371,11 +375,13 @@ def sources_to_many(
             found[target] = None
     step = reversed_nfa.step
     deadline = current_deadline()
+    examined = 0
     while queue:
         if deadline is not None:
             deadline.tick("paths.sources_to_many")
         origin, obj, states = queue.popleft()
         for source, label in graph.in_edges(obj):
+            examined += 1
             step_key = (states, label)
             next_states = step_memo.get(step_key)
             if next_states is None:
@@ -391,7 +397,7 @@ def sources_to_many(
             if accept in next_states and source not in found:
                 found[source] = None
             queue.append((origin, source, next_states))
-    return {target: tuple(found) for target, found in results.items()}
+    return {target: tuple(found) for target, found in results.items()}, examined
 
 
 def path_exists(graph: Graph, nfa: NFA, source: Oid, target: Target) -> bool:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import BrowseSession, DynamicSite, NodeInstance
 from repro.errors import SiteDefinitionError
-from repro.graph import Atom, Oid
+from repro.graph import Atom, Graph, Oid, integer, string
 from repro.struql import evaluate, parse
 from repro.workloads import HOMEPAGE_QUERY, NEWS_SITE_QUERY, bibliography_graph, news_graph
 
@@ -145,3 +145,55 @@ class TestBrowseSession:
         presentation = dynamic.instances_of("PaperPresentation")[0]
         edges = dynamic.expand(presentation)
         assert any(isinstance(t, Atom) for _, t in edges)
+
+
+def _mixed_year_site():
+    """Two pubs whose years are equal after coercion but differ in type:
+    ``p0`` has INTEGER 1998, ``p1`` has STRING "1998"."""
+    data = Graph()
+    for name, year in (("p0", integer(1998)), ("p1", string("1998"))):
+        pub = data.add_node(Oid(name))
+        data.add_edge(pub, "year", year)
+        data.add_to_collection("Pubs", pub)
+    program = parse(
+        'where Pubs(x), x -> "year" -> y create YearPage(y) '
+        'link YearPage(y) -> "Paper" -> x'
+    )
+    return data, program
+
+
+class TestSkolemIdentity:
+    def test_instances_print_as_their_oids(self):
+        data, program = _mixed_year_site()
+        instances = DynamicSite(program, data).instances_of("YearPage")
+        assert [str(i) for i in instances] == ["YearPage(1998)", "YearPage('1998')"]
+        assert [str(i) for i in instances] == [i.oid().name for i in instances]
+
+    def test_click_time_nodes_come_from_the_site_graph_registry(self, homepage):
+        data, program, site_graph = homepage
+        dynamic = DynamicSite(program, data)
+        root = dynamic.roots()[0]
+        for _, target in dynamic.expand(root):
+            if isinstance(target, NodeInstance):
+                oid = target.oid()
+                assert site_graph.has_node(oid)
+                assert dynamic.graph.skolems.term(oid) == (target.function, target.args)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2 (defect C): rows seeded with YearPage's INTEGER "
+        "1998 keep that spelling for the STRING \"1998\" pub, so click time "
+        "links both pubs from both year pages",
+    )
+    def test_mixed_type_years_expand_like_the_static_site(self):
+        data, program = _mixed_year_site()
+        site_graph = evaluate(program, data)
+        dynamic = DynamicSite(program, data)
+        for instance in dynamic.instances_of("YearPage"):
+            static = sorted(
+                (label, _edge_key(t)) for label, t in site_graph.out_edges(instance.oid())
+            )
+            expanded = sorted(
+                (label, _edge_key(t)) for label, t in dynamic.expand(instance)
+            )
+            assert static == expanded, instance

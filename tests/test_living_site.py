@@ -55,6 +55,17 @@ class TestLivingSite:
         server.invalidate()
         assert server.get(first_link) == before  # unchanged page unchanged
 
+    def test_page_served_again_after_its_item_comes_back(self, living):
+        data, server, maintainer = living
+        link = server.links_of("/")[0]
+        first = Oid("i1")
+        data.remove_edge(first, "name", string("first"))
+        server.invalidate()  # the page's instance is gone at this reset
+        data.add_edge(first, "name", string("back"))
+        server.invalidate()
+        response = server.get_response(link)
+        assert (response.kind, response.body) == ("ok", "<p>back</p>")
+
     def test_new_pages_become_servable(self, living):
         data, server, maintainer = living
         maintainer.add_object("Items", [("name", string("second"))])

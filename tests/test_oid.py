@@ -98,6 +98,14 @@ class TestSkolemRegistry:
         assert Oid("G()") not in registry
         assert Oid("F(1)") in registry
 
+    def test_term_is_the_reverse_of_apply(self):
+        registry = SkolemRegistry()
+        number = registry.apply("YearPage", (integer(1998),))
+        text = registry.apply("YearPage", (string("1998"),))
+        assert registry.term(number) == ("YearPage", (integer(1998),))
+        assert registry.term(text) == ("YearPage", (string("1998"),))
+        assert registry.term(Oid("YearPage(1999)")) is None
+
     def test_len(self):
         registry = SkolemRegistry()
         registry.apply("F", ())

@@ -10,14 +10,18 @@ from repro.struql import (
     Concat,
     LabelIs,
     LabelPredicate,
+    QueryEngine,
     Star,
     any_path,
     compile_path,
+    parse_query,
     path_exists,
     register_label_predicate,
     reverse_expr,
     sources_to,
+    sources_to_many,
     targets_from,
+    targets_from_many,
 )
 
 
@@ -178,3 +182,33 @@ class TestEquivalences:
         node_set = set(nodes)
         forward_pairs = {p for p in forward_pairs if p[1] in node_set}
         assert forward_pairs == backward_pairs
+
+
+class TestEdgesExamined:
+    """The batched searches count every edge they look at, and the
+    engine adds that count to ``Metrics.edges_examined`` once per call."""
+
+    def test_forward_search_counts_out_edges(self, diamond):
+        graph, (a, b, c, d), _ = diamond
+        reached, examined = targets_from_many(graph, compile_path(Star(LabelIs("x"))), [a])
+        assert reached == {a: (a, b)}
+        # a's two out-edges, then b's one; c is never entered
+        assert examined == 3
+
+    def test_backward_search_counts_in_edges(self, diamond):
+        graph, (a, b, c, d), _ = diamond
+        backward = compile_path(reverse_expr(Star(LabelIs("x"))))
+        reached, examined = sources_to_many(graph, backward, [d])
+        assert reached == {d: (d, c)}
+        # d's two in-edges, then c's one
+        assert examined == 3
+
+    def test_engine_metrics_count_path_steps(self, diamond):
+        graph, (a, b, c, d), _ = diamond
+        engine = QueryEngine(graph)
+        conditions = parse_query('where s -> "x"* -> t create P()').where
+        rows = engine.bindings(conditions, initial=[{"s": a}])
+        assert {row["t"] for row in rows} == {a, b}
+        assert engine.metrics.edges_examined == 3
+        engine.bindings(conditions, initial=[{"s": a}])
+        assert engine.metrics.edges_examined == 3  # answered by the path memo

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import LazySiteGraph, PageServer, DynamicSite
 from repro.errors import SiteDefinitionError
-from repro.graph import Oid
+from repro.graph import Oid, integer
 from repro.struql import evaluate, parse
 from repro.template import generate_site
 from repro.workloads import (
@@ -27,11 +27,16 @@ def _normalize(html: str) -> str:
     return html.replace('href="/"', 'href="index.html"').replace('href="/', 'href="')
 
 
+def _node(lazy, instance):
+    """The instance's oid in the lazy graph's Skolem registry."""
+    return lazy.skolems.apply(instance.function, instance.args)
+
+
 class TestLazySiteGraph:
     def test_nodes_materialize_on_touch(self, setup):
         data, program = setup
-        lazy = LazySiteGraph(DynamicSite(program, data))
-        root = lazy.register_instance(lazy.dynamic.roots()[0])
+        lazy = DynamicSite(program, data).graph
+        root = _node(lazy, lazy.dynamic.roots()[0])
         assert lazy.expansions == 0
         labels = lazy.labels_of(root)
         assert lazy.expansions == 1
@@ -40,8 +45,8 @@ class TestLazySiteGraph:
     def test_expansion_matches_static_site(self, setup):
         data, program = setup
         static = evaluate(program, data)
-        lazy = LazySiteGraph(DynamicSite(program, data))
-        root = lazy.register_instance(lazy.dynamic.roots()[0])
+        lazy = DynamicSite(program, data).graph
+        root = _node(lazy, lazy.dynamic.roots()[0])
         static_edges = sorted(
             (l, str(t)) for l, t in static.out_edges(Oid("RootPage()"))
         )
@@ -51,10 +56,9 @@ class TestLazySiteGraph:
     def test_collections_from_schema(self, setup):
         data, program = setup
         dynamic = DynamicSite(program, data)
-        lazy = LazySiteGraph(dynamic)
         year = dynamic.instances_of("YearPage")[0]
-        oid = lazy.register_instance(year)
-        assert "YearPages" in lazy.collections_of(oid)
+        oid = _node(dynamic.graph, year)
+        assert "YearPages" in dynamic.graph.collections_of(oid)
 
     def test_data_nodes_copy_from_data_graph(self, setup):
         data, program = setup
@@ -143,6 +147,22 @@ class TestPageServer:
             )
 
 
+    def test_refresh_without_cache_serves_the_new_data(self):
+        """With caching off nothing records what it read, so a refresh
+        after an edit must start over, not keep the old pages."""
+        data = bibliography_graph(12, seed=70)
+        program = parse(HOMEPAGE_QUERY)
+        server = PageServer(program, data, homepage_templates(), cache=False)
+        server.get("/")
+        first = data.collection("Publications")[0]
+        added = data.add_node(Oid("added-pub"))
+        for label, target in list(data.out_edges(first)):
+            data.add_edge(added, label, integer(1890) if label == "year" else target)
+        data.add_to_collection("Publications", added)
+        assert server.refresh().coarse
+        assert server.get("/") == PageServer(program, data, homepage_templates()).get("/")
+
+
 class TestGetResponse:
     """HTTP status mapping: get_response never raises and never
     answers with an in-process sentinel."""
@@ -196,6 +216,17 @@ class TestGetResponse:
             response = server.get_response("/")
         assert (response.status, response.kind) == (200, "stale")
         assert response.body == warm
+
+    def test_failed_expansion_is_retried_on_the_next_request(self, setup):
+        from repro.resilience import chaos
+        from repro.resilience.chaos import FaultPlan
+
+        data, program = setup
+        clean = PageServer(program, data, homepage_templates()).get("/")
+        server = PageServer(program, data, homepage_templates())
+        with chaos.installed(FaultPlan().fail_always("engine.bindings")):
+            assert server.get_response("/").status == 500
+        assert server.get("/") == clean
 
     def test_strict_reraises_instead_of_mapping(self, setup):
         from repro.resilience import chaos
