@@ -41,7 +41,7 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..errors import SiteDefinitionError
 from ..graph import Atom, Graph, Oid
-from ..graph.delta import GraphDelta
+from ..graph.delta import DeltaLog, GraphDelta
 from ..graph.oid import skolem_term_name
 from ..struql.ast import Program, Query
 from ..struql.eval import Binding, Metrics, Value, _Constructor, make_engine
@@ -351,13 +351,20 @@ class LazySiteGraph(Graph):
     out-edges from its incremental queries; touching a *data-graph* node
     (a link target) copies its out-edges from the data graph, one level
     at a time.  Every read accessor the renderer and template selector
-    use is overridden to ensure the node first -- :meth:`has_node`
-    included, so the constructor finds a linked data node present and
-    never imports its reachable closure.
+    use is overridden to ensure the node first.  :meth:`has_node` only
+    adds a linked data node, without its out-edges, so the constructor
+    finds a link target present (and never imports its reachable
+    closure) while the copy waits for the first read of the node.
+
+    The graph keeps no mutation history: nothing reads this graph's
+    deltas (refreshes read the data graph's), so its delta log has an
+    empty window and :meth:`delta_since` answers ``None`` -- the coarse
+    answer, always sound -- for every epoch before the current one.
     """
 
     def __init__(self, dynamic: DynamicSite) -> None:
         super().__init__("lazy-site")
+        self._delta_log = DeltaLog(maxlen=0)
         self.dynamic = dynamic
         self._materialized: Dict[Oid, None] = {}
         self.expansions = 0
@@ -404,7 +411,12 @@ class LazySiteGraph(Graph):
     # read accessors used by the renderer / template selection
 
     def has_node(self, oid: Oid) -> bool:
-        self._ensure(oid)
+        if oid not in self._materialized:
+            if self.skolems.term(oid) is not None:
+                self._ensure(oid)
+            elif self.dynamic.data_graph.has_node(oid):
+                # a link target: its out-edges wait for the first read
+                self.add_node(oid)
         return super().has_node(oid)
 
     def targets(self, oid: Oid, label: str):

@@ -32,14 +32,18 @@ from .values import Atom
 Target = Union[Oid, Atom]
 Edge = Tuple[Oid, str, Target]
 
-#: Record kinds in the log.
-_EDGE_ADD = 0
-_EDGE_REMOVE = 1
-_NODE_ADD = 2
-_NODE_REMOVE = 3
-_MEMBER_ADD = 4
-_MEMBER_REMOVE = 5
-_COLLECTION_CREATE = 6
+#: Record kinds in the log: slot 1 of a ``(epoch, kind, a, b, c)`` record.
+EDGE_ADD = 0  #: ``a -b-> c`` was added
+EDGE_REMOVE = 1  #: ``a -b-> c`` was removed
+NODE_ADD = 2  #: node ``a`` was added
+NODE_REMOVE = 3  #: node ``a`` was removed
+MEMBER_ADD = 4  #: node ``b`` joined collection ``a``
+MEMBER_REMOVE = 5  #: node ``b`` left collection ``a``
+COLLECTION_CREATE = 6  #: collection ``a`` was created
+
+
+#: One log record: ``(epoch, kind, a, b, c)``.
+Record = Tuple[int, int, object, object, object]
 
 
 class GraphDelta:
@@ -128,53 +132,39 @@ class GraphDelta:
 class DeltaLog:
     """A bounded ring of per-mutation records.
 
-    Each record is ``(epoch, kind, a, b, c)``; ``since(epoch)``
-    aggregates everything newer than ``epoch`` into a
+    Each record is an ``(epoch, kind, a, b, c)`` tuple (see the kind
+    constants above; unused slots are ``None``), appended by
+    :meth:`record` in epoch order; several records may share an epoch.
+    ``since(epoch)`` aggregates everything newer than ``epoch`` into a
     :class:`GraphDelta`, or returns ``None`` when the ring no longer
     reaches back that far (the consumer must then invalidate coarsely).
+
+    A graph write appends one record, so :meth:`record` is the ring's
+    own C-level ``deque.append``: no Python frame per write.  The deque
+    holds one record more than the window.  Once it is full, its oldest
+    record has left the window -- it is the most recently evicted one --
+    and its epoch is the floor: every mutation with an epoch at or below
+    the floor may be missing from the window.
     """
 
-    __slots__ = ("maxlen", "_records", "_floor")
+    __slots__ = ("maxlen", "_records", "record")
 
     def __init__(self, maxlen: int = 4096) -> None:
         self.maxlen = maxlen
-        self._records: Deque[Tuple[int, int, object, object, object]] = deque()
-        #: every mutation with epoch <= _floor has been evicted
-        self._floor = 0
+        self._records: Deque[Record] = deque(maxlen=maxlen + 1)
+        #: append one ``(epoch, kind, a, b, c)`` record; a full ring
+        #: drops its oldest record in the same C call
+        self.record = self._records.append
 
-    def _append(self, epoch: int, kind: int, a: object, b: object = None,
-                c: object = None) -> None:
-        records = self._records
-        records.append((epoch, kind, a, b, c))
-        while len(records) > self.maxlen:
-            evicted = records.popleft()
-            self._floor = evicted[0]
+    # ``record`` is bound to this log's own deque: a pickled or copied
+    # log must bind it to its new deque, never share the original's
+    def __getstate__(self) -> Tuple[int, List[Record]]:
+        return self.maxlen, list(self._records)
 
-    # ------------------------------------------------------------ #
-    # recording (called by Graph mutators, after the epoch bump)
-
-    def edge_added(self, epoch: int, source: Oid, label: str, target: Target) -> None:
-        self._append(epoch, _EDGE_ADD, source, label, target)
-
-    def edge_removed(self, epoch: int, source: Oid, label: str, target: Target) -> None:
-        self._append(epoch, _EDGE_REMOVE, source, label, target)
-
-    def node_added(self, epoch: int, oid: Oid) -> None:
-        self._append(epoch, _NODE_ADD, oid)
-
-    def node_removed(self, epoch: int, oid: Oid) -> None:
-        self._append(epoch, _NODE_REMOVE, oid)
-
-    def member_added(self, epoch: int, name: str, oid: Oid) -> None:
-        self._append(epoch, _MEMBER_ADD, name, oid)
-
-    def member_removed(self, epoch: int, name: str, oid: Oid) -> None:
-        self._append(epoch, _MEMBER_REMOVE, name, oid)
-
-    def collection_created(self, epoch: int, name: str) -> None:
-        self._append(epoch, _COLLECTION_CREATE, name)
-
-    # ------------------------------------------------------------ #
+    def __setstate__(self, state: Tuple[int, List[Record]]) -> None:
+        maxlen, records = state
+        self.__init__(maxlen)  # type: ignore[misc]
+        self._records.extend(records)
 
     def since(self, epoch: int, current_epoch: int) -> Optional[GraphDelta]:
         """The aggregated delta for mutations with epoch > ``epoch``.
@@ -183,32 +173,34 @@ class DeltaLog:
         (the delta would be incomplete).  An up-to-date consumer gets an
         empty delta.
         """
-        if epoch < self._floor:
+        records = self._records
+        if len(records) > self.maxlen and epoch < records[0][0]:
             return None
         delta = GraphDelta(epoch, current_epoch)
         # records are in epoch order: walk back from the newest, so the
         # cost is the delta's size, not the ring's
         newer = []
-        for record in reversed(self._records):
+        for record in reversed(records):
             if record[0] <= epoch:
                 break
             newer.append(record)
         for _, kind, a, b, c in reversed(newer):
-            if kind == _EDGE_ADD:
+            if kind == EDGE_ADD:
                 delta.edges_added.append((a, b, c))  # type: ignore[arg-type]
-            elif kind == _EDGE_REMOVE:
+            elif kind == EDGE_REMOVE:
                 delta.edges_removed.append((a, b, c))  # type: ignore[arg-type]
-            elif kind == _NODE_ADD:
+            elif kind == NODE_ADD:
                 delta.nodes_added.append(a)  # type: ignore[arg-type]
-            elif kind == _NODE_REMOVE:
+            elif kind == NODE_REMOVE:
                 delta.nodes_removed.append(a)  # type: ignore[arg-type]
-            elif kind == _MEMBER_ADD:
+            elif kind == MEMBER_ADD:
                 delta.members_added.append((a, b))  # type: ignore[arg-type]
-            elif kind == _MEMBER_REMOVE:
+            elif kind == MEMBER_REMOVE:
                 delta.members_removed.append((a, b))  # type: ignore[arg-type]
             else:
                 delta.collections_created.append(a)  # type: ignore[arg-type]
         return delta
 
     def __len__(self) -> int:
-        return len(self._records)
+        """Records in the window (the evicted floor record is not one)."""
+        return min(len(self._records), self.maxlen)

@@ -31,7 +31,17 @@ import sys
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from ..errors import GraphError, UnknownObjectError
-from .delta import DeltaLog, GraphDelta
+from .delta import (
+    COLLECTION_CREATE,
+    EDGE_ADD,
+    EDGE_REMOVE,
+    MEMBER_ADD,
+    MEMBER_REMOVE,
+    NODE_ADD,
+    NODE_REMOVE,
+    DeltaLog,
+    GraphDelta,
+)
 from .oid import Oid, OidAllocator, SkolemRegistry
 from .values import Atom, from_python
 
@@ -116,7 +126,7 @@ class Graph:
         if oid not in self._out:
             self._out[oid] = {}
             self._bump()
-            self._delta_log.node_added(self._epoch, oid)
+            self._delta_log.record((self._epoch, NODE_ADD, oid, None, None))
         return oid
 
     def skolem(self, function: str, *args: object) -> Oid:
@@ -162,9 +172,9 @@ class Graph:
         for name in dropped_from:
             del self._collections[name][oid]
         self._bump()
-        self._delta_log.node_removed(self._epoch, oid)
+        self._delta_log.record((self._epoch, NODE_REMOVE, oid, None, None))
         for name in dropped_from:
-            self._delta_log.member_removed(self._epoch, name, oid)
+            self._delta_log.record((self._epoch, MEMBER_REMOVE, name, oid, None))
 
     # ------------------------------------------------------------------ #
     # edges
@@ -211,7 +221,7 @@ class Graph:
             values[stored] = values.get(stored, 0) + 1
         self._edge_count += 1
         self._bump()
-        self._delta_log.edge_added(self._epoch, source, label, stored)
+        self._delta_log.record((self._epoch, EDGE_ADD, source, label, stored))
         return stored
 
     def remove_edge(self, source: Oid, label: str, target: Target) -> None:
@@ -246,7 +256,7 @@ class Graph:
                     values[target] = count - 1
         self._edge_count -= 1
         self._bump()
-        self._delta_log.edge_removed(self._epoch, source, label, target)
+        self._delta_log.record((self._epoch, EDGE_REMOVE, source, label, target))
 
     def has_edge(self, source: Oid, label: str, target: Target) -> bool:
         return (source, target) in self._by_label.get(label, {})
@@ -389,7 +399,7 @@ class Graph:
         if name not in self._collections:
             self._collections[name] = {}
             self._bump()
-            self._delta_log.collection_created(self._epoch, name)
+            self._delta_log.record((self._epoch, COLLECTION_CREATE, name, None, None))
 
     def add_to_collection(self, name: str, oid: Oid) -> None:
         """Add a node to a collection, creating the collection if needed."""
@@ -401,7 +411,7 @@ class Graph:
         if oid not in members:
             members[oid] = None
             self._bump()
-            self._delta_log.member_added(self._epoch, name, oid)
+            self._delta_log.record((self._epoch, MEMBER_ADD, name, oid, None))
 
     def remove_from_collection(self, name: str, oid: Oid) -> None:
         members = self._collections.get(name)
@@ -409,7 +419,7 @@ class Graph:
             raise GraphError(f"{oid} is not in collection {name!r}")
         del members[oid]
         self._bump()
-        self._delta_log.member_removed(self._epoch, name, oid)
+        self._delta_log.record((self._epoch, MEMBER_REMOVE, name, oid, None))
 
     def collection(self, name: str) -> List[Oid]:
         """Members of a collection (empty list if it does not exist)."""

@@ -19,7 +19,7 @@ This module defines:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import operator
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -44,6 +44,11 @@ class AtomType(enum.Enum):
     POSTSCRIPT_FILE = "postscript"
     HTML_FILE = "html"
 
+    # ``Enum.__hash__`` hashes the member name in Python; every atom hash
+    # hashes its type, so use the C-level identity hash (members are
+    # singletons, and ``==`` between members is already identity)
+    __hash__ = object.__hash__
+
     @property
     def is_file(self) -> bool:
         """True for the file-flavoured types (text/image/postscript/html)."""
@@ -63,61 +68,72 @@ _FILE_TYPES = frozenset(
 AtomValue = Union[str, int, float, bool]
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(tuple):
     """An immutable atomic value: a payload tagged with an :class:`AtomType`.
 
     Atoms are hashable so they can appear as edge targets, in indexes and
     in binding tuples.  Two atoms are equal only if both type and payload
     are equal; use :func:`atoms_equal` for the coercing comparison STRUQL
     performs.
+
+    An atom is a two-item tuple subclass ``(type, value)``, so hashing
+    and ``==`` run in C: every edge a wrapper or a query writes hashes
+    its atom into three indexes, about half a million times per cold
+    build of a 2,000-entry site.  ``__slots__ = ()`` leaves no instance
+    dict, and ``type`` and ``value`` are read-only properties.  Equality
+    is the tuple's: an atom never equals an :class:`~repro.graph.oid.Oid`
+    (a one-item tuple), a ``str``, or an atom of another type with an
+    equal payload (``integer(1)``, ``boolean(True)`` and ``real(1.0)``
+    are three distinct atoms).  Only a hand-built plain tuple of the same
+    two items would compare equal, so no code builds one.  Slot 0 is the
+    :class:`AtomType` member, so ``json.dumps`` of an atom raises.
+    Pickling and copying rebuild the atom from its two items
+    (:meth:`__getnewargs__`).
     """
 
-    type: AtomType
-    value: AtomValue
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, (str, int, float, bool)):
+    def __new__(cls, type: AtomType, value: AtomValue) -> "Atom":
+        if not isinstance(value, (str, int, float, bool)):
             raise TypeError(
-                f"atom payload must be str/int/float/bool, got {type(self.value).__name__}"
+                f"atom payload must be str/int/float/bool, got {value.__class__.__name__}"
             )
+        return tuple.__new__(cls, (type, value))
 
-    def __hash__(self) -> int:
-        # atoms are hashed millions of times inside binding-tuple rows
-        # (dedup, hash joins, indexes); the generated dataclass hash
-        # re-hashes the enum member -- a Python-level call -- every
-        # time, so memoize the result on the (frozen) instance
-        try:
-            return self._hash  # type: ignore[attr-defined]
-        except AttributeError:
-            value = hash((self.type, self.value))
-            object.__setattr__(self, "_hash", value)
-            return value
+    type = property(operator.itemgetter(0), doc="The atom's :class:`AtomType`.")
+    value = property(operator.itemgetter(1), doc="The atom's Python payload.")
+
+    def __getnewargs__(self) -> Tuple[AtomType, AtomValue]:
+        return (self[0], self[1])
+
+    # the methods below read the items by index or unpacking, which costs
+    # half a property read; rendering a 2,000-entry site calls
+    # ``as_string`` about 10^5 times
 
     def __str__(self) -> str:
-        return str(self.value)
+        return str(self[1])
 
     def __repr__(self) -> str:
-        return f"Atom({self.type.value}:{self.value!r})"
+        return f"Atom({self[0].value}:{self[1]!r})"
 
     @property
     def is_file(self) -> bool:
-        return self.type.is_file
+        return self[0].is_file
 
     def as_string(self) -> str:
         """The payload rendered as a string (used for display and sorting)."""
-        if self.type is AtomType.BOOLEAN:
-            return "true" if self.value else "false"
-        return str(self.value)
+        atom_type, value = self
+        if atom_type is AtomType.BOOLEAN:
+            return "true" if value else "false"
+        return str(value)
 
     def as_number(self) -> Optional[float]:
         """The payload as a float, or None if it does not look numeric."""
-        if isinstance(self.value, bool):
-            return float(self.value)
-        if isinstance(self.value, (int, float)):
-            return float(self.value)
+        value = self[1]
+        if isinstance(value, (int, float)):  # bool included
+            return float(value)
         try:
-            return float(str(self.value).strip())
+            return float(value.strip())
         except ValueError:
             return None
 
@@ -196,8 +212,8 @@ def atoms_equal(left: Atom, right: Atom) -> bool:
     therefore true, matching "values are coerced dynamically when they are
     compared at run time".
     """
-    if left.type is right.type:
-        return left.value == right.value
+    if left[0] is right[0]:
+        return left[1] == right[1]
     left_num, right_num = left.as_number(), right.as_number()
     if left_num is not None and right_num is not None:
         return left_num == right_num

@@ -65,13 +65,13 @@ from ..graph import (
     from_python,
 )
 from ..graph.delta import (
-    _COLLECTION_CREATE,
-    _EDGE_ADD,
-    _EDGE_REMOVE,
-    _MEMBER_ADD,
-    _MEMBER_REMOVE,
-    _NODE_ADD,
-    _NODE_REMOVE,
+    COLLECTION_CREATE,
+    EDGE_ADD,
+    EDGE_REMOVE,
+    MEMBER_ADD,
+    MEMBER_REMOVE,
+    NODE_ADD,
+    NODE_REMOVE,
     GraphDelta,
 )
 from ..graph.graph import cache_tokens
@@ -665,19 +665,19 @@ class SqlGraph:
             (self._graph_id, epoch),
         )
         for _, kind, a, b, c in records:
-            if kind == _EDGE_ADD:
+            if kind == EDGE_ADD:
                 delta.edges_added.append((_decode(a), _decode(b), _decode(c)))
-            elif kind == _EDGE_REMOVE:
+            elif kind == EDGE_REMOVE:
                 delta.edges_removed.append((_decode(a), _decode(b), _decode(c)))
-            elif kind == _NODE_ADD:
+            elif kind == NODE_ADD:
                 delta.nodes_added.append(_decode(a))
-            elif kind == _NODE_REMOVE:
+            elif kind == NODE_REMOVE:
                 delta.nodes_removed.append(_decode(a))
-            elif kind == _MEMBER_ADD:
+            elif kind == MEMBER_ADD:
                 delta.members_added.append((_decode(a), _decode(b)))
-            elif kind == _MEMBER_REMOVE:
+            elif kind == MEMBER_REMOVE:
                 delta.members_removed.append((_decode(a), _decode(b)))
-            elif kind == _COLLECTION_CREATE:
+            elif kind == COLLECTION_CREATE:
                 delta.collections_created.append(_decode(a))
         return delta
 
@@ -701,7 +701,7 @@ class SqlGraph:
                     (self._graph_id,),
                 )
                 epoch = self._bump()
-                self._journal(epoch, _NODE_ADD, oid)
+                self._journal(epoch, NODE_ADD, oid)
         return oid
 
     def skolem(self, function: str, *args: object) -> Oid:
@@ -760,9 +760,9 @@ class SqlGraph:
                 (self._graph_id,),
             )
             epoch = self._bump()
-            self._journal(epoch, _NODE_REMOVE, oid)
+            self._journal(epoch, NODE_REMOVE, oid)
             for name in dropped_from:
-                self._journal(epoch, _MEMBER_REMOVE, name, oid)
+                self._journal(epoch, MEMBER_REMOVE, name, oid)
 
     # -------------------------------------------------------------- #
     # edges
@@ -872,7 +872,7 @@ class SqlGraph:
                 (self._graph_id,),
             )
             epoch = self._bump()
-            self._journal(epoch, _EDGE_ADD, source, label, stored)
+            self._journal(epoch, EDGE_ADD, source, label, stored)
             return stored
 
     def _create_atom(self, atom: Atom) -> int:
@@ -1039,7 +1039,7 @@ class SqlGraph:
                 (self._graph_id,),
             )
             epoch = self._bump()
-            self._journal(epoch, _EDGE_REMOVE, source, label, target)
+            self._journal(epoch, EDGE_REMOVE, source, label, target)
 
     def has_edge(self, source: Oid, label: str, target: Target) -> bool:
         return self._find_edge(source, label, target) is not None
@@ -1272,7 +1272,7 @@ class SqlGraph:
                     (self._graph_id, name),
                 )
                 epoch = self._bump()
-                self._journal(epoch, _COLLECTION_CREATE, name)
+                self._journal(epoch, COLLECTION_CREATE, name)
 
     def add_to_collection(self, name: str, oid: Oid) -> None:
         with self._store.batch():
@@ -1297,7 +1297,7 @@ class SqlGraph:
                     (self._graph_id, name),
                 )
                 epoch = self._bump()
-                self._journal(epoch, _MEMBER_ADD, name, oid)
+                self._journal(epoch, MEMBER_ADD, name, oid)
 
     def remove_from_collection(self, name: str, oid: Oid) -> None:
         with self._store.batch():
@@ -1322,7 +1322,7 @@ class SqlGraph:
                 (self._graph_id, name),
             )
             epoch = self._bump()
-            self._journal(epoch, _MEMBER_REMOVE, name, oid)
+            self._journal(epoch, MEMBER_REMOVE, name, oid)
 
     def collection(self, name: str) -> List[Oid]:
         return [

@@ -245,17 +245,19 @@ class Renderer:
         return oid.name
 
     def _render_atom(self, atom: Atom, directives: Directives) -> str:
-        text = html.escape(atom.as_string())
-        quoted = html.escape(atom.as_string(), quote=True)
-        if atom.type is AtomType.URL:
+        raw = atom.as_string()
+        text = html.escape(raw)
+        quoted = html.escape(raw, quote=True)
+        atom_type = atom.type
+        if atom_type is AtomType.URL:
             return f'<a href="{quoted}">{text}</a>'
-        if atom.type is AtomType.IMAGE_FILE:
+        if atom_type is AtomType.IMAGE_FILE:
             return f'<img src="{quoted}" alt="{quoted}">'
-        if atom.type is AtomType.POSTSCRIPT_FILE:
+        if atom_type is AtomType.POSTSCRIPT_FILE:
             return f'<a href="{quoted}">[PostScript]</a>'
-        if atom.type is AtomType.HTML_FILE:
+        if atom_type is AtomType.HTML_FILE:
             if directives.embed:
-                return atom.as_string()  # raw HTML payload, inlined
+                return raw  # raw HTML payload, inlined
             return f'<a href="{quoted}">[HTML]</a>'
         if directives.link:
             return f'<a href="{quoted}">{text}</a>'

@@ -26,6 +26,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graph import Atom, AtomType, DeltaLog, Graph, Oid, string
+from repro.graph.delta import (
+    COLLECTION_CREATE,
+    EDGE_ADD,
+    EDGE_REMOVE,
+    MEMBER_ADD,
+    MEMBER_REMOVE,
+    NODE_ADD,
+    NODE_REMOVE,
+)
 from repro.repository import IndexStatistics, Repository, ddl, graph_statistics
 from repro.struql import (
     Metrics,
@@ -439,24 +448,24 @@ def test_delta_log_since_matches_forward_scan():
     history = []  # (epoch, GraphDelta field, entry) for every record
     a, b = Oid("a"), Oid("b")
 
-    def record(epoch, method, field, *args):
-        getattr(log, method)(epoch, *args)
+    def record(epoch, kind, field, *args):
+        log.record((epoch, kind) + args + (None,) * (3 - len(args)))
         entry = args if len(args) > 1 else args[0]
         history.append((epoch, field, entry))
 
     fields = ("edges_added", "edges_removed", "nodes_added", "nodes_removed",
               "members_added", "members_removed", "collections_created")
     for epoch in range(1, 25):
-        record(epoch, "edge_added", "edges_added", a, "l", string(f"v{epoch}"))
+        record(epoch, EDGE_ADD, "edges_added", a, "l", string(f"v{epoch}"))
         if epoch % 3 == 0:  # several records share one epoch
-            record(epoch, "collection_created", "collections_created", "C")
-            record(epoch, "member_added", "members_added", "C", b)
+            record(epoch, COLLECTION_CREATE, "collections_created", "C")
+            record(epoch, MEMBER_ADD, "members_added", "C", b)
         if epoch % 4 == 0:
-            record(epoch, "edge_removed", "edges_removed", a, "l", string("v1"))
-            record(epoch, "node_added", "nodes_added", b)
+            record(epoch, EDGE_REMOVE, "edges_removed", a, "l", string("v1"))
+            record(epoch, NODE_ADD, "nodes_added", b)
         if epoch % 5 == 0:
-            record(epoch, "member_removed", "members_removed", "C", b)
-            record(epoch, "node_removed", "nodes_removed", b)
+            record(epoch, MEMBER_REMOVE, "members_removed", "C", b)
+            record(epoch, NODE_REMOVE, "nodes_removed", b)
         evicted = history[:len(history) - len(log)]
         floor = evicted[-1][0] if evicted else 0
         for asked in range(epoch + 1):

@@ -2,15 +2,18 @@
 
 import pytest
 
-from repro.core import LazySiteGraph, PageServer, DynamicSite
+from repro.core import BrowseSession, LazySiteGraph, NodeInstance, PageServer, DynamicSite
 from repro.errors import SiteDefinitionError
-from repro.graph import Oid, integer
+from repro.graph import Graph, Oid, integer, string
 from repro.struql import evaluate, parse
 from repro.template import generate_site
 from repro.workloads import (
     HOMEPAGE_QUERY,
+    NEWS_SITE_QUERY,
     bibliography_graph,
     homepage_templates,
+    news_graph,
+    news_templates,
 )
 
 
@@ -70,6 +73,75 @@ class TestLazySiteGraph:
         data, program = setup
         lazy = LazySiteGraph(DynamicSite(program, data))
         assert lazy.node_count == 0
+
+
+class TestLazyLinkTargets:
+    """A data node a page links to is added without its out-edges; the
+    copy waits for the first read of that node."""
+
+    @pytest.fixture()
+    def news(self):
+        data = news_graph(20, seed=31)
+        article = next(a for a in data.collection("Articles") if data.targets(a, "related"))
+        return data, article, data.targets(article, "related")[0]
+
+    def test_link_target_present_without_its_edges(self, news):
+        data, article, related = news
+        lazy = DynamicSite(parse(NEWS_SITE_QUERY), data).graph
+        page = _node(lazy, NodeInstance("ArticlePage", (article,)))
+        assert ("related", related) in list(lazy.out_edges(page))
+        assert Graph.has_node(lazy, related)
+        assert list(Graph.out_edges(lazy, related)) == []
+        assert lazy.has_node(related)
+        assert list(Graph.out_edges(lazy, related)) == []
+
+    @pytest.mark.parametrize("read", ["targets", "attribute", "out_edges", "labels_of"])
+    def test_first_read_copies_the_edges(self, news, read):
+        data, article, related = news
+        lazy = DynamicSite(parse(NEWS_SITE_QUERY), data).graph
+        assert lazy.has_node(related)
+        if read in ("targets", "attribute"):
+            getattr(lazy, read)(related, "headline")
+        else:
+            list(getattr(lazy, read)(related))
+        assert list(Graph.out_edges(lazy, related)) == list(data.out_edges(related))
+
+
+class TestLazyGraphKeepsNoHistory:
+    def test_delta_since_is_coarse_before_the_current_epoch(self, setup):
+        data, program = setup
+        lazy = DynamicSite(program, data).graph
+        root = _node(lazy, lazy.dynamic.roots()[0])
+        lazy.labels_of(root)
+        assert lazy.epoch > 0
+        assert lazy.delta_since(0) is None
+        assert lazy.delta_since(lazy.epoch - 1) is None
+        assert lazy.delta_since(lazy.epoch).empty
+
+    def test_no_consumer_reads_its_deltas(self, monkeypatch):
+        """Browsing, edits, refreshes and served pages read the data
+        graph's deltas, never the lazy graph's."""
+
+        def unread(self, epoch):
+            raise AssertionError("a consumer read the lazy site graph's deltas")
+
+        monkeypatch.setattr(LazySiteGraph, "delta_since", unread)
+        data = news_graph(20, seed=31)
+        program = parse(NEWS_SITE_QUERY)
+        site = DynamicSite(program, data, cache=True, lookahead=True)
+        session = BrowseSession(site)
+        front = NodeInstance("FrontPage", ())
+        session.walk(front, chooser=lambda candidates: candidates[0], clicks=6)
+        article = data.collection("Articles")[0]
+        data.add_edge(article, "headline", string("Edited"))
+        assert not site.refresh().coarse
+        session.walk(front, chooser=lambda candidates: candidates[-1], clicks=6)
+        server = PageServer(program, data, news_templates())
+        for href in ["/"] + server.links_of("/")[:4]:
+            assert server.get(href)
+        data.add_edge(article, "headline", string("Edited again"))
+        server.refresh()
+        assert server.get("/")
 
 
 class TestPageServer:
