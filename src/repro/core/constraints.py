@@ -11,11 +11,13 @@ form C(X) and X -> R -> Y using logical connectives and quantifiers"
 Two checkers are provided:
 
 * :func:`check` -- exact model checking on a *materialized* site graph:
-  quantifiers range over the graph's nodes (active domain), ``C(X)``
-  means membership in collection C or, when no such collection exists,
-  "X was created by Skolem function C", and path atoms are evaluated
-  with the regular-path-expression machinery.  Returns a
-  :class:`CheckResult` with a counterexample binding on failure.
+  quantifiers range over the graph's nodes, ``C(X)`` means membership
+  in collection C or, when no such collection exists, "X was created by
+  Skolem function C", and ``X -> R -> Y`` is a STRUQL path condition.
+  The formula compiles to one STRUQL where-clause whose rows are its
+  counterexamples, and the query engine evaluates it like any other
+  (block operators, the batched path search).  Returns a
+  :class:`CheckResult` whose witness comes from the first counterexample.
 
 * :func:`verify_static` -- conservative verification on the *site
   schema*, before any site is generated.  The paper's complete
@@ -29,21 +31,18 @@ Two checkers are provided:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+import itertools
+from dataclasses import dataclass, replace
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..errors import ConstraintError, ConstraintViolation
 from ..graph import Graph, Oid
-from ..struql.ast import AnyLabel, LabelIs, PathExpr, Star
+from ..repository.indexes import graph_statistics
+from ..struql.ast import CollectionCond, Condition, NotCond, PathCond, PathExpr, Var
+from ..struql.eval import QueryEngine
 from ..struql.lexer import Token, tokenize
-from ..struql.paths import (
-    _ANY_LABEL_TEST,
-    compile_path,
-    path_exists,
-    reverse_expr,
-    sources_to,
-    targets_from,
-)
+from ..struql.paths import _ANY_LABEL_TEST, compile_path
+from ..struql.plancache import PlanCache
 from .schema import NS, SchemaEdge, SiteSchema
 
 # ---------------------------------------------------------------------- #
@@ -312,7 +311,7 @@ class _ConstraintParser:
 
 
 # ---------------------------------------------------------------------- #
-# exact model checking
+# exact model checking: counterexample queries on the STRUQL engine
 
 
 @dataclass
@@ -327,13 +326,25 @@ class CheckResult:
 
 
 def check(formula: Union[Formula, str], graph: Graph) -> CheckResult:
-    """Exact check of a constraint against a materialized site graph."""
+    """Exact check of a constraint against a materialized site graph.
+
+    The formula compiles to one where-clause whose rows are its
+    counterexamples (:class:`_Counterexamples`); the query engine runs
+    it over a :class:`_ClassView` of the graph.  The witness is the first
+    row's binding of the formula's ``∀`` variables
+    (:meth:`_Counterexamples.witness`).  A conjunction is checked one
+    side at a time, so a failing side's ``∀`` variables bind.
+    """
     if isinstance(formula, str):
         formula = parse_constraint(formula)
-    checker = _Checker(graph)
-    witness: Dict[str, Oid] = {}
-    holds = checker.eval(formula, {}, witness)
-    return CheckResult(holds=holds, witness=None if holds else dict(witness))
+    if isinstance(formula, And):
+        left = check(formula.left, graph)
+        return check(formula.right, graph) if left.holds else left
+    query = _Counterexamples(formula)
+    view = _ClassView(graph, query.classes)
+    engine = QueryEngine(view, stats=view.stats, plan_cache=PlanCache())
+    rows = engine.bindings(query.conditions)
+    return CheckResult(holds=not rows, witness=query.witness(rows[0]) if rows else None)
 
 
 def enforce(
@@ -346,71 +357,116 @@ def enforce(
             raise ConstraintViolation(constraint, result.witness)
 
 
-class _Checker:
-    def __init__(self, graph: Graph) -> None:
-        self.graph = graph
-        self._nfa_cache: Dict[int, tuple] = {}
+#: the view's collection of every node, the range of a quantifier (no
+#: class atom can name it: it is not an identifier)
+_NODES = "(nodes)"
+#: the formulas that hold as a conjunction of conditions; ∨, ⇒ and ∀
+#: fail as one
+_CONJUNCTIONS = (ClassAtom, PathAtom, And, Exists)
 
-    def _members(self, name: str) -> List[Oid]:
-        if self.graph.has_collection(name):
-            return self.graph.collection(name)
-        prefix = name + "("
-        return [oid for oid in self.graph.nodes() if oid.name.startswith(prefix)]
 
-    def eval(self, formula: Formula, env: Dict[str, Oid], witness: Dict[str, Oid]) -> bool:
-        if isinstance(formula, ClassAtom):
-            value = env.get(formula.var)
-            if value is None:
-                raise ConstraintError(f"unbound variable {formula.var} in {formula}")
-            return value in self._members(formula.name)
-        if isinstance(formula, PathAtom):
-            return self._path_holds(formula, env)
+class _Counterexamples:
+    """A formula compiled into the where-clause of its counterexamples.
+
+    ``∀X φ`` fails on the rows of ``(nodes)(X), ¬φ``; ``∧`` is a
+    conjunction of conditions and ``¬`` flips the wanted truth value;
+    ``∨`` and ``⇒`` fail as conjunctions and hold through a
+    :class:`NotCond` of that.  Every quantified name is renamed apart,
+    and an unquantified path endpoint becomes a fresh variable local to
+    its atom, so the engine's negation-as-failure scoping gives the
+    formula's.
+    """
+
+    def __init__(self, formula: Formula) -> None:
+        self._fresh = itertools.count()
+        #: (renamed variable, name) of every ∀, outermost first
+        self._foralls: List[Tuple[str, str]] = []
+        #: the renamed variables some atom reads
+        self._read: Set[str] = set()
+        #: the class names the formula's class atoms use
+        self.classes: Set[str] = set()
+        self.conditions = self._compile(formula, {}, False)
+
+    def witness(self, row: Dict[str, object]) -> Dict[str, Oid]:
+        """The ``∀`` variables a counterexample row binds, by name.  Of
+        two with one name, the outer one an atom reads wins, and one no
+        atom reads only stands in for none: the inner ``X`` of
+        ``∀X ∀X φ``, the outer ``X`` of ``∀X (A(X) ⇒ ∀X φ)``."""
+        witness: Dict[str, Oid] = {}
+        read_first = sorted(self._foralls, key=lambda forall: forall[0] not in self._read)
+        for var, name in read_first:
+            if var in row:
+                witness.setdefault(name, row[var])
+        return witness
+
+    def _compile(
+        self, formula: Formula, scope: Dict[str, Var], holds: bool
+    ) -> List[Condition]:
+        """Conditions whose rows extend a binding of ``scope`` exactly
+        when ``formula`` has truth value ``holds`` under it."""
         if isinstance(formula, Not):
-            return not self.eval(formula.inner, env, witness)
-        if isinstance(formula, And):
-            return self.eval(formula.left, env, witness) and self.eval(
-                formula.right, env, witness
-            )
-        if isinstance(formula, Or):
-            return self.eval(formula.left, env, witness) or self.eval(
-                formula.right, env, witness
-            )
-        if isinstance(formula, Implies):
-            return (not self.eval(formula.left, env, witness)) or self.eval(
-                formula.right, env, witness
-            )
-        if isinstance(formula, ForAll):
-            for node in self.graph.nodes():
-                extended = dict(env)
-                extended[formula.var] = node
-                if not self.eval(formula.body, extended, witness):
-                    witness.update(extended)
-                    return False
-            return True
-        if isinstance(formula, Exists):
-            for node in self.graph.nodes():
-                extended = dict(env)
-                extended[formula.var] = node
-                if self.eval(formula.body, extended, witness):
-                    return True
-            return False
-        raise ConstraintError(f"unknown formula: {formula!r}")
+            return self._compile(formula.inner, scope, not holds)
+        if isinstance(formula, _CONJUNCTIONS) is not holds:
+            return [NotCond(tuple(self._compile(formula, scope, not holds)))]
+        if isinstance(formula, (ForAll, Exists)):
+            var = Var(f"{formula.var}#{next(self._fresh)}")
+            if isinstance(formula, ForAll):
+                self._foralls.append((var.name, formula.var))
+            body = self._compile(formula.body, {**scope, formula.var: var}, holds)
+            return [CollectionCond(_NODES, var), *body]
+        if isinstance(formula, (And, Or, Implies)):
+            # ∧ holds, ∨ fails, ⇒ fails: both sides, the left of ⇒ holding
+            left_holds = holds != isinstance(formula, Implies)
+            left = self._compile(formula.left, scope, left_holds)
+            return left + self._compile(formula.right, scope, holds)
+        atom = isinstance(formula, ClassAtom)
+        ends = [formula.var] if atom else [formula.source, formula.target]
+        if not any(end in scope for end in ends):
+            raise ConstraintError(f"{formula} has no quantified variable")
+        self._read.update(scope[end].name for end in ends if end in scope)
+        if atom:
+            self.classes.add(formula.name)
+            return [CollectionCond(formula.name, scope[formula.var])]
+        source, target = (scope.get(end) or Var(f"{end}#{next(self._fresh)}") for end in ends)
+        return [PathCond(source, formula.path, target)]
 
-    def _path_holds(self, atom: PathAtom, env: Dict[str, Oid]) -> bool:
-        source = env.get(atom.source)
-        target = env.get(atom.target)
-        cached = self._nfa_cache.get(id(atom.path))
-        if cached is None:
-            cached = (compile_path(atom.path), compile_path(reverse_expr(atom.path)))
-            self._nfa_cache[id(atom.path)] = cached
-        forward, backward = cached
-        if source is not None and target is not None:
-            return path_exists(self.graph, forward, source, target)
-        if source is not None:
-            return bool(targets_from(self.graph, forward, source))
-        if target is not None:
-            return bool(sources_to(self.graph, backward, target))
-        raise ConstraintError(f"path atom {atom} has no bound endpoint")
+
+class _ClassView:
+    """A read-only view of a site graph in which each class a
+    counterexample query names is a collection.
+
+    A class is the graph's collection of that name when one exists;
+    otherwise it is the nodes whose name starts with ``C(`` -- the
+    instances of Skolem function ``C`` -- in node order.  Names, not the
+    Skolem registry, decide, so a site graph reloaded from DDL keeps its
+    verdicts.  :data:`_NODES` holds every node.  Each class is built once
+    per check; ``stats`` is the graph's statistics snapshot with these
+    sizes as its collection sizes.  Everything else reads through.
+    """
+
+    def __init__(self, graph: Graph, classes: Iterable[str]) -> None:
+        self._graph = graph
+        nodes = list(graph.nodes())
+        self._members: Dict[str, List[Oid]] = {
+            name: nodes if name == _NODES
+            else graph.collection(name) if graph.has_collection(name)
+            else [oid for oid in nodes if oid.name.startswith(name + "(")]
+            for name in (*classes, _NODES)
+        }
+        self._sets = {name: set(members) for name, members in self._members.items()}
+        self.stats = replace(
+            graph_statistics(graph),
+            collection_cardinality={n: len(m) for n, m in self._members.items()},
+        )
+
+    def collection(self, name: str) -> List[Oid]:
+        return self._members[name]
+
+    def in_collection(self, name: str, oid: Oid) -> bool:
+        return oid in self._sets[name]
+
+    def __getattr__(self, name: str):
+        return getattr(self._graph, name)
 
 
 # ---------------------------------------------------------------------- #

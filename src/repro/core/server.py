@@ -26,7 +26,9 @@ node the delta changed or whose expansion the dynamic site dropped.
 No sockets are involved: ``server.get("/")`` returns HTML text.  The
 test suite asserts that every page the server produces is byte-identical
 to the statically generated page for the same object, which is the
-correctness contract for dynamic evaluation.
+correctness contract for dynamic evaluation (links aside when two page
+names sanitize alike and are reached in another order than the static
+generator's; see :class:`PageServer`).
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from ..struql.ast import Program, Query
 from ..struql.footprint import DependencyIndex, RecordingView
 from ..template import Renderer, Template, TemplateSet
 from ..template.eval import PageRegistry
+from ..template.generator import page_filename
 from .incremental import DynamicSite, LazySiteGraph, NodeInstance, RefreshResult
 
 
@@ -73,9 +76,15 @@ class PageResponse:
 class PageServer(PageRegistry):
     """Serves one site definition dynamically, path by path.
 
-    Paths look like the static generator's filenames, rooted at ``/``:
-    the first zero-argument Skolem instance is ``/``; every other page is
-    ``/<sanitized-term>.html``.
+    Paths are unique and named by the static generator's rule, rooted
+    at ``/``: the first zero-argument Skolem instance is ``/``; every
+    other page is ``/`` plus
+    :func:`~repro.template.generator.page_filename` of its term.  A page
+    whose term sanitizes like an earlier one's gets a ``_1``, ``_2``, ...
+    suffix, numbered in the order this server first links the pages.
+    That order follows the requests, so when a client reaches such a
+    pair in another order than the static generator's traversal, the
+    two pages' suffixes are the other way round from the static site's.
     """
 
     def __init__(
@@ -90,6 +99,8 @@ class PageServer(PageRegistry):
         self.templates = templates
         self._paths: Dict[str, Oid] = {}
         self._hrefs: Dict[Oid, str] = {}
+        #: pages named per sanitized stem, for the static site's suffixes
+        self._used_names: Dict[str, int] = {}
         #: known pages whose instance was gone at the last coarse reset:
         #: their terms, so a later reset can register them again
         self._vanished: Dict[Oid, Tuple[str, Tuple[object, ...]]] = {}
@@ -295,10 +306,8 @@ class PageServer(PageRegistry):
             if href.startswith("/")
         ]
 
-    @staticmethod
-    def _path_for(oid: Oid) -> str:
-        stem = re.sub(r"[^A-Za-z0-9_\-]+", "_", oid.name).strip("_") or "page"
-        return f"/{stem}.html"
+    def _path_for(self, oid: Oid) -> str:
+        return "/" + page_filename(oid.name, self._used_names)
 
 
 def _not_found_page(path: str) -> str:

@@ -64,15 +64,7 @@ from .explain import explain
 from .footprint import COARSE, DependencyIndex, Footprint, RecordingView, path_alphabet
 from .optimizer import choose_path_direction, estimate_cost, order_conditions
 from .parser import parse, parse_query, validate_query
-from .paths import (
-    compile_path,
-    path_exists,
-    reverse_expr,
-    sources_to,
-    sources_to_many,
-    targets_from,
-    targets_from_many,
-)
+from .paths import compile_path, sources_to_many, targets_from_many
 from .plancache import PlanCache, clear_plan_cache, global_plan_cache
 
 # imported for its side effect too: registers the SQL-pushdown engine
@@ -145,15 +137,11 @@ __all__ = [
     "star",
     "var",
     "parse_query",
-    "path_exists",
     "query_bindings",
     "register_engine_factory",
     "register_label_predicate",
     "register_object_predicate",
-    "reverse_expr",
-    "sources_to",
     "sources_to_many",
-    "targets_from",
     "targets_from_many",
     "validate_query",
 ]

@@ -868,6 +868,12 @@ class QueryEngine:
         siblings: Sequence[Condition],
         frame: _Frame,
     ) -> List[Row]:
+        """Anti-join: the rows whose projection onto the negation's
+        variables has no match.  Every distinct projection seeds ONE
+        evaluation of the inner conditions (one per pattern of bound
+        variables), so their path searches batch like any other
+        frontier's; the block operators map each seed row to its own
+        matches, so a seed survives exactly when it alone would."""
         needed = shared_not_variables(condition, siblings)
         slots = frame.slots
         # the inner conditions only mention the negation's own variables,
@@ -875,10 +881,9 @@ class QueryEngine:
         negation_vars = condition.variables()
         proj = [name for name in frame.names if name in negation_vars]
         proj_slots = [slots[name] for name in proj]
-        inner = list(condition.inner)
         metrics = self.metrics
-        verdicts: Dict[Tuple[object, ...], object] = {}
-        out: List[Row] = []
+        keys: List[Tuple[object, ...]] = []
+        seeds: Dict[Tuple[bool, ...], Dict[Tuple[object, ...], None]] = {}
         for row in rows:
             missing = [name for name in needed if frame.get(row, name) is None]
             if missing:
@@ -886,21 +891,27 @@ class QueryEngine:
                     f"negation {condition} checked before {missing} were bound"
                 )
             key = tuple(row[i] for i in proj_slots)
-            verdict = verdicts.get(key, _UNSET)
-            if verdict is _UNSET:
-                seed = {
-                    name: row[i]
-                    for name, i in zip(proj, proj_slots)
-                    if row[i] is not _UNSET
-                }
-                verdict = not self.bindings(inner, initial=[seed])
-                verdicts[key] = verdict
-                metrics.hash_join_probes += 1
-            else:
+            keys.append(key)
+            group = seeds.setdefault(tuple(v is not _UNSET for v in key), {})
+            if key in group:
                 metrics.dedup_hits += 1
-            if verdict:
-                out.append(row)
-        return out
+            else:
+                group[key] = None
+                metrics.hash_join_probes += 1
+        matched: Set[Tuple[object, ...]] = set()
+        for mask, group in seeds.items():
+            found = self.bindings(
+                list(condition.inner),
+                initial=[
+                    {name: value for name, value in zip(proj, key) if value is not _UNSET}
+                    for key in group
+                ],
+            )
+            for binding in found:
+                matched.add(tuple(
+                    binding[name] if bound else _UNSET for name, bound in zip(proj, mask)
+                ))
+        return [row for row, key in zip(rows, keys) if key not in matched]
 
     def _block_path(
         self, condition: PathCond, rows: List[Row], frame: _Frame

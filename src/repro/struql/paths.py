@@ -14,23 +14,16 @@ visited set, which handles cycles in both the data and the expression
 TextOnly example relies on ("all nodes q reachable from the root p,
 *including p itself*").
 
-Five entry points serve the evaluator's binding orders:
-
-* :func:`targets_from` -- source bound, enumerate targets;
-* :func:`sources_to` -- target bound, enumerate sources (runs the
-  reversed automaton over the reverse adjacency index);
-* :func:`path_exists` -- both bound, early-exit check;
-* :func:`targets_from_many` / :func:`sources_to_many` -- the block
-  evaluator's batched variants: one product-automaton BFS seeded with
-  every distinct frontier endpoint at once, states tagged by origin so
-  per-origin results are *identical* (including discovery order) to the
-  single-source functions, while the ``(state set, label) -> next
-  states`` step computation is shared across all origins.
-
-The backward automaton is no longer re-Thompson-constructed from
-:func:`reverse_expr`: :meth:`NFA.reversed` structurally reverses the
-forward NFA (flip every transition and epsilon, swap start/accept) and
-caches the result on the instance.
+One search serves every binding order of the block evaluator:
+:func:`targets_from_many` walks forward from every distinct bound
+source at once, and :func:`sources_to_many` walks the reversed
+automaton (:meth:`NFA.reversed`: every transition and epsilon flipped,
+start and accept swapped) over the reverse adjacency index from every
+distinct bound target.  Product states are tagged by origin, so each
+origin's results and their discovery order are those of a
+single-source breadth-first search, while the ``(state set, label) ->
+next states`` step computation is shared across all origins.  A
+fully-bound check reads one side's answer.
 """
 
 from __future__ import annotations
@@ -120,9 +113,8 @@ class NFA:
         Every transition and epsilon is flipped and start/accept are
         swapped; the label predicates are shared with the forward NFA.
         The reversal accepts exactly the reversed label sequences, so
-        running it over the reverse adjacency index answers
-        :func:`sources_to` without Thompson-constructing
-        :func:`reverse_expr` a second time.
+        running it over the reverse adjacency index finds the sources
+        of a path without Thompson-constructing a reversed expression.
         """
         if self._reversed is not None:
             return self._reversed
@@ -214,91 +206,16 @@ def compile_path(expr: PathExpr) -> NFA:
     return nfa
 
 
-def reverse_expr(expr: PathExpr) -> PathExpr:
-    """The reversal of a regular path expression (concatenations flipped)."""
-    if isinstance(expr, Concat):
-        return Concat(parts=tuple(reverse_expr(p) for p in reversed(expr.parts)))
-    if isinstance(expr, Alternation):
-        return Alternation(options=tuple(reverse_expr(o) for o in expr.options))
-    if isinstance(expr, Star):
-        return Star(inner=reverse_expr(expr.inner))
-    return expr
-
-
-def targets_from(graph: Graph, nfa: NFA, source: Oid) -> List[Target]:
-    """All objects reachable from ``source`` along a matching path.
-
-    Returns nodes and atoms; includes ``source`` itself when the empty
-    path matches.  Deterministic order (BFS discovery order).
-    """
-    if not graph.has_node(source):
-        return []
-    results: Dict[Target, None] = {}
-    start_states = nfa.initial
-    visited: Set[Tuple[Target, FrozenSet[int]]] = {(source, start_states)}
-    queue: deque = deque([(source, start_states)])
-    if nfa.accepts_in(start_states):
-        results[source] = None
-    deadline = current_deadline()
-    while queue:
-        if deadline is not None:
-            deadline.tick("paths.targets_from")
-        obj, states = queue.popleft()
-        if not isinstance(obj, Oid):
-            continue
-        for label, target in graph.out_edges(obj):
-            next_states = nfa.step(states, label)
-            if not next_states:
-                continue
-            key = (target, next_states)
-            if key in visited:
-                continue
-            visited.add(key)
-            if nfa.accepts_in(next_states) and target not in results:
-                results[target] = None
-            queue.append((target, next_states))
-    return list(results)
-
-
-def sources_to(graph: Graph, reversed_nfa: NFA, target: Target) -> List[Oid]:
-    """All source nodes with a matching path to ``target``.
-
-    ``reversed_nfa`` must be the compilation of :func:`reverse_expr` of
-    the original expression; the search walks the reverse adjacency index.
-    """
-    results: Dict[Oid, None] = {}
-    start_states = reversed_nfa.initial
-    visited: Set[Tuple[Target, FrozenSet[int]]] = {(target, start_states)}
-    queue: deque = deque([(target, start_states)])
-    if reversed_nfa.accepts_in(start_states) and isinstance(target, Oid):
-        results[target] = None
-    deadline = current_deadline()
-    while queue:
-        if deadline is not None:
-            deadline.tick("paths.sources_to")
-        obj, states = queue.popleft()
-        for source, label in graph.in_edges(obj):
-            next_states = reversed_nfa.step(states, label)
-            if not next_states:
-                continue
-            key = (source, next_states)
-            if key in visited:
-                continue
-            visited.add(key)
-            if reversed_nfa.accepts_in(next_states) and source not in results:
-                results[source] = None
-            queue.append((source, next_states))
-    return list(results)
-
-
 def targets_from_many(
     graph: Graph, nfa: NFA, sources: Sequence[Oid]
 ) -> Tuple[Dict[Oid, Tuple[Target, ...]], int]:
-    """Batched :func:`targets_from`: one BFS over the product automaton
-    seeded with every distinct source at once.
+    """Every object reachable from each source along a matching path:
+    one BFS over the product automaton seeded with every distinct
+    source at once.  Results hold nodes and atoms, and a source itself
+    when the empty path matches.
 
     Product states are tagged with their origin, so per-origin results
-    (and their discovery order) are exactly what the single-source
+    (and their discovery order) are exactly what a single-source
     search yields -- but the ``(state set, label) -> next states``
     computation, the dominant per-edge cost, is memoized once for the
     whole batch instead of once per source.  Returns the per-source
@@ -354,8 +271,9 @@ def targets_from_many(
 def sources_to_many(
     graph: Graph, reversed_nfa: NFA, targets: Iterable[Target]
 ) -> Tuple[Dict[Target, Tuple[Oid, ...]], int]:
-    """Batched :func:`sources_to`: one reverse BFS seeded with every
-    distinct target at once, origin-tagged like :func:`targets_from_many`
+    """Every source node with a matching path to each target:
+    ``reversed_nfa`` (:meth:`NFA.reversed`) runs over the reverse
+    adjacency index in one BFS seeded with every distinct target at once, origin-tagged like :func:`targets_from_many`
     and, like it, returning the number of edges examined too."""
     results: Dict[Target, Dict[Oid, None]] = {}
     start_states = reversed_nfa.initial
@@ -398,33 +316,3 @@ def sources_to_many(
                 found[source] = None
             queue.append((origin, source, next_states))
     return {target: tuple(found) for target, found in results.items()}, examined
-
-
-def path_exists(graph: Graph, nfa: NFA, source: Oid, target: Target) -> bool:
-    """Early-exit check: is there a matching path from source to target?"""
-    if not graph.has_node(source):
-        return False
-    start_states = nfa.initial
-    if nfa.accepts_in(start_states) and source == target:
-        return True
-    visited: Set[Tuple[Target, FrozenSet[int]]] = {(source, start_states)}
-    queue: deque = deque([(source, start_states)])
-    deadline = current_deadline()
-    while queue:
-        if deadline is not None:
-            deadline.tick("paths.path_exists")
-        obj, states = queue.popleft()
-        if not isinstance(obj, Oid):
-            continue
-        for label, next_target in graph.out_edges(obj):
-            next_states = nfa.step(states, label)
-            if not next_states:
-                continue
-            if next_target == target and nfa.accepts_in(next_states):
-                return True
-            key = (next_target, next_states)
-            if key in visited:
-                continue
-            visited.add(key)
-            queue.append((next_target, next_states))
-    return False

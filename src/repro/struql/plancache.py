@@ -43,7 +43,7 @@ from threading import Lock
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .ast import Condition, PathExpr
-from .paths import NFA, compile_path, reverse_expr
+from .paths import NFA, compile_path
 
 #: A plan-cache key: (condition identities, bound vars, statistics
 #: fingerprint).

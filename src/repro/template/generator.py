@@ -258,18 +258,24 @@ class HtmlGenerator(PageRegistry):
             filename = "index.html"
             self._index_assigned = True
         else:
-            filename = self._sanitize(oid.name)
+            filename = page_filename(oid.name, self._used_names)
         self._filenames[oid] = filename
         self._queue.append(oid)
         return filename
 
-    def _sanitize(self, name: str) -> str:
-        stem = re.sub(r"[^A-Za-z0-9_\-]+", "_", name).strip("_") or "page"
-        count = self._used_names.get(stem, 0)
-        self._used_names[stem] = count + 1
-        if count:
-            stem = f"{stem}_{count}"
-        return stem + ".html"
+
+def page_filename(name: str, used: Dict[str, int]) -> str:
+    """The file name of the page for the object named ``name``: the name
+    with every run of characters outside ``[A-Za-z0-9_-]`` turned into
+    ``_`` and outer ``_`` stripped; a later page whose name sanitizes
+    alike gets ``_1``, ``_2``, ... (``used`` counts the pages named per
+    stem so far, and this call adds one)."""
+    stem = re.sub(r"[^A-Za-z0-9_\-]+", "_", name).strip("_") or "page"
+    count = used.get(stem, 0)
+    used[stem] = count + 1
+    if count:
+        stem = f"{stem}_{count}"
+    return stem + ".html"
 
 
 def generate_site(

@@ -57,7 +57,9 @@ from repro.struql.ast import (
     SkolemTerm, Var,
 )
 from repro.struql.eval import Metrics
-from repro.struql.paths import compile_path, path_exists, reverse_expr, sources_to, targets_from
+from repro.struql.paths import compile_path
+
+from .reference_constraints import path_exists, reverse_expr, sources_to, targets_from
 
 
 def reference_bindings(graph, ordered_conditions, initial=None, use_indexes=True):

@@ -41,14 +41,13 @@ from repro.struql import (
     explain,
     order_conditions,
     parse_query,
-    reverse_expr,
-    sources_to,
 )
 from repro.struql.ast import Alternation, Concat, LabelIs, Star, any_path
 from repro.struql.eval import _Frame
 from repro.workloads import bibliography_graph
 
 from .reference_eval import reference_bindings
+from .reference_constraints import reverse_expr, sources_to
 from .test_perf_caches import _apply, mutation_scripts
 
 # ---------------------------------------------------------------------- #
@@ -288,6 +287,11 @@ def test_negation_over_partially_bound_frontier(cycle_graph):
     for modes in all_modes():
         rows = assert_matches_reference(graph, query.where, initial, **modes)
         assert rows == [{"x": b}]  # a has an "a"-edge, b does not
+    # y pre-bound in some rows only: one seeded evaluation per pattern
+    initial = [{"x": a, "y": string("leaf")}, {"x": a, "y": string("other")}, {"x": b}]
+    for modes in all_modes():
+        rows = assert_matches_reference(graph, query.where, initial, **modes)
+        assert rows == [{"x": a, "y": string("other")}, {"x": b}]
 
 
 def test_path_over_partially_bound_frontier(cycle_graph):

@@ -15,14 +15,12 @@ from repro.struql import (
     any_path,
     compile_path,
     parse_query,
-    path_exists,
     register_label_predicate,
-    reverse_expr,
-    sources_to,
     sources_to_many,
-    targets_from,
     targets_from_many,
 )
+
+from .reference_constraints import path_exists, reverse_expr, sources_to, targets_from
 
 
 @pytest.fixture

@@ -28,14 +28,11 @@ from repro.struql import (
     Star,
     compile_path,
     parse_query,
-    path_exists,
     query_bindings,
-    reverse_expr,
-    sources_to,
-    targets_from,
 )
 
 from .reference_eval import reference_bindings
+from .reference_constraints import path_exists, reverse_expr, sources_to, targets_from
 
 # ---------------------------------------------------------------------- #
 # strategies

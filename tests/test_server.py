@@ -6,7 +6,7 @@ from repro.core import BrowseSession, LazySiteGraph, NodeInstance, PageServer, D
 from repro.errors import SiteDefinitionError
 from repro.graph import Graph, Oid, integer, string
 from repro.struql import evaluate, parse
-from repro.template import generate_site
+from repro.template import TemplateSet, generate_site
 from repro.workloads import (
     HOMEPAGE_QUERY,
     NEWS_SITE_QUERY,
@@ -233,6 +233,74 @@ class TestPageServer:
         data.add_to_collection("Publications", added)
         assert server.refresh().coarse
         assert server.get("/") == PageServer(program, data, homepage_templates()).get("/")
+
+
+class TestPagePaths:
+    def test_names_that_sanitize_alike_get_distinct_paths(self):
+        """Keys "a b" and "a_b" both sanitize to Page_a_b: the static
+        site suffixes the second file, and the server must serve each
+        page at its own path, as the static site does."""
+        data = Graph()
+        for key in ("a b", "a_b"):
+            item = data.add_node(Oid(f"item-{key}"))
+            data.add_edge(item, "key", string(key))
+            data.add_to_collection("Items", item)
+        templates = TemplateSet()
+        templates.add("root", "<SFMT Page UL>")
+        templates.add("page", "<p>key=<SFMT key></p>")
+        templates.for_object("Root()", "root")
+        templates.for_collection("Pages", "page")
+        program = parse(
+            'where Items(x), x -> "key" -> k '
+            "create Root(), Page(k) "
+            'link Root() -> "Page" -> Page(k), Page(k) -> "key" -> k '
+            "collect Pages(Page(k))"
+        )
+        static = generate_site(evaluate(program, data), templates, ["Root()"])
+        assert sorted(static.pages) == ["Page_a_b.html", "Page_a_b_1.html", "index.html"]
+        server = PageServer(program, data, templates)
+        links = server.links_of("/")
+        assert sorted(links) == ["/Page_a_b.html", "/Page_a_b_1.html"]
+        for link in links:
+            assert server.get(link) == static.pages[link[1:]]
+
+    def test_suffixes_follow_the_order_pages_are_first_linked(self):
+        """Reached through group pages in the reverse of the static
+        site's order, the pair gets its suffixes the other way round;
+        each path still serves its own page."""
+        data = Graph()
+        for key, group in (("a_b", "g1"), ("a b", "g2")):
+            item = data.add_node(Oid(f"item-{key}"))
+            data.add_edge(item, "key", string(key))
+            data.add_edge(item, "group", string(group))
+            data.add_to_collection("Items", item)
+        templates = TemplateSet()
+        templates.add("root", "<SFMT Group UL>")
+        templates.add("group", "<SFMT Page UL>")
+        templates.add("page", "<p>key=<SFMT key></p>")
+        templates.for_object("Root()", "root")
+        templates.for_collection("Groups", "group")
+        templates.for_collection("Pages", "page")
+        program = parse(
+            'where Items(x), x -> "key" -> k, x -> "group" -> g '
+            "create Root(), Group(g), Page(k) "
+            'link Root() -> "Group" -> Group(g), Group(g) -> "Page" -> Page(k), '
+            'Page(k) -> "key" -> k '
+            "collect Groups(Group(g)), Pages(Page(k))"
+        )
+        static = generate_site(evaluate(program, data), templates, ["Root()"])
+        assert static.pages["Page_a_b.html"] == "<p>key=a_b</p>"
+        assert static.pages["Page_a_b_1.html"] == "<p>key=a b</p>"
+        server = PageServer(program, data, templates)
+        assert server.links_of("/") == ["/Group_g1.html", "/Group_g2.html"]
+        served = {}
+        for group in ("/Group_g2.html", "/Group_g1.html"):
+            (link,) = server.links_of(group)
+            served[link] = server.get(link)
+        assert served == {
+            "/Page_a_b.html": "<p>key=a b</p>",
+            "/Page_a_b_1.html": "<p>key=a_b</p>",
+        }
 
 
 class TestGetResponse:
