@@ -278,6 +278,7 @@ def deadline_scenario(output_dir: str, failures: list, backend: str) -> None:
     templates.for_collection("Hits", "hitpage")
 
     budget = 0.4
+    source = graph
     reset_slow_queries()
     sql_directory = tempfile.TemporaryDirectory()
     try:
@@ -285,7 +286,7 @@ def deadline_scenario(output_dir: str, failures: list, backend: str) -> None:
             from repro.repository import SqlRepository
 
             repository = SqlRepository(sql_directory.name)
-            repository.store("adv", graph)
+            repository.store("adv", source)
             graph = repository.fetch("adv")
         core = ServeCore(ADVERSARIAL_QUERY, graph, templates, dynamic=True)
         server = SiteServer(core, workers=2, deadline_budget=budget).start()
@@ -297,7 +298,11 @@ def deadline_scenario(output_dir: str, failures: list, backend: str) -> None:
             if status != 200:
                 failures.append("deadline: homepage failed during warm-up")
             server.httpd.deadline_budget = budget
-            graph.add_node(hint="epoch-bump")
+            source.add_node(hint="epoch-bump")
+            if backend == "sqlite":
+                # a stored graph is read-only: the edited source becomes
+                # its next generation, served by the same object
+                repository.store("adv", source)
 
             healthy = []
 

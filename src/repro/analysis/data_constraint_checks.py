@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Set, Tuple
 
-from ..constraints.checker import ConstraintChecker, bump
+from ..constraints.checker import ConstraintChecker
 from ..constraints.model import CheckCounters, ConstraintSet, DataConstraint
 from ..core.schema import SiteSchema
 from ..graph import Graph
@@ -170,7 +170,7 @@ def check_data_constraints(
             and schema is not None
             and required_guaranteed(schema, constraint.collection, constraint.label)
         ):
-            bump(counters, "refuted")
+            counters.refuted += 1
             diagnostics.append(
                 make(
                     "DC005",
@@ -187,7 +187,7 @@ def check_data_constraints(
 
         if checker is not None and in_data:
             if checker.refuted_on_data(constraint):
-                bump(counters, "refuted")
+                counters.refuted += 1
                 diagnostics.append(
                     make(
                         "DC005",
@@ -202,10 +202,10 @@ def check_data_constraints(
                 continue
             violations = []
             for oid in data_graph.collection(constraint.collection):
-                bump(counters, "checked")
+                counters.checked += 1
                 violation = checker.check_subject(constraint, oid)
                 if violation is not None:
-                    bump(counters, "violated")
+                    counters.violated += 1
                     violations.append(violation)
             if violations:
                 first = violations[0]

@@ -22,8 +22,6 @@ from .model import (
     DataConstraint,
     ParseIssue,
     Violation,
-    global_counters,
-    reset_global_counters,
 )
 from .parser import SUBJECT_VAR, parse_constraints
 
@@ -39,8 +37,6 @@ __all__ = [
     "ParseIssue",
     "Violation",
     "apply_constraint_gate",
-    "global_counters",
     "parse_constraints",
-    "reset_global_counters",
     "value_problem",
 ]

@@ -28,18 +28,9 @@ from .model import (
     ConstraintSet,
     DataConstraint,
     Violation,
-    global_counters,
 )
 from .parser import SUBJECT_VAR
 
-
-def bump(counters: CheckCounters, name: str, amount: int = 1) -> None:
-    """Increment one counter on ``counters`` and on the process-wide
-    registry (``repro stats`` reads the latter)."""
-    setattr(counters, name, getattr(counters, name) + amount)
-    registry = global_counters()
-    if registry is not counters:
-        setattr(registry, name, getattr(registry, name) + amount)
 
 _PATTERNS: Dict[str, "re.Pattern"] = {}
 
@@ -222,16 +213,16 @@ class ConstraintChecker:
         ``refuted`` instead of ``checked``.
         """
         counters = self.counters
-        bump(counters, "full_checks")
+        counters.full_checks += 1
         violations: List[Violation] = []
         for constraint in self.set:
             if self.refuted_on_data(constraint):
-                bump(counters, "refuted")
+                counters.refuted += 1
                 continue
             for oid in self.graph.collection(constraint.collection):
-                bump(counters, "checked")
+                counters.checked += 1
                 violation = self.check_subject(constraint, oid)
                 if violation is not None:
-                    bump(counters, "violated")
+                    counters.violated += 1
                     violations.append(violation)
         return violations

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..graph import Graph, Oid
 from ..struql.footprint import COARSE, DependencyIndex, Footprint
-from .checker import ConstraintChecker, bump
+from .checker import ConstraintChecker
 from .model import CheckCounters, ConstraintSet, Violation
 
 #: A verdict key: (constraint index in the set, subject oid).
@@ -95,7 +95,7 @@ class IncrementalChecker:
         self._index = DependencyIndex()
         self._verdicts.clear()
         self._violations.clear()
-        bump(self.counters, "full_checks")
+        self.counters.full_checks += 1
         graph = self.graph
         for cidx, constraint in enumerate(self.set):
             for oid in graph.collection(constraint.collection):
@@ -107,14 +107,14 @@ class IncrementalChecker:
 
     def _check_one(self, cidx: int, constraint, oid: Oid) -> None:
         key = (cidx, oid)
-        bump(self.counters, "checked")
+        self.counters.checked += 1
         footprint = Footprint()
         violation = self.checker.check_subject(constraint, oid, footprint)
         self._verdicts[key] = violation is None
         if violation is None:
             self._violations.pop(key, None)
         else:
-            bump(self.counters, "violated")
+            self.counters.violated += 1
             self._violations[key] = violation
         # membership itself is part of the dependence set: leaving the
         # collection must retire the verdict
@@ -141,7 +141,7 @@ class IncrementalChecker:
             return self.full_check()
         stale = self._index.affected(self.graph, self._epoch)
         if stale is COARSE:
-            bump(self.counters, "coarse_fallbacks")
+            self.counters.coarse_fallbacks += 1
             return self.full_check()
         before = len(self._verdicts)
         touched: Set[Key] = set(stale)
@@ -164,7 +164,7 @@ class IncrementalChecker:
             self._check_one(cidx, constraint, oid)
         self.last_rechecked = rechecked
         self.last_skipped = max(0, before - len(touched))
-        bump(self.counters, "incremental_rechecked", rechecked)
-        bump(self.counters, "incremental_skipped", self.last_skipped)
+        self.counters.incremental_rechecked += rechecked
+        self.counters.incremental_skipped += self.last_skipped
         self._epoch = graph.epoch
         return self.verdicts()

@@ -172,15 +172,6 @@ class CheckCounters:
     full_checks: int = 0
     coarse_fallbacks: int = 0
 
-    def merge(self, other: "CheckCounters") -> None:
-        self.checked += other.checked
-        self.violated += other.violated
-        self.refuted += other.refuted
-        self.incremental_rechecked += other.incremental_rechecked
-        self.incremental_skipped += other.incremental_skipped
-        self.full_checks += other.full_checks
-        self.coarse_fallbacks += other.coarse_fallbacks
-
     def as_dict(self) -> Dict[str, int]:
         return {
             "checked": self.checked,
@@ -200,17 +191,3 @@ class CheckCounters:
             f"incremental-skipped={self.incremental_skipped}"
         )
 
-
-#: Process-wide counters every checker folds into (mirrors the
-#: statistics-refresh and recovery-event registries of earlier PRs).
-_GLOBAL_COUNTERS = CheckCounters()
-
-
-def global_counters() -> CheckCounters:
-    """The process-wide constraint-check counters."""
-    return _GLOBAL_COUNTERS
-
-
-def reset_global_counters() -> None:
-    global _GLOBAL_COUNTERS
-    _GLOBAL_COUNTERS = CheckCounters()

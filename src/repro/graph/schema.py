@@ -62,11 +62,6 @@ class CollectionSchema:
     attributes: Dict[str, AttributeStats]
 
     @property
-    def maximal_schema_width(self) -> int:
-        """Number of columns a NULL-padded relational table would need."""
-        return len(self.attributes)
-
-    @property
     def null_fraction(self) -> float:
         """Fraction of cells that would be NULL in the maximal-schema table.
 

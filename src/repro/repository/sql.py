@@ -5,29 +5,33 @@ RAM -- the scalability ceiling the paper's section 7 names.  This module
 stores the same model in SQLite: an edge-triple schema (``nodes``,
 ``edges``, ``atoms``) with the label / collection / value indexes the
 paper insists on realized as real SQL indexes, WAL journaling, and a
-bulk-load path.  :class:`SqlGraph` exposes the full ``Graph`` read/write
-API over that schema -- including iteration *order*, which STRUQL binding
-relations observe -- and :class:`SqlRepository` exposes the familiar
-``Repository`` surface (store/fetch/delete/statistics).
+bulk-load path.  :class:`SqlGraph` exposes the ``Graph`` read API over
+one stored generation -- including iteration *order*, which STRUQL
+binding relations observe -- and :class:`SqlRepository` exposes the
+familiar ``Repository`` surface (store/fetch/delete/statistics).
+
+A stored generation is read-only.  The ``Graph`` write methods of a
+:class:`SqlGraph` raise :class:`~repro.errors.RepositoryError`; to
+change a graph, edit ``fetch(name).copy()`` and ``store`` it as the
+next generation.  SQLite data changes only in
+:meth:`SqlRepository.store` (one bulk load), ``delete`` and snapshot
+recovery.
 
 Ordering is replicated structurally rather than by sorting in Python:
+:meth:`SqlGraph._bulk_import` numbers every row in the source graph's
+own iteration order, so
 
-* ``nodes.id`` is monotonic and rows are deleted on ``remove_node``, so
-  ``ORDER BY id`` replays dict-insertion order of ``Graph._out``;
-* ``egroups`` rows track the *label groups* of ``_out[source]`` -- one
-  row per live ``(source, label)``, deleted when the last edge of the
-  group goes, so a re-added group takes a fresh ``seq`` exactly like a
-  re-inserted dict key moves to the end;
-* ``labels`` / ``label_values`` / ``collections`` rows mirror the
-  lives-while-nonempty dicts ``_by_label`` / ``_label_values`` /
-  ``_collections``;
-* ``atoms.seq`` is assigned when an atom gains its first incoming edge
-  and cleared at zero references, replaying the ``_in``-key order that
-  ``Graph.atoms()`` iterates.
+* ``ORDER BY id`` on ``nodes`` / ``atoms`` replays ``nodes()`` /
+  ``atoms()``;
+* ``egroups`` rows are the *label groups* of each source, in
+  ``labels_of`` order;
+* ``labels`` / ``label_values`` / ``collections`` / ``members`` rows
+  follow ``labels()``, ``label_atoms`` and the collection orders;
+* ``edges.id`` follows :func:`_edge_order`, which keeps every label
+  extent and every target's in-edges in the source's order.
 
-The delta log is journaled into a SQLite table (``journal``), so edits
-are durable for free; :meth:`SqlGraph.delta_since` honours the same
-bounded-history ``None`` contract as :class:`~repro.graph.DeltaLog`.
+Each ``store`` starts a new epoch, and a generation never changes after
+its load, so :meth:`SqlGraph.delta_since` answers from the epoch alone.
 
 ``atom_probes`` materializes :func:`~repro.graph.values.coercion_probes`
 for every stored atom so the compiled-SQL evaluator can resolve coercing
@@ -41,7 +45,6 @@ import os
 import sqlite3
 import sys
 import threading
-from collections import Counter
 from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
@@ -54,26 +57,8 @@ from ..errors import (
 from ..resilience.chaos import maybe_fail
 from ..resilience.deadline import current_deadline
 from ..resilience.report import record_recovery_event
-from ..graph import (
-    Atom,
-    AtomType,
-    Graph,
-    Oid,
-    OidAllocator,
-    SkolemRegistry,
-    coercion_probes,
-    from_python,
-)
-from ..graph.delta import (
-    COLLECTION_CREATE,
-    EDGE_ADD,
-    EDGE_REMOVE,
-    MEMBER_ADD,
-    MEMBER_REMOVE,
-    NODE_ADD,
-    NODE_REMOVE,
-    GraphDelta,
-)
+from ..graph import Atom, AtomType, Graph, Oid, SkolemRegistry, coercion_probes
+from ..graph.delta import GraphDelta
 from ..graph.graph import cache_tokens
 from .indexes import RepositoryCatalog
 from .store import Repository, delete_generations, generation_path, write_generation
@@ -83,12 +68,6 @@ Target = Union[Oid, Atom]
 #: Default database filename inside a repository directory.
 REPOSITORY_FILENAME = "repository.sqlite"
 
-#: Journal ring bound, mirroring DeltaLog(maxlen=4096).
-JOURNAL_MAXLEN = 4096
-
-#: How many epochs between journal-prune checks (the prune itself is
-#: exact; only the check is amortized).
-_PRUNE_INTERVAL = 256
 
 #: Cap on the name->id lookup caches before they are dropped wholesale.
 _CACHE_CAP = 65536
@@ -100,8 +79,7 @@ CREATE TABLE IF NOT EXISTS graphs(
     epoch INTEGER NOT NULL DEFAULT 0,
     node_count INTEGER NOT NULL DEFAULT 0,
     edge_count INTEGER NOT NULL DEFAULT 0,
-    atoms_live INTEGER NOT NULL DEFAULT 0,
-    journal_floor INTEGER NOT NULL DEFAULT 0
+    atoms_live INTEGER NOT NULL DEFAULT 0
 );
 CREATE TABLE IF NOT EXISTS nodes(
     id INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -116,13 +94,10 @@ CREATE TABLE IF NOT EXISTS atoms(
     val TEXT NOT NULL,
     str TEXT NOT NULL,
     num NUMERIC,
-    refs INTEGER NOT NULL DEFAULT 0,
-    seq INTEGER,
     UNIQUE(graph, typ, val)
 );
 CREATE INDEX IF NOT EXISTS idx_atoms_num ON atoms(graph, num);
 CREATE INDEX IF NOT EXISTS idx_atoms_str ON atoms(graph, str);
-CREATE INDEX IF NOT EXISTS idx_atoms_seq ON atoms(graph, seq);
 CREATE TABLE IF NOT EXISTS edges(
     id INTEGER PRIMARY KEY AUTOINCREMENT,
     graph INTEGER NOT NULL,
@@ -181,20 +156,12 @@ CREATE TABLE IF NOT EXISTS atom_probes(
     PRIMARY KEY(graph, atom, rank)
 );
 CREATE INDEX IF NOT EXISTS idx_probes_probe ON atom_probes(graph, probe);
-CREATE TABLE IF NOT EXISTS journal(
-    id INTEGER PRIMARY KEY AUTOINCREMENT,
-    graph INTEGER NOT NULL,
-    epoch INTEGER NOT NULL,
-    kind INTEGER NOT NULL,
-    a TEXT, b TEXT, c TEXT
-);
-CREATE INDEX IF NOT EXISTS idx_journal ON journal(graph, epoch);
 """
 
 #: Tables carrying per-graph rows, in truncation order.
 _GRAPH_TABLES = (
     "nodes", "atoms", "edges", "egroups", "labels",
-    "label_values", "collections", "members", "atom_probes", "journal",
+    "label_values", "collections", "members", "atom_probes",
 )
 
 
@@ -233,29 +200,6 @@ def atom_num(atom: Atom) -> Optional[float]:
         return None
 
 
-def _encode(value: object) -> Optional[str]:
-    """Journal-column encoding of an Oid / Atom / label string."""
-    if value is None:
-        return None
-    if isinstance(value, Oid):
-        return "o" + value.name
-    if isinstance(value, Atom):
-        return "a" + value.type.value + "\x1f" + atom_val(value)
-    return "s" + str(value)
-
-
-def _decode(text: Optional[str]) -> object:
-    if text is None:
-        return None
-    tag, rest = text[0], text[1:]
-    if tag == "o":
-        return Oid(rest)
-    if tag == "a":
-        typ, val = rest.split("\x1f", 1)
-        return decode_atom(typ, val)
-    return rest
-
-
 # ------------------------------------------------------------------ #
 # connection wrapper
 
@@ -271,8 +215,7 @@ class SqlStore:
 
     All statements run under an RLock so the serving tier's worker
     threads can read one store concurrently; :meth:`batch` groups the
-    multi-statement graph mutations into a single transaction (nested
-    batches join the outermost one).
+    statements of a ``store`` or ``delete`` into a single transaction.
 
     Long statements are cancellable two ways: :meth:`query_named` (the
     pushdown path -- the only place a single statement can run
@@ -292,7 +235,6 @@ class SqlStore:
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute("PRAGMA temp_store=MEMORY")
-        self._depth = 0
         #: statements aborted via interrupt()/progress handler
         self.interrupts = 0
         with self._lock:
@@ -377,33 +319,22 @@ class SqlStore:
 
     @contextmanager
     def batch(self) -> Iterator[None]:
-        """Group statements into one transaction; reentrant."""
+        """Run the block's statements as one transaction."""
         with self._lock:
-            if self._depth == 0:
-                self._conn.execute("BEGIN IMMEDIATE")
-            self._depth += 1
+            self._conn.execute("BEGIN IMMEDIATE")
             try:
                 yield
+                # fault sites for the chaos harness: a crash before
+                # COMMIT must leave the previous generation intact (so
+                # the transaction is rolled back, not leaked); a crash
+                # after (the "fsync window") leaves the new generation
+                # fully committed
+                maybe_fail("sql.commit")
             except BaseException:
-                self._depth -= 1
-                if self._depth == 0:
-                    self._conn.execute("ROLLBACK")
+                self._conn.execute("ROLLBACK")
                 raise
-            else:
-                self._depth -= 1
-                if self._depth == 0:
-                    # fault sites for the chaos harness: a crash before
-                    # COMMIT must leave the previous generation intact
-                    # (so the transaction is rolled back, not leaked);
-                    # a crash after (the "fsync window") leaves the new
-                    # generation fully committed
-                    try:
-                        maybe_fail("sql.commit")
-                    except BaseException:
-                        self._conn.execute("ROLLBACK")
-                        raise
-                    self._conn.execute("COMMIT")
-                    maybe_fail("sql.fsync")
+            self._conn.execute("COMMIT")
+            maybe_fail("sql.fsync")
 
     def file_size(self) -> int:
         """Bytes on disk (main database + WAL), 0 for :memory:."""
@@ -432,20 +363,33 @@ class SqlStore:
 # the graph adapter
 
 
+def _read_only(name: str):
+    """A ``Graph`` write method that a stored generation refuses."""
+
+    def refuse(self, *args: object, **kwargs: object) -> None:
+        raise RepositoryError(
+            f"{name}: graph {self.name!r} is a stored generation and is"
+            " read-only; edit its copy() and store that as the next generation"
+        )
+
+    refuse.__name__ = refuse.__qualname__ = name
+    return refuse
+
+
 class SqlGraph:
-    """The full :class:`~repro.graph.Graph` API over the SQLite schema.
+    """The :class:`~repro.graph.Graph` read API over one stored generation.
 
-    Semantics -- including iteration order, duplicate-edge no-ops, error
-    types, and epoch/delta bookkeeping -- mirror the in-memory graph
-    method by method; the hypothesis suite in ``tests/test_sql_backend``
-    replays identical mutation scripts against both and compares binding
-    relations row-for-row.
+    Semantics -- including iteration order and error types -- mirror the
+    in-memory graph method by method; the hypothesis suite in
+    ``tests/test_sql_backend`` stores generated graphs and compares every
+    order and binding relation row-for-row.  The nine ``Graph`` write
+    methods raise :class:`~repro.errors.RepositoryError` and change
+    nothing: :meth:`SqlRepository.store` replaces a generation whole,
+    reusing this object and starting a new epoch.
 
-    One writer per graph at a time is assumed (as with the in-memory
-    graph); reads are thread-safe through the store lock.  The oid
-    allocator and Skolem registry are session-local, like a graph loaded
-    from DDL: the allocator is re-seeded from the highest stored
-    anonymous oid on open.
+    Reads are thread-safe through the store lock.  The Skolem registry
+    is session-local, like a graph loaded from DDL; ``store`` fills it
+    from the stored graph's terms.
     """
 
     backend = "sqlite"
@@ -457,21 +401,16 @@ class SqlGraph:
         self.token = next(cache_tokens)
         #: epoch-stamped IndexStatistics snapshot, owned by repository.indexes
         self._stats_cache: Optional[object] = None
-        self.allocator = OidAllocator()
         self.skolems = SkolemRegistry()
-        # id->object caches never go stale (AUTOINCREMENT ids are not
-        # reused); name->id caches are invalidated by the mutators.
+        # id->object caches never go stale within a generation; every
+        # cache is cleared when ``store`` loads the next one
         self._oid_of_id: Dict[int, Oid] = {}
         self._atom_of_id: Dict[int, Atom] = {}
         self._id_of_name: Dict[str, int] = {}
         self._id_of_atom: Dict[Tuple[str, str], int] = {}
-        self.allocator.reserve_past(self._max_anonymous())
 
     # -------------------------------------------------------------- #
     # store plumbing
-
-    def _ex(self, sql: str, params: Iterable[object] = ()) -> sqlite3.Cursor:
-        return self._store.execute(sql, params)
 
     def _q(self, sql: str, params: Iterable[object] = ()) -> List[Tuple]:
         return self._store.query(sql, params)
@@ -597,50 +536,6 @@ class SqlGraph:
                 out[atom_id] = self._atom(atom_id, typ, val)
         return out
 
-    def _bump(self) -> int:
-        self._ex(
-            "UPDATE graphs SET epoch=epoch+1 WHERE id=?", (self._graph_id,)
-        )
-        return self._state("epoch")
-
-    def _journal(
-        self,
-        epoch: int,
-        kind: int,
-        a: object = None,
-        b: object = None,
-        c: object = None,
-    ) -> None:
-        self._ex(
-            "INSERT INTO journal(graph,epoch,kind,a,b,c) VALUES(?,?,?,?,?,?)",
-            (self._graph_id, epoch, kind, _encode(a), _encode(b), _encode(c)),
-        )
-        if epoch % _PRUNE_INTERVAL == 0:
-            self._prune_journal()
-
-    def _prune_journal(self) -> None:
-        total = int(
-            self._s(
-                "SELECT COUNT(*) FROM journal WHERE graph=?", (self._graph_id,)
-            )
-            or 0
-        )
-        if total <= JOURNAL_MAXLEN:
-            return
-        rows = self._q(
-            "SELECT id, epoch FROM journal WHERE graph=? ORDER BY id LIMIT ?",
-            (self._graph_id, total - JOURNAL_MAXLEN),
-        )
-        last_id, floor_epoch = rows[-1]
-        self._ex(
-            "DELETE FROM journal WHERE graph=? AND id<=?",
-            (self._graph_id, last_id),
-        )
-        self._ex(
-            "UPDATE graphs SET journal_floor=MAX(journal_floor, ?) WHERE id=?",
-            (floor_epoch, self._graph_id),
-        )
-
     # -------------------------------------------------------------- #
     # epochs and deltas
 
@@ -649,67 +544,29 @@ class SqlGraph:
         return self._state("epoch")
 
     def delta_since(self, epoch: int) -> Optional[GraphDelta]:
-        """Everything that changed after ``epoch``, or ``None`` when the
-        journal ring no longer reaches back that far."""
-        row = self._q(
-            "SELECT journal_floor, epoch FROM graphs WHERE id=?",
-            (self._graph_id,),
-        )
-        floor, current = row[0]
-        if epoch < floor:
+        """An empty delta at the current epoch, ``None`` before it: a
+        generation swap (``store``) is the only change a stored graph
+        has, and its consumers must invalidate coarsely."""
+        current = self.epoch
+        if epoch < current:
             return None
-        delta = GraphDelta(epoch, current)
-        records = self._q(
-            "SELECT epoch, kind, a, b, c FROM journal"
-            " WHERE graph=? AND epoch>? ORDER BY id",
-            (self._graph_id, epoch),
-        )
-        for _, kind, a, b, c in records:
-            if kind == EDGE_ADD:
-                delta.edges_added.append((_decode(a), _decode(b), _decode(c)))
-            elif kind == EDGE_REMOVE:
-                delta.edges_removed.append((_decode(a), _decode(b), _decode(c)))
-            elif kind == NODE_ADD:
-                delta.nodes_added.append(_decode(a))
-            elif kind == NODE_REMOVE:
-                delta.nodes_removed.append(_decode(a))
-            elif kind == MEMBER_ADD:
-                delta.members_added.append((_decode(a), _decode(b)))
-            elif kind == MEMBER_REMOVE:
-                delta.members_removed.append((_decode(a), _decode(b)))
-            elif kind == COLLECTION_CREATE:
-                delta.collections_created.append(_decode(a))
-        return delta
+        return GraphDelta(epoch, current)
+
+    # -------------------------------------------------------------- #
+    # writes: a stored generation is read-only
+
+    add_node = _read_only("add_node")
+    skolem = _read_only("skolem")
+    add_edge = _read_only("add_edge")
+    remove_edge = _read_only("remove_edge")
+    remove_node = _read_only("remove_node")
+    create_collection = _read_only("create_collection")
+    add_to_collection = _read_only("add_to_collection")
+    remove_from_collection = _read_only("remove_from_collection")
+    merge = _read_only("merge")
 
     # -------------------------------------------------------------- #
     # nodes
-
-    def add_node(self, oid: Optional[Oid] = None, hint: str = "") -> Oid:
-        if oid is None:
-            oid = self.allocator.fresh(hint)
-        with self._store.batch():
-            if self._node_id(oid) is None:
-                cursor = self._ex(
-                    "INSERT INTO nodes(graph,name) VALUES(?,?)",
-                    (self._graph_id, oid.name),
-                )
-                node_id = int(cursor.lastrowid)
-                self._id_of_name[oid.name] = node_id
-                self._oid_of_id[node_id] = oid
-                self._ex(
-                    "UPDATE graphs SET node_count=node_count+1 WHERE id=?",
-                    (self._graph_id,),
-                )
-                epoch = self._bump()
-                self._journal(epoch, NODE_ADD, oid)
-        return oid
-
-    def skolem(self, function: str, *args: object) -> Oid:
-        wrapped = tuple(
-            a if isinstance(a, Oid) else from_python(a) for a in args
-        )
-        oid = self.skolems.apply(function, wrapped)
-        return self.add_node(oid)
 
     def has_node(self, oid: Oid) -> bool:
         return self._node_id(oid) is not None
@@ -725,209 +582,8 @@ class SqlGraph:
     def node_count(self) -> int:
         return self._state("node_count")
 
-    def remove_node(self, oid: Oid) -> None:
-        if not self.has_node(oid):
-            raise UnknownObjectError(oid)
-        with self._store.batch():
-            for label, target in list(self.out_edges(oid)):
-                self.remove_edge(oid, label, target)
-            for source, label in list(self.in_edges(oid)):
-                self.remove_edge(source, label, oid)
-            node_id = self._node_id(oid)
-            dropped_from = [
-                name
-                for (name,) in self._q(
-                    "SELECT c.name FROM collections c JOIN members m"
-                    " ON m.graph=c.graph AND m.collection=c.name AND m.node=?"
-                    " WHERE c.graph=? ORDER BY c.seq",
-                    (node_id, self._graph_id),
-                )
-            ]
-            for name in dropped_from:
-                self._ex(
-                    "DELETE FROM members WHERE graph=? AND collection=? AND node=?",
-                    (self._graph_id, name, node_id),
-                )
-                self._ex(
-                    "UPDATE collections SET count=count-1 WHERE graph=? AND name=?",
-                    (self._graph_id, name),
-                )
-            self._ex("DELETE FROM nodes WHERE id=?", (node_id,))
-            self._id_of_name.pop(oid.name, None)
-            self._oid_of_id.pop(node_id, None)
-            self._ex(
-                "UPDATE graphs SET node_count=node_count-1 WHERE id=?",
-                (self._graph_id,),
-            )
-            epoch = self._bump()
-            self._journal(epoch, NODE_REMOVE, oid)
-            for name in dropped_from:
-                self._journal(epoch, MEMBER_REMOVE, name, oid)
-
     # -------------------------------------------------------------- #
     # edges
-
-    def add_edge(self, source: Oid, label: str, target: object) -> Target:
-        with self._store.batch():
-            src_id = self._node_id(source)
-            if src_id is None:
-                raise UnknownObjectError(source)
-            if isinstance(target, Oid):
-                stored: Target = target
-                tgt_id = self._node_id(target)
-                if tgt_id is None:
-                    raise UnknownObjectError(target)
-            elif isinstance(target, Atom):
-                stored = target
-            else:
-                stored = from_python(target)
-            if not isinstance(label, str) or not label:
-                raise GraphError(
-                    f"edge label must be a non-empty string, got {label!r}"
-                )
-            label = sys.intern(label)
-
-            if isinstance(stored, Oid):
-                if self._s(
-                    "SELECT 1 FROM edges WHERE graph=? AND src=? AND label=?"
-                    " AND tgt_node=? LIMIT 1",
-                    (self._graph_id, src_id, label, tgt_id),
-                ):
-                    return stored
-                atom_id: Optional[int] = None
-            else:
-                atom_id = self._atom_id(stored)
-                if atom_id is not None and self._s(
-                    "SELECT 1 FROM edges WHERE graph=? AND src=? AND label=?"
-                    " AND tgt_atom=? LIMIT 1",
-                    (self._graph_id, src_id, label, atom_id),
-                ):
-                    return stored
-                if atom_id is None:
-                    atom_id = self._create_atom(stored)
-
-            self._ex(
-                "INSERT INTO edges(graph,src,label,tgt_node,tgt_atom)"
-                " VALUES(?,?,?,?,?)",
-                (
-                    self._graph_id,
-                    src_id,
-                    label,
-                    tgt_id if isinstance(stored, Oid) else None,
-                    None if isinstance(stored, Oid) else atom_id,
-                ),
-            )
-            self._ex(
-                "INSERT OR IGNORE INTO egroups(graph,src,label) VALUES(?,?,?)",
-                (self._graph_id, src_id, label),
-            )
-            self._ex(
-                "INSERT INTO labels(graph,label,count) VALUES(?,?,1)"
-                " ON CONFLICT(graph,label) DO UPDATE SET count=count+1",
-                (self._graph_id, label),
-            )
-            if not isinstance(stored, Oid):
-                existing = self._s(
-                    "SELECT count FROM label_values"
-                    " WHERE graph=? AND label=? AND atom=?",
-                    (self._graph_id, label, atom_id),
-                )
-                if existing is None:
-                    self._ex(
-                        "INSERT INTO label_values(graph,label,atom,count)"
-                        " VALUES(?,?,?,1)",
-                        (self._graph_id, label, atom_id),
-                    )
-                    self._ex(
-                        "UPDATE labels SET distinct_values=distinct_values+1"
-                        " WHERE graph=? AND label=?",
-                        (self._graph_id, label),
-                    )
-                else:
-                    self._ex(
-                        "UPDATE label_values SET count=count+1"
-                        " WHERE graph=? AND label=? AND atom=?",
-                        (self._graph_id, label, atom_id),
-                    )
-                refs = int(
-                    self._s("SELECT refs FROM atoms WHERE id=?", (atom_id,)) or 0
-                )
-                if refs == 0:
-                    self._ex(
-                        "UPDATE atoms SET refs=1, seq="
-                        "(SELECT COALESCE(MAX(seq),0)+1 FROM atoms WHERE graph=?)"
-                        " WHERE id=?",
-                        (self._graph_id, atom_id),
-                    )
-                    self._ex(
-                        "UPDATE graphs SET atoms_live=atoms_live+1 WHERE id=?",
-                        (self._graph_id,),
-                    )
-                else:
-                    self._ex(
-                        "UPDATE atoms SET refs=refs+1 WHERE id=?", (atom_id,)
-                    )
-            self._ex(
-                "UPDATE graphs SET edge_count=edge_count+1 WHERE id=?",
-                (self._graph_id,),
-            )
-            epoch = self._bump()
-            self._journal(epoch, EDGE_ADD, source, label, stored)
-            return stored
-
-    def _create_atom(self, atom: Atom) -> int:
-        key = (atom.type.value, atom_val(atom))
-        cursor = self._ex(
-            "INSERT INTO atoms(graph,typ,val,str,num,refs,seq)"
-            " VALUES(?,?,?,?,?,0,NULL)",
-            (self._graph_id, key[0], key[1], atom.as_string(), atom_num(atom)),
-        )
-        atom_id = int(cursor.lastrowid)
-        self._id_of_atom[key] = atom_id
-        self._atom_of_id[atom_id] = atom
-        self._install_probes(atom, atom_id)
-        return atom_id
-
-    def _install_probes(self, atom: Atom, atom_id: int) -> None:
-        """Keep ``atom_probes`` closed under the coercion-probe relation.
-
-        Forward: record which of the new atom's probe spellings already
-        exist.  Reverse: existing atoms whose probe list contains the new
-        spelling gain a row too.  Candidates for the reverse pass come
-        from the (num, str) indexes -- a strict superset of the real probe
-        relation -- and are verified in Python against the shared
-        :func:`coercion_probes` definition.
-        """
-        for rank, probe in enumerate(coercion_probes(atom)):
-            probe_id = atom_id if probe == atom else self._atom_id(probe)
-            if probe_id is not None:
-                self._ex(
-                    "INSERT OR IGNORE INTO atom_probes(graph,atom,probe,rank)"
-                    " VALUES(?,?,?,?)",
-                    (self._graph_id, atom_id, probe_id, rank),
-                )
-        number, text = atom_num(atom), atom.as_string()
-        if number is not None:
-            candidates = self._q(
-                "SELECT id, typ, val FROM atoms WHERE graph=? AND id!=?"
-                " AND (num=? OR str=?)",
-                (self._graph_id, atom_id, number, text),
-            )
-        else:
-            candidates = self._q(
-                "SELECT id, typ, val FROM atoms WHERE graph=? AND id!=? AND str=?",
-                (self._graph_id, atom_id, text),
-            )
-        for cand_id, cand_typ, cand_val in candidates:
-            candidate = decode_atom(cand_typ, cand_val)
-            for rank, probe in enumerate(coercion_probes(candidate)):
-                if probe == atom:
-                    self._ex(
-                        "INSERT OR IGNORE INTO atom_probes(graph,atom,probe,rank)"
-                        " VALUES(?,?,?,?)",
-                        (self._graph_id, cand_id, atom_id, rank),
-                    )
-                    break
 
     def _find_edge(
         self, source: Oid, label: str, target: object
@@ -956,90 +612,6 @@ class SqlGraph:
             )
             return (int(found), atom_id) if found is not None else None
         return None
-
-    def remove_edge(self, source: Oid, label: str, target: Target) -> None:
-        with self._store.batch():
-            located = self._find_edge(source, label, target)
-            if located is None:
-                raise GraphError(f"no edge {source} -{label}-> {target!r}")
-            edge_id, atom_id = located
-            src_id = self._node_id(source)
-            self._ex("DELETE FROM edges WHERE id=?", (edge_id,))
-            if (
-                self._s(
-                    "SELECT 1 FROM edges WHERE graph=? AND src=? AND label=?"
-                    " LIMIT 1",
-                    (self._graph_id, src_id, label),
-                )
-                is None
-            ):
-                self._ex(
-                    "DELETE FROM egroups WHERE graph=? AND src=? AND label=?",
-                    (self._graph_id, src_id, label),
-                )
-            label_count = int(
-                self._s(
-                    "SELECT count FROM labels WHERE graph=? AND label=?",
-                    (self._graph_id, label),
-                )
-                or 0
-            )
-            if label_count <= 1:
-                self._ex(
-                    "DELETE FROM labels WHERE graph=? AND label=?",
-                    (self._graph_id, label),
-                )
-            else:
-                self._ex(
-                    "UPDATE labels SET count=count-1 WHERE graph=? AND label=?",
-                    (self._graph_id, label),
-                )
-            if atom_id is not None:
-                value_count = self._s(
-                    "SELECT count FROM label_values"
-                    " WHERE graph=? AND label=? AND atom=?",
-                    (self._graph_id, label, atom_id),
-                )
-                if value_count is not None:
-                    if int(value_count) <= 1:
-                        self._ex(
-                            "DELETE FROM label_values"
-                            " WHERE graph=? AND label=? AND atom=?",
-                            (self._graph_id, label, atom_id),
-                        )
-                        self._ex(
-                            "UPDATE labels SET distinct_values=distinct_values-1"
-                            " WHERE graph=? AND label=?",
-                            (self._graph_id, label),
-                        )
-                    else:
-                        self._ex(
-                            "UPDATE label_values SET count=count-1"
-                            " WHERE graph=? AND label=? AND atom=?",
-                            (self._graph_id, label, atom_id),
-                        )
-                refs = int(
-                    self._s("SELECT refs FROM atoms WHERE id=?", (atom_id,)) or 0
-                )
-                if refs <= 1:
-                    self._ex(
-                        "UPDATE atoms SET refs=0, seq=NULL WHERE id=?",
-                        (atom_id,),
-                    )
-                    self._ex(
-                        "UPDATE graphs SET atoms_live=atoms_live-1 WHERE id=?",
-                        (self._graph_id,),
-                    )
-                else:
-                    self._ex(
-                        "UPDATE atoms SET refs=refs-1 WHERE id=?", (atom_id,)
-                    )
-            self._ex(
-                "UPDATE graphs SET edge_count=edge_count-1 WHERE id=?",
-                (self._graph_id,),
-            )
-            epoch = self._bump()
-            self._journal(epoch, EDGE_REMOVE, source, label, target)
 
     def has_edge(self, source: Oid, label: str, target: Target) -> bool:
         return self._find_edge(source, label, target) is not None
@@ -1209,8 +781,7 @@ class SqlGraph:
 
     def atoms(self) -> Iterator[Atom]:
         for atom_id, typ, val in self._q(
-            "SELECT id, typ, val FROM atoms WHERE graph=? AND seq IS NOT NULL"
-            " ORDER BY seq",
+            "SELECT id, typ, val FROM atoms WHERE graph=? ORDER BY id",
             (self._graph_id,),
         ):
             yield self._atom(atom_id, typ, val)
@@ -1257,72 +828,6 @@ class SqlGraph:
 
     # -------------------------------------------------------------- #
     # collections
-
-    def create_collection(self, name: str) -> None:
-        with self._store.batch():
-            if (
-                self._s(
-                    "SELECT 1 FROM collections WHERE graph=? AND name=?",
-                    (self._graph_id, name),
-                )
-                is None
-            ):
-                self._ex(
-                    "INSERT INTO collections(graph,name,count) VALUES(?,?,0)",
-                    (self._graph_id, name),
-                )
-                epoch = self._bump()
-                self._journal(epoch, COLLECTION_CREATE, name)
-
-    def add_to_collection(self, name: str, oid: Oid) -> None:
-        with self._store.batch():
-            node_id = self._node_id(oid)
-            if node_id is None:
-                raise UnknownObjectError(oid)
-            self.create_collection(name)
-            if (
-                self._s(
-                    "SELECT 1 FROM members WHERE graph=? AND collection=?"
-                    " AND node=?",
-                    (self._graph_id, name, node_id),
-                )
-                is None
-            ):
-                self._ex(
-                    "INSERT INTO members(graph,collection,node) VALUES(?,?,?)",
-                    (self._graph_id, name, node_id),
-                )
-                self._ex(
-                    "UPDATE collections SET count=count+1 WHERE graph=? AND name=?",
-                    (self._graph_id, name),
-                )
-                epoch = self._bump()
-                self._journal(epoch, MEMBER_ADD, name, oid)
-
-    def remove_from_collection(self, name: str, oid: Oid) -> None:
-        with self._store.batch():
-            node_id = self._node_id(oid)
-            present = (
-                None
-                if node_id is None
-                else self._s(
-                    "SELECT 1 FROM members WHERE graph=? AND collection=?"
-                    " AND node=?",
-                    (self._graph_id, name, node_id),
-                )
-            )
-            if present is None:
-                raise GraphError(f"{oid} is not in collection {name!r}")
-            self._ex(
-                "DELETE FROM members WHERE graph=? AND collection=? AND node=?",
-                (self._graph_id, name, node_id),
-            )
-            self._ex(
-                "UPDATE collections SET count=count-1 WHERE graph=? AND name=?",
-                (self._graph_id, name),
-            )
-            epoch = self._bump()
-            self._journal(epoch, MEMBER_REMOVE, name, oid)
 
     def collection(self, name: str) -> List[Oid]:
         return [
@@ -1407,32 +912,6 @@ class SqlGraph:
         clone.allocator.reserve_past(self._max_anonymous())
         return clone
 
-    def merge(self, other, collection_prefix: str = "") -> Dict[Oid, Oid]:
-        with self._store.batch():
-            rename: Dict[Oid, Oid] = {}
-            for oid in other.nodes():
-                if oid.name.startswith("&") and self.has_node(oid):
-                    rename[oid] = self.add_node(hint="m")
-                else:
-                    rename[oid] = self.add_node(oid)
-            for source, label, target in other.edges():
-                new_target: Target = (
-                    rename[target] if isinstance(target, Oid) else target
-                )
-                self.add_edge(rename[source], label, new_target)
-            for coll in other.collection_names():
-                name = collection_prefix + coll
-                self.create_collection(name)
-                for member in other.collection(coll):
-                    self.add_to_collection(name, rename[member])
-            for function, args, _ in other.skolems.terms():
-                mapped = tuple(
-                    rename.get(a, a) if isinstance(a, Oid) else a for a in args
-                )
-                self.skolems.apply(function, mapped)
-            self.allocator.reserve_past(self._max_anonymous())
-            return rename
-
     def stats(self) -> Dict[str, int]:
         return {
             "nodes": self.node_count,
@@ -1474,7 +953,7 @@ class SqlGraph:
         Every order the graph API exposes is taken from ``graph`` itself,
         so the loaded graph iterates exactly like its source: node ids
         follow ``nodes()``, edge groups ``labels_of``, label rows
-        ``labels()``, atom ``seq`` ``atoms()``, label-value rows
+        ``labels()``, atom ids ``atoms()``, label-value rows
         ``label_atoms`` and edge ids :func:`_edge_order`.  Runs inside
         the caller's transaction on a truncated graph.
         """
@@ -1496,20 +975,18 @@ class SqlGraph:
                 _edge_order(graph), next_id("edges")
             )
         ]
-        refs = Counter(row[5] for row in edge_rows if row[5] is not None)
         store.executemany(
             "INSERT INTO nodes(id,graph,name) VALUES(?,?,?)",
             [(node_id, gid, oid.name) for oid, node_id in node_ids.items()],
         )
         store.executemany(
-            "INSERT INTO atoms(id,graph,typ,val,str,num,refs,seq)"
-            " VALUES(?,?,?,?,?,?,?,?)",
+            "INSERT INTO atoms(id,graph,typ,val,str,num) VALUES(?,?,?,?,?,?)",
             [
                 (
                     atom_id, gid, atom.type.value, atom_val(atom),
-                    atom.as_string(), atom_num(atom), refs[atom_id], seq,
+                    atom.as_string(), atom_num(atom),
                 )
-                for seq, (atom, atom_id) in enumerate(atom_ids.items(), 1)
+                for atom, atom_id in atom_ids.items()
             ],
         )
         store.executemany(
@@ -1634,9 +1111,10 @@ class SqlRepository(RepositoryCatalog):
     bulk-loads a graph in one transaction, order-exact to the source.
     ``rebuild`` (shared with the DDL backend) yields an empty in-memory
     graph and stores it on a clean exit; the mediator materializes its
-    warehouse that way.  ``fetch()`` hands out a live :class:`SqlGraph`
-    without materializing anything.  ``directory=None`` keeps the whole
-    store in ``:memory:``, which the tests use.
+    warehouse that way.  ``fetch()`` hands out a live, read-only
+    :class:`SqlGraph` without materializing anything; to edit a graph,
+    ``store`` an edited ``fetch(name).copy()``.  ``directory=None``
+    keeps the whole store in ``:memory:``, which the tests use.
 
     A directory-backed repository snapshots every graph it stores as
     a DDL-store generation next to the database
@@ -1645,9 +1123,9 @@ class SqlRepository(RepositoryCatalog):
     flip) is moved aside and every graph is reloaded from its newest
     intact snapshot generation
     (:func:`~repro.repository.store.read_generation`), surfaced as
-    recovery events.  Journaled edits made *after* the last snapshot
-    live inside the database file, so they are lost with it; the
-    recovery event says so.
+    recovery events.  Every stored generation is snapshotted and
+    nothing changes it afterwards, so recovery loses no edit: each graph
+    comes back as its last snapshot holds it.
     """
 
     backend = "sqlite"
@@ -1705,8 +1183,7 @@ class SqlRepository(RepositoryCatalog):
         record_recovery_event(
             "sql-repository",
             f"integrity check failed ({findings[0]}); database moved to "
-            f"{os.path.basename(corrupt)}, rebuilding from DDL snapshots "
-            "(journaled edits after the last snapshot are lost)",
+            f"{os.path.basename(corrupt)}, rebuilding from DDL snapshots",
         )
         return SqlStore(path), True
 
@@ -1734,23 +1211,21 @@ class SqlRepository(RepositoryCatalog):
         """Store ``graph`` as the next generation of ``name``.
 
         The one SQLite write path.  One transaction truncates the graph's
-        rows, bulk-loads ``graph`` (:meth:`SqlGraph._bulk_import`, every
-        iteration order exactly the source's) and seals the journal; on
-        an exception it rolls back and the previous generation stays
-        current.  The registered :class:`SqlGraph` is reused, so
-        ``fetch(name)`` returns the same object across generations.  A
-        directory-backed repository then writes ``graph`` as the next
-        snapshot generation.  A :class:`SqlGraph` of this store is
-        registered in place instead; its edits are already durable.
+        rows and bulk-loads ``graph`` (:meth:`SqlGraph._bulk_import`,
+        every iteration order exactly the source's); on an exception it
+        rolls back and the previous generation stays current.  The
+        registered :class:`SqlGraph` is reused, so ``fetch(name)``
+        returns the same object across generations.  A directory-backed
+        repository then writes ``graph`` as the next snapshot generation.
         """
         if not name:
             raise RepositoryError("graph name must be non-empty")
-        if isinstance(graph, SqlGraph) and graph._store is self.store_backend:
-            graph.name = name
-            self._graphs[name] = graph
-            return
         store = self.store_backend
         target = self._graphs.get(name)
+        if graph is target:
+            raise RepositoryError(
+                f"graph {name!r} is already stored; store an edited copy()"
+            )
         try:
             with store.batch():
                 graph_id = self._ensure_graph_row(name)
@@ -1768,12 +1243,11 @@ class SqlRepository(RepositoryCatalog):
         target.skolems = SkolemRegistry()
         for function, args, _ in graph.skolems.terms():
             target.skolems.apply(function, args)
-        target.allocator = OidAllocator()
-        target.allocator.reserve_past(target._max_anonymous())
         self._graphs[name] = target
         if self.directory is not None:
             maybe_fail("sql.snapshot")
             write_generation(generation_path(self.directory, name), name, graph)
+
 
     def fetch(self, name: str) -> SqlGraph:
         cached = self._graphs.get(name)
@@ -1847,16 +1321,16 @@ class SqlRepository(RepositoryCatalog):
 
     def _truncate(self, graph_id: int) -> None:
         """Clear a graph's rows and start a new epoch, so cached derived
-        state (plans, statistics, pages) observes the generation swap.
-        The journal starts empty at the new epoch: ``delta_since``
-        answers ``None`` (coarse invalidation) for anything older."""
+        state (plans, statistics, pages) observes the generation swap:
+        ``delta_since`` answers ``None`` (coarse invalidation) for
+        anything older."""
         for table in _GRAPH_TABLES:
             self.store_backend.execute(
                 f"DELETE FROM {table} WHERE graph=?", (graph_id,)
             )
         self.store_backend.execute(
             "UPDATE graphs SET node_count=0, edge_count=0, atoms_live=0,"
-            " epoch=epoch+1, journal_floor=epoch+1 WHERE id=?",
+            " epoch=epoch+1 WHERE id=?",
             (graph_id,),
         )
 

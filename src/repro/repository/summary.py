@@ -50,13 +50,6 @@ class LabelSummary:
             epoch=graph.epoch,
         )
 
-    def labels_for(self, collection: str = "") -> FrozenSet[str]:
-        """Labels to check an edge against: the collection's own label
-        set when the source is collection-bound, else the whole graph's."""
-        if collection and collection in self.collection_labels:
-            return self.collection_labels[collection]
-        return self.labels
-
 
 def label_summary(graph: Graph) -> LabelSummary:
     """The (cached) label summary of a graph.

@@ -121,10 +121,6 @@ class Refresher(threading.Thread):
 
     # ------------------------------------------------------------ #
 
-    def propagation_latencies_ms(self) -> list:
-        with self._stats_lock:
-            return [round(s * 1000.0, 4) for s in self._propagation_s]
-
     def stats(self) -> Dict[str, object]:
         with self._stats_lock:
             latencies = sorted(self._propagation_s)

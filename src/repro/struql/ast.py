@@ -293,12 +293,6 @@ class NotCond(Condition):
             names |= condition.variables()
         return frozenset(names)
 
-    def outer_variables(self) -> FrozenSet[str]:
-        """Variables the negation needs bound from outside: for the common
-        single-condition case, all of them; detection of purely-inner
-        existentials is the evaluator's job."""
-        return self.variables()
-
     def __str__(self) -> str:
         return "not(" + ", ".join(str(c) for c in self.inner) + ")"
 

@@ -21,9 +21,7 @@ from repro.constraints import (
     DataConstraint,
     IncrementalChecker,
     apply_constraint_gate,
-    global_counters,
     parse_constraints,
-    reset_global_counters,
 )
 from repro.core.constraints import parse_constraint
 from repro.core.schema import SiteSchema
@@ -180,15 +178,6 @@ class TestChecker:
         cset = parse_constraints("on Pubs { range year 1900 2100 }")
         violations = ConstraintChecker(g, cset).check_all()
         assert len(violations) == 1 and "not numeric" in violations[0].message
-
-    def test_global_counters_accumulate(self):
-        reset_global_counters()
-        graph, _, _ = pubs_graph()
-        cset = parse_constraints("on Pubs { required title }")
-        ConstraintChecker(graph, cset).check_all()
-        assert global_counters().checked == 2
-        assert global_counters().violated == 1
-        reset_global_counters()
 
 
 # ------------------------------------------------------------------ #

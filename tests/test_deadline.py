@@ -297,11 +297,11 @@ class TestServe504:
         self, backend, tmp_path
     ):
         budget = 0.4
-        graph = _cyclic_graph(300, 6)
+        source = graph = _cyclic_graph(300, 6)
         first = graph.collection("Entries")[0]
         if backend == "sqlite":
             repository = SqlRepository(str(tmp_path))
-            repository.store("adv", graph)
+            repository.store("adv", source)
             graph = repository.fetch("adv")
         core = ServeCore(
             ADVERSARIAL_QUERY, graph, _adversarial_templates(), dynamic=True
@@ -318,8 +318,16 @@ class TestServe504:
             # budgets on this machine (at a fixed size a fast run can
             # finish inside the budget); the edit also bumps the graph
             # epoch, so the render must recompute from scratch -- but "/"
-            # keeps serving from the generation cache
-            _grow_cyclic(graph, first, _over_budget_size(budget))
+            # keeps serving from the generation cache.  A stored graph is
+            # read-only: the grown source becomes its next generation,
+            # served by the same object
+            epoch = graph.epoch
+            _grow_cyclic(source, first, _over_budget_size(budget))
+            if backend == "sqlite":
+                repository.store("adv", source)
+                assert repository.fetch("adv") is graph
+            assert graph.epoch > epoch
+            assert graph.node_count == source.node_count
 
             healthy = []
 
@@ -631,7 +639,8 @@ class TestSqlChaosRecovery:
     def test_bit_flip_corruption_recovers_from_snapshot(self, tmp_path):
         directory = str(tmp_path)
         repository = SqlRepository(directory)
-        repository.store("g", _small_graph())
+        source = _small_graph()
+        repository.store("g", source)
         db_path = repository.store_backend.path
         # close cleanly so the WAL checkpoints -- otherwise SQLite's own
         # WAL replay silently repairs the damage on the next open
@@ -646,6 +655,15 @@ class TestSqlChaosRecovery:
         restored = reopened.fetch("g")
         assert restored.node_count == 2
         assert list(restored.collection("Pool"))
+        # nothing changes a stored graph after its snapshot, so recovery
+        # gives back the last stored generation exactly as its DDL
+        # snapshot holds it (the DDL loader adds ``ref`` edges after the
+        # atom-valued ones, so that is the source up to out-edge order)
+        snapshot = ddl.loads(ddl.dumps(source))
+        assert ddl.dumps(restored.copy()) == ddl.dumps(snapshot)
+        assert sorted(map(repr, restored.edges())) == sorted(
+            map(repr, source.edges())
+        )
         report = ResilienceReport().record_recoveries()
         assert any(
             "sql-repository" in event.get("subject", "")

@@ -23,6 +23,7 @@ from repro.repository import (
 )
 from repro.repository.sql import SqlGraph, SqlStore
 from repro.resilience.deadline import Deadline, deadline_scope
+from repro.serve import Refresher, ServeCore
 from repro.struql import (
     QueryEngine,
     SqlQueryEngine,
@@ -35,7 +36,12 @@ from repro.struql import (
     parse_query,
 )
 from repro.struql.builtins import register_object_predicate
-from repro.workloads import build_mediator
+from repro.workloads import (
+    HOMEPAGE_QUERY,
+    bibliography_graph,
+    build_mediator,
+    homepage_templates,
+)
 from repro.wrappers import DdlWrapper
 
 from .reference_eval import reference_bindings
@@ -433,20 +439,6 @@ def test_roundtrip_and_reopen(tmp_path):
     assert reopened.index_row_counts()["edges"] == mem.edge_count
 
 
-def test_journal_delta(tmp_path):
-    repository = SqlRepository(str(tmp_path))
-    repository.store("c", _corner_graph())
-    sql = repository.fetch("c")
-    before = sql.epoch
-    node = sql.add_node(hint="new")
-    sql.add_edge(node, "tag", string("fresh"))
-    sql.add_to_collection("Pool", node)
-    delta = sql.delta_since(before)
-    assert delta.nodes_added == [node]
-    assert (node, "tag", string("fresh")) in delta.edges_added
-    assert ("Pool", node) in delta.members_added
-
-
 def test_rebuild_rolls_back_on_error(tmp_path):
     repository = SqlRepository(str(tmp_path))
     repository.store("c", _corner_graph())
@@ -472,6 +464,82 @@ def test_open_repository_backend_selection(tmp_path):
     assert isinstance(open_repository(str(tmp_path), "ddl"), Repository)
     with pytest.raises(RepositoryError):
         open_repository(str(tmp_path), "oracle")
+
+
+# --------------------------------------------------------------------- #
+# a stored generation is read-only: copy, edit, store the next one
+
+
+def _writes(graph):
+    """Each ``Graph`` write, with arguments that would change ``graph``."""
+    a, b, _ = graph.collection("Pool")
+    return {
+        "add_node": (Oid("fresh"),),
+        "skolem": ("F", a),
+        "add_edge": (a, "new", string("v")),
+        "remove_edge": (a, "ref", b),
+        "remove_node": (a,),
+        "create_collection": ("Fresh",),
+        "add_to_collection": ("Fresh", a),
+        "remove_from_collection": ("Pool", a),
+        "merge": (_corner_graph(),),
+    }
+
+
+def test_every_write_to_a_stored_generation_raises_and_changes_nothing():
+    repository = SqlRepository()
+    repository.store("c", _corner_graph())
+    sql = repository.fetch("c")
+
+    def state():
+        return sql.epoch, sql.stats(), ddl.dumps(sql.copy())
+
+    before = state()
+    for name, args in _writes(sql).items():
+        with pytest.raises(RepositoryError):
+            getattr(sql, name)(*args)
+        assert state() == before, name
+    with pytest.raises(RepositoryError):
+        repository.store("c", sql)  # would truncate its own source
+    assert state() == before
+
+
+def test_serve_edit_on_a_stored_graph_fails_and_changes_nothing():
+    repository = SqlRepository()
+    repository.store("data", bibliography_graph(6, seed=3))
+    graph = repository.fetch("data")
+    before = ddl.dumps(graph.copy())
+    core = ServeCore(
+        parse(HOMEPAGE_QUERY), graph, homepage_templates(), dynamic=True
+    )
+    refresher = Refresher(core)
+    refresher.start()
+    try:
+        ticket = refresher.submit(lambda data: data.add_node(hint="edit"))
+        assert ticket.wait(30)
+    finally:
+        assert refresher.stop()
+    assert not ticket.applied and ticket.error.startswith("RepositoryError")
+    assert (core.refreshes_applied, core.refreshes_failed) == (0, 1)
+    assert ddl.dumps(graph.copy()) == before
+
+
+def test_copy_edit_store_gives_the_edited_orders():
+    repository = SqlRepository()
+    repository.store("c", _corner_graph())
+    sql = repository.fetch("c")
+    edited = sql.copy()
+    a, b, c = edited.collection("Pool")
+    edited.remove_edge(a, "ref", b)
+    edited.add_edge(c, "tag", string("new"))
+    edited.remove_from_collection("Pool", b)
+    edited.add_to_collection("Pool", edited.add_node(hint="d"))
+    epoch = sql.epoch
+    repository.store("c", edited)
+    assert repository.fetch("c") is sql and sql.epoch > epoch
+    assert sql.delta_since(epoch) is None and sql.delta_since(sql.epoch).empty
+    assert _orders(sql) == _orders(edited)
+    assert _orders(sql) != _orders(_corner_graph())
 
 
 # --------------------------------------------------------------------- #
