@@ -16,8 +16,8 @@ Run:  python examples/living_site.py
 """
 
 from repro import Graph, SiteBuilder, SiteDefinition, TemplateSet
+from repro.analysis import audit, render_text
 from repro.core import PageServer, SiteMaintainer
-from repro.core.audit import audit
 from repro.core.propagation import EditPropagator
 from repro.graph import Oid, string
 
@@ -111,7 +111,7 @@ def main() -> None:
                                   roots=["FrontPage()"]))
     built = builder.build("news")
     print("\naudit of the materialized site:")
-    print(audit(built).summary())
+    print(render_text(audit(built)))
     print(f"\nwrote nothing to disk; served {server.requests} dynamic requests")
 
 

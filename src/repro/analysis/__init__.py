@@ -14,10 +14,12 @@ can be checked *before any site is built* -- as a subsystem::
 Renderers produce terminal text, JSON, and SARIF 2.1.0; the CLI command
 is ``repro analyze``; :meth:`repro.core.site.SiteBuilder.analyze` and
 the ``gate=True`` build flag integrate it into the build pipeline.
+After a build, :func:`audit` checks the built site and reports in the
+same diagnostic model (``AUD001``-``AUD004``).
 """
 
 from .analyzer import Analyzer, analyze, load_templates
-from .audit_bridge import audit_diagnostics
+from .audit_checks import audit
 from .constraint_checks import check_constraints, refute_static
 from .data_constraint_checks import check_data_constraints, required_guaranteed
 from .diagnostics import (
@@ -32,7 +34,7 @@ from .diagnostics import (
 from .query_checks import check_program
 from .renderers import RENDERERS, render_json, render_sarif, render_text
 from .schema_checks import check_schema
-from .template_checks import check_templates, lint_to_diagnostic
+from .template_checks import check_templates
 
 __all__ = [
     "Analyzer",
@@ -45,14 +47,13 @@ __all__ = [
     "Span",
     "Suppressions",
     "analyze",
-    "audit_diagnostics",
+    "audit",
     "check_constraints",
     "check_data_constraints",
     "check_program",
     "check_schema",
     "check_templates",
     "required_guaranteed",
-    "lint_to_diagnostic",
     "load_templates",
     "refute_static",
     "render_json",

@@ -2,23 +2,23 @@
 
 The paper's promise -- "a simple analysis of the query can infer the
 site schema" and integrity properties can be verified *before any site
-is built* (section 2.5) -- was previously scattered across the template
-linter, ``verify_static``, and the post-build auditor, each with its own
-finding shape.  :class:`Analyzer` runs all of it against one site
-specification with **no site materialization**:
+is built* (section 2.5) -- as one call.  :class:`Analyzer` runs every
+static pass against one site specification with **no site
+materialization**:
 
 1. parse the STRUQL query (``SQ000`` on failure) and type-check it
    against the data graph's label summary (``SQ001``-``SQ007``,
    ``SCH002``/``SCH003`` for provably-dead clauses);
 2. infer the site schema and check reachability (``SCH001``,
    ``SCH004``);
-3. lint the templates against the schema (``TPL001``-``TPL004``);
+3. check the templates against the schema (``TPL001``-``TPL004``);
 4. statically verify / refute the integrity constraints
    (``CON001``-``CON005``).
 
 Everything lands in one :class:`~repro.analysis.DiagnosticReport` with
 shared severities, stable codes, source spans, and one suppression
-mechanism.  The CLI front end is ``repro analyze``; the API front end
+mechanism; the post-build :func:`~repro.analysis.audit` reports in the
+same model.  The CLI front end is ``repro analyze``; the API front end
 for registered sites is :meth:`repro.core.site.SiteBuilder.analyze`,
 which also powers the pre-build gate (``build(..., gate=True)``).
 """

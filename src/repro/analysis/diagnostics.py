@@ -1,7 +1,7 @@
 """The shared diagnostic model of the site analyzer.
 
 Every analysis pass -- query type checking, schema reachability, template
-linting, constraint verification, and the post-build audit bridge -- emits
+checks, constraint verification, and the post-build audit -- emits
 :class:`Diagnostic` records with a *stable code* (``SQ001``, ``TPL002``,
 ``SCH003``...), a severity, a human message, and a source :class:`Span`
 taken from the lexers' line/column tokens.  Stable codes make findings
@@ -12,9 +12,9 @@ Code families:
 =======  ==============================================================
 ``SQ``   STRUQL query checks (syntax, labels, arity, variables, joins)
 ``SCH``  site-schema checks (reachability, dead links, dead collects)
-``TPL``  template checks (the re-hosted template linter)
+``TPL``  template checks against the site schema
 ``CON``  integrity-constraint checks (static verification outcomes)
-``AUD``  generation-time audit findings (bridged post-build)
+``AUD``  post-build audit findings on one built site
 =======  ==============================================================
 
 The registry in :data:`RULES` is the single source of truth for the code
@@ -217,7 +217,7 @@ RULES: Dict[str, Rule] = dict(
               Severity.WARNING,
               help="Identical declarations are checked once; remove the "
                    "duplicate to keep counters meaningful."),
-        # --- generation-time audit bridge -------------------------- #
+        # --- post-build audit -------------------------------------- #
         _rule("AUD001", "dangling-link",
               "A generated page links to a page that was never generated.",
               Severity.ERROR),
@@ -264,13 +264,13 @@ class Diagnostic:
 
 
 class Suppressions:
-    """Finding suppression shared by every pass and the audit bridge.
+    """Finding suppression shared by every pass and the post-build audit.
 
     Specs are ``CODE`` (suppress every finding with that code) or
     ``CODE:subject`` (suppress findings about one subject).  The same
     spec strings work on the CLI (``--suppress``), in the
-    :class:`~repro.analysis.analyzer.Analyzer` API, and in the audit
-    bridge -- one mechanism, so a finding silenced statically stays
+    :class:`~repro.analysis.analyzer.Analyzer` API, and in
+    :func:`~repro.analysis.audit` -- one mechanism, so a finding silenced statically stays
     silenced at generation time.
     """
 

@@ -23,8 +23,9 @@ the fallback.
 
 Exit-code contract (usable as a CI gate): 0 = clean, 1 = error-severity
 findings (``analyze``, ``lint``, ``check``, ``build`` with a failing
-audit or ``--analyze`` gate), 2 = the command itself failed (bad input
-file, syntax error raised outside an analyzed artifact).
+``--analyze`` gate) or any post-build audit finding (``build``, warnings
+included), 2 = the command itself failed (bad input file, syntax error
+raised outside an analyzed artifact).
 """
 
 from __future__ import annotations
@@ -34,16 +35,23 @@ import os
 import sys
 from typing import List, Optional
 
-from .analysis import Analyzer, RENDERERS, render_text
+from .analysis import (
+    Analyzer,
+    DiagnosticReport,
+    RENDERERS,
+    audit,
+    check_templates,
+    render_text,
+)
 from .analysis import load_templates as load_templates_checked
-from .core import SiteBuilder, SiteDefinition, SiteSchema, audit, check, verify_static
+from .core import SiteBuilder, SiteDefinition, SiteSchema, check, verify_static
 from .errors import SiteAnalysisError, StrudelError
 from .graph import Graph
 from .graph.dot import to_dot
 from .repository import ddl
 from .struql import parse, query_bindings
 from .struql import explain as explain_plan
-from .template import TemplateSet, lint_templates
+from .template import TemplateSet
 from .wrappers import (
     BibtexWrapper,
     DdlWrapper,
@@ -251,8 +259,10 @@ def _cmd_build(args: argparse.Namespace) -> int:
     built.write(args.output)
     report = audit(built)
     print(f"built {args.name} -> {args.output}", file=sys.stderr)
-    print(report.summary(), file=sys.stderr)
-    return 0 if report.ok else 1
+    print(render_text(report), file=sys.stderr)
+    # any audit finding fails the build, warnings included (``report.ok``
+    # fails on errors only)
+    return 1 if report.diagnostics else 0
 
 
 def _load_constraints(args: argparse.Namespace):
@@ -537,11 +547,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     schema = SiteSchema.from_program(parse(_read(args.query)))
     templates = _load_templates(args.templates)
-    report = lint_templates(templates, schema)
-    for finding in report.findings:
-        print(finding)
-    print(report.summary(), file=sys.stderr)
-    return 0 if report.ok else 1
+    report = DiagnosticReport(check_templates(templates, schema))
+    print(render_text(report))
+    return report.exit_code
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:

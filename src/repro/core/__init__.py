@@ -5,7 +5,6 @@ Site definitions, site schemas, integrity constraints, dynamic
 reports per site.
 """
 
-from .audit import AuditReport, audit
 from .constraints import (
     And,
     CheckResult,
@@ -48,8 +47,6 @@ from .versions import VersionDiff, derive_version, diff_definitions
 
 __all__ = [
     "And",
-    "AuditReport",
-    "audit",
     "BrowseSession",
     "BuiltSite",
     "CheckResult",

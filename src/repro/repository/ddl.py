@@ -137,14 +137,16 @@ def loads(text: str, name: str = "") -> Graph:
     """Parse DDL text into a fresh :class:`~repro.graph.Graph`.
 
     Forward references are allowed: ``ref`` targets and ``member`` lists
-    may mention objects defined later in the file.
+    may mention objects defined later in the file.  Every object is
+    registered, in statement order, before any statement is read, so
+    each edge and membership is added where it is written.
     """
-    stream = _TokenStream(list(_tokenize(text)))
+    tokens = list(_tokenize(text))
+    stream = _TokenStream(tokens)
     graph = Graph(name)
+    for object_name in _object_names(tokens):
+        graph.add_node(Oid(object_name))
     defaults: Dict[str, Dict[str, str]] = {}
-    pending_edges: List[Tuple[Oid, str, str, int]] = []
-    pending_members: List[Tuple[str, str, int]] = []
-    object_collections: Dict[str, List[str]] = {}
 
     while not stream.exhausted:
         kind, word, line = stream.next()
@@ -153,21 +155,30 @@ def loads(text: str, name: str = "") -> Graph:
         if word == "collection":
             _parse_collection(stream, graph, defaults)
         elif word == "object":
-            _parse_object(stream, graph, defaults, object_collections, pending_edges)
+            _parse_object(stream, graph, defaults)
         else:
-            _parse_member(stream, pending_members)
-
-    for source, label, target_name, line in pending_edges:
-        target = Oid(target_name)
-        if not graph.has_node(target):
-            raise DDLSyntaxError(f"ref to undefined object {target_name!r}", line)
-        graph.add_edge(source, label, target)
-    for coll, member_name, line in pending_members:
-        member = Oid(member_name)
-        if not graph.has_node(member):
-            raise DDLSyntaxError(f"member refers to undefined object {member_name!r}", line)
-        graph.add_to_collection(coll, member)
+            _parse_member(stream, graph)
     return graph
+
+
+def _object_names(tokens: List[Token]) -> Iterator[str]:
+    """The names of the ``object`` statements, in order.  In DDL that
+    parses, only an object statement puts a name and ``{`` after the
+    word ``object``."""
+    for keyword, name, brace in zip(tokens, tokens[1:], tokens[2:]):
+        if (
+            keyword[:2] == ("ident", "object")
+            and name[0] in ("ident", "string")
+            and brace[:2] == ("punct", "{")
+        ):
+            yield name[1]
+
+
+def _existing(graph: Graph, name: str, line: int, what: str) -> Oid:
+    oid = Oid(name)
+    if not graph.has_node(oid):
+        raise DDLSyntaxError(f"{what} {name!r}", line)
+    return oid
 
 
 def _parse_name(stream: _TokenStream) -> Tuple[str, int]:
@@ -198,14 +209,10 @@ def _parse_collection(
 
 
 def _parse_object(
-    stream: _TokenStream,
-    graph: Graph,
-    defaults: Dict[str, Dict[str, str]],
-    object_collections: Dict[str, List[str]],
-    pending_edges: List[Tuple[Oid, str, str, int]],
+    stream: _TokenStream, graph: Graph, defaults: Dict[str, Dict[str, str]]
 ) -> None:
     name, _ = _parse_name(stream)
-    oid = graph.add_node(Oid(name))
+    oid = Oid(name)
     stream.expect("punct", "{")
     while not stream.match("punct", "}"):
         label, _ = _parse_name(stream)
@@ -213,9 +220,10 @@ def _parse_object(
         token = stream.next()
         if token[0] == "ident" and token[1] == "ref":
             target_name, target_line = _parse_name(stream)
-            pending_edges.append((oid, label, target_name, target_line))
-            continue
-        graph.add_edge(oid, label, _parse_value(stream, token, graph, defaults, oid, label))
+            target = _existing(graph, target_name, target_line, "ref to undefined object")
+        else:
+            target = _parse_value(stream, token, graph, defaults, oid, label)
+        graph.add_edge(oid, label, target)
 
 
 def _parse_value(
@@ -270,12 +278,13 @@ def _default_type_for(
     return ""
 
 
-def _parse_member(stream: _TokenStream, pending: List[Tuple[str, str, int]]) -> None:
+def _parse_member(stream: _TokenStream, graph: Graph) -> None:
     coll, _ = _parse_name(stream)
     stream.expect("punct", ":")
     while True:
-        member, line = _parse_name(stream)
-        pending.append((coll, member, line))
+        member_name, line = _parse_name(stream)
+        member = _existing(graph, member_name, line, "member refers to undefined object")
+        graph.add_to_collection(coll, member)
         if not stream.match("punct", ","):
             break
 

@@ -7,10 +7,10 @@ Semantics follow paper section 2.2 exactly:
   and label values in the data graph that satisfy all conditions."
   :meth:`QueryEngine.bindings` computes that relation as a list of
   binding dicts (deduplicated -- it is a set).  The conditions run in
-  planner order (or written order with ``optimize=False``), each as one
-  set-at-a-time block operator over the whole frontier.  Rows and
-  their order follow the naive nested-loop reference evaluator in
-  ``tests/reference_eval.py``, which the test suite checks them against.
+  planner order, each as one set-at-a-time block operator over the
+  whole frontier.  Rows and their order follow the naive nested-loop
+  reference evaluator in ``tests/reference_eval.py``, which the test
+  suite checks them against.
 
 * **Construction stage.**  "For each row in the relation, first
   construct all new node oids, as specified in the create clause ...
@@ -357,8 +357,6 @@ class QueryEngine:
     naive nested-loop evaluator in ``tests/reference_eval.py`` run over
     the same condition order, so a warm engine reproduces a cold one.
 
-    ``optimize=False`` keeps the written condition order.
-
     Construction is O(1): statistics come lazily from the shared
     epoch-stamped provider (:func:`~repro.repository.indexes.graph_statistics`)
     unless an explicit ``stats`` snapshot is supplied, and condition
@@ -371,13 +369,11 @@ class QueryEngine:
     def __init__(
         self,
         graph: Graph,
-        optimize: bool = True,
         stats: Optional[IndexStatistics] = None,
         metrics: Optional[Metrics] = None,
         plan_cache: Optional[PlanCache] = None,
     ) -> None:
         self.graph = graph
-        self.optimize = optimize
         self._explicit_stats = stats
         self._seen_stats: Optional[IndexStatistics] = None
         self.metrics = metrics if metrics is not None else Metrics()
@@ -439,10 +435,7 @@ class QueryEngine:
             if initial_rows
             else frozenset()
         )
-        if self.optimize:
-            ordered = self._plan(conditions, bound)
-        else:
-            ordered = list(conditions)
+        ordered = self._plan(conditions, bound)
         rows = self._run_blocks(ordered, rows, conditions, frame)
         self.metrics.bindings_produced += len(rows)
         # every slot of a surviving row is bound unless a seed row left
@@ -1411,7 +1404,6 @@ def evaluate(
     program: Union[Program, Query, str],
     source: Graph,
     into: Optional[Graph] = None,
-    optimize: bool = True,
     metrics: Optional[Metrics] = None,
     engine: Optional[QueryEngine] = None,
 ) -> Graph:
@@ -1434,11 +1426,7 @@ def evaluate(
     result = into if into is not None else Graph()
     shared_metrics = metrics or Metrics()
     if engine is None:
-        engine = make_engine(
-            source,
-            optimize=optimize,
-            metrics=shared_metrics,
-        )
+        engine = make_engine(source, metrics=shared_metrics)
     else:
         engine.metrics = shared_metrics
     for query in program.queries:
@@ -1450,7 +1438,6 @@ def evaluate(
 def query_bindings(
     text: Union[str, Sequence[Condition]],
     graph: Graph,
-    optimize: bool = True,
 ) -> List[Binding]:
     """Evaluate just a where-clause and return its binding relation.
 
@@ -1463,5 +1450,4 @@ def query_bindings(
         conditions: Sequence[Condition] = program.queries[0].where
     else:
         conditions = text
-    engine = make_engine(graph, optimize=optimize)
-    return engine.bindings(conditions)
+    return make_engine(graph).bindings(conditions)

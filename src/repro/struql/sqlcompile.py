@@ -13,8 +13,8 @@ generating paths, label predicates, custom predicates).
 
 The compiled query must reproduce the in-memory engine's binding
 relation *exactly* -- rows and row order -- because warm and cold
-engines, written-order (``optimize=False``) evaluation, and the
-incremental regenerator all promise byte-identical output.  Three mechanisms deliver that:
+engines and the incremental regenerator all promise byte-identical
+output.  Three mechanisms deliver that:
 
 * **Order parity.**  Every generating step appends the ORDER BY keys
   that replicate the in-memory iteration order at that step: `m.id` for
@@ -1005,8 +1005,6 @@ class SqlQueryEngine(QueryEngine):
     def _fallback_reason(self, ordered: Sequence[Condition]) -> Optional[str]:
         if not isinstance(self.graph, SqlGraph):
             return "graph is not SQL-backed"
-        if not self.optimize:
-            return "ablation mode"
         if self.footprint is not None:
             return "footprint recording"
         if not ordered:

@@ -18,7 +18,6 @@ from .generator import (
     TemplateSet,
     generate_site,
 )
-from .lint import LintFinding, LintReport, TemplateLinter, lint_templates
 from .parser import parse_attr_expr, parse_template
 
 __all__ = [
@@ -29,11 +28,7 @@ __all__ = [
     "Format",
     "GeneratedSite",
     "HtmlGenerator",
-    "LintFinding",
-    "LintReport",
     "Literal",
-    "TemplateLinter",
-    "lint_templates",
     "Loop",
     "Node",
     "PageRegistry",

@@ -43,6 +43,10 @@ included, with no skipping and no memo beyond the result graph's own
 Skolem registry.  ``nodes_created``/``edges_created`` count, per
 application, a Skolem node or a link edge the result did not have;
 nodes and edges imported with a data-graph node are not counted.
+
+:class:`WrittenOrderEngine` is the engine with its planner off: every
+where-clause, nested ones included, runs in the order written, which
+pins the plan a test compares against this reference.
 """
 
 from functools import lru_cache
@@ -56,10 +60,17 @@ from repro.struql.ast import (
     CollectionCond, ComparisonCond, Const, EdgeCond, NotCond, PathCond, PredicateCond,
     SkolemTerm, Var,
 )
-from repro.struql.eval import Metrics
+from repro.struql.eval import Metrics, QueryEngine
 from repro.struql.paths import compile_path
 
 from .reference_constraints import path_exists, reverse_expr, sources_to, targets_from
+
+
+class WrittenOrderEngine(QueryEngine):
+    """A :class:`QueryEngine` that runs conditions in written order."""
+
+    def _plan(self, conditions, bound):
+        return list(conditions)
 
 
 def reference_bindings(graph, ordered_conditions, initial=None, use_indexes=True):

@@ -14,7 +14,7 @@ from repro.analysis import (
     Span,
     Suppressions,
     analyze,
-    audit_diagnostics,
+    audit,
     check_constraints,
     check_program,
     check_schema,
@@ -26,9 +26,9 @@ from repro.analysis import (
 )
 from repro.analysis.diagnostics import make
 from repro.core import SiteSchema
-from repro.core.audit import AuditReport
 from repro.core.constraints import CheckResult
 from repro.errors import SiteAnalysisError
+from repro.graph import Oid
 from repro.repository import ddl
 from repro.struql import parse
 from repro.struql.parser import _Parser
@@ -611,33 +611,34 @@ class TestAnalyzer:
         assert analyzer.query_file == "<demo.struql>"
 
 
+def _demo_builder(graph, query=SITE_QUERY, constraints=()):
+    from repro.core import SiteBuilder, SiteDefinition
+
+    templates = TemplateSet()
+    templates.add("Pages", "<h2><SFMT Title></h2>")
+    templates.for_collection("Pages", "Pages")
+    templates.add("root", "<SFMT Paper UL>")
+    templates.for_object("Root()", "root")
+    builder = SiteBuilder(graph)
+    builder.define(
+        SiteDefinition("demo", query, templates,
+                       constraints=list(constraints))
+    )
+    return builder
+
+
 class TestBuilderIntegration:
-    def _builder(self, graph, query=SITE_QUERY, constraints=()):
-        from repro.core import SiteBuilder, SiteDefinition
-
-        templates = TemplateSet()
-        templates.add("Pages", "<h2><SFMT Title></h2>")
-        templates.for_collection("Pages", "Pages")
-        templates.add("root", "<SFMT Paper UL>")
-        templates.for_object("Root()", "root")
-        builder = SiteBuilder(graph)
-        builder.define(
-            SiteDefinition("demo", query, templates,
-                           constraints=list(constraints))
-        )
-        return builder
-
     def test_builder_analyze(self, graph):
-        report = self._builder(graph).analyze("demo")
+        report = _demo_builder(graph).analyze("demo")
         assert isinstance(report, DiagnosticReport)
         assert report.ok
 
     def test_gate_passes_clean_site(self, graph):
-        built = self._builder(graph).build("demo", gate=True)
+        built = _demo_builder(graph).build("demo", gate=True)
         assert built.pages
 
     def test_gate_blocks_broken_site(self, graph):
-        builder = self._builder(
+        builder = _demo_builder(
             graph, query=SITE_QUERY.replace('"title"', '"titel"')
         )
         with pytest.raises(SiteAnalysisError) as info:
@@ -646,7 +647,7 @@ class TestBuilderIntegration:
         assert not info.value.report.ok
 
     def test_ungated_build_still_works(self, graph):
-        builder = self._builder(
+        builder = _demo_builder(
             graph, query=SITE_QUERY.replace('"title"', '"titel"')
         )
         built = builder.build("demo")
@@ -654,55 +655,70 @@ class TestBuilderIntegration:
 
 
 # ------------------------------------------------------------------ #
-# the audit bridge
+# the post-build audit, deduped against the static report
+
+
+def _demo_site(graph):
+    """A clean two-level build of ``SITE_QUERY`` to plant defects in."""
+    built = _demo_builder(graph).build("demo")
+    assert audit(built).diagnostics == []
+    return built
 
 
 class TestAuditBridge:
-    def test_dangling_link_is_aud001(self):
-        report = AuditReport(pages=2, dangling_links=[("a.html", "b.html")])
-        out = audit_diagnostics(None, report=report)
+    def test_dangling_link_is_aud001(self, graph):
+        built = _demo_site(graph)
+        target = next(name for name in built.pages if name != "index.html")
+        del built.pages[target]
+        out = audit(built)
         assert out.codes() == ["AUD001"]
         assert out.diagnostics[0].severity is Severity.ERROR
-        assert out.diagnostics[0].span.file == "a.html"
+        assert out.diagnostics[0].subject == f"index.html->{target}"
+        assert out.diagnostics[0].span.file == "index.html"
 
-    def test_unreachable_page_deduped_against_sch001(self):
-        report = AuditReport(pages=2, unreachable_pages=["Orphan(p1)"])
-        out = audit_diagnostics(None, report=report)
+    def test_unreachable_page_deduped_against_sch001(self, graph):
+        built = _demo_site(graph)
+        orphan = built.site_graph.add_node(Oid("Orphan(p1)"))
+        built.site_graph.add_to_collection("Pages", orphan)
+        out = audit(built)
         assert out.codes() == ["AUD002"]
+        assert [d.subject for d in out.by_code("AUD002")] == ["Orphan(p1)"]
         static = DiagnosticReport()
         static.add(make("SCH001", "unreachable", subject="Orphan"))
-        deduped = audit_diagnostics(None, report=report, static=static)
+        deduped = audit(built, static=static)
         assert deduped.diagnostics == []
 
-    def test_empty_page_deduped_against_tpl001(self):
-        report = AuditReport(pages=2, empty_pages=["p.html"])
-        out = audit_diagnostics(None, report=report)
+    def test_empty_page_deduped_against_tpl001(self, graph):
+        built = _demo_site(graph)
+        built.pages["index.html"] = "<ul></ul>"
+        out = audit(built)
         assert out.codes() == ["AUD003"]
+        assert [d.subject for d in out.by_code("AUD003")] == ["index.html"]
         static = DiagnosticReport()
         static.add(make("TPL001", "typo", subject="Pages:Titel"))
-        deduped = audit_diagnostics(None, report=report, static=static)
+        deduped = audit(built, static=static)
         assert deduped.diagnostics == []
 
-    def test_violated_constraint_deduped_against_con004(self):
+    def test_violated_constraint_deduped_against_con004(self, graph):
         constraint = "forall X (Page(X))"
-        report = AuditReport(
-            pages=1,
-            constraint_results={
-                constraint: CheckResult(holds=False, witness={"X": "p1"}),
-                "other": CheckResult(holds=True),
-            },
-        )
-        out = audit_diagnostics(None, report=report)
+        built = _demo_site(graph)
+        built.constraint_results = {
+            constraint: CheckResult(holds=False, witness={"X": "p1"}),
+            "other": CheckResult(holds=True),
+        }
+        out = audit(built)
         assert out.codes() == ["AUD004"]
+        assert [d.subject for d in out.by_code("AUD004")] == [constraint]
         assert "counterexample" in out.diagnostics[0].message
         static = DiagnosticReport()
         static.add(make("CON004", "refuted", subject=constraint))
-        deduped = audit_diagnostics(None, report=report, static=static)
+        deduped = audit(built, static=static)
         assert deduped.diagnostics == []
 
-    def test_shared_suppression_mechanism(self):
-        report = AuditReport(pages=1, dangling_links=[("a", "b")])
-        out = audit_diagnostics(None, report=report, suppress=["AUD001"])
+    def test_shared_suppression_mechanism(self, graph):
+        built = _demo_site(graph)
+        built.pages["index.html"] += '<a href="gone.html">x</a>'
+        out = audit(built, suppress=["AUD001"])
         assert out.diagnostics == [] and len(out.suppressed) == 1
 
 

@@ -1,10 +1,10 @@
-"""Unit tests for the site auditor (repro.core.audit) and the template
+"""Unit tests for the site audit (repro.analysis.audit) and the template
 COUNT directive added alongside it."""
 
 import pytest
 
+from repro.analysis import audit, render_text
 from repro.core import SiteBuilder, SiteDefinition
-from repro.core.audit import audit
 from repro.graph import Graph, Oid, string
 from repro.template import Renderer, TemplateSet, parse_template
 from repro.workloads import HOMEPAGE_QUERY, bibliography_graph, homepage_templates
@@ -28,9 +28,8 @@ def healthy():
 class TestAudit:
     def test_healthy_site_is_ok(self, healthy):
         report = audit(healthy)
-        assert report.ok, report.summary()
-        assert report.pages == healthy.generated.page_count
-        assert "OK" in report.summary()
+        assert report.diagnostics == [], render_text(report)
+        assert render_text(report) == "0 error(s), 0 warning(s), 0 note(s)"
 
     def test_unreachable_page_detected(self):
         data = Graph()
@@ -53,8 +52,8 @@ class TestAudit:
             )
         )
         report = audit(builder.build("orphaned"))
-        assert not report.ok
-        assert report.unreachable_pages == ["Page(i1)"]
+        assert report.codes() == ["AUD002"]
+        assert [d.subject for d in report.by_code("AUD002")] == ["Page(i1)"]
 
     def test_empty_page_detected(self):
         data = Graph()
@@ -78,30 +77,36 @@ class TestAudit:
             )
         )
         report = audit(builder.build("typo"))
-        assert not report.ok
-        assert len(report.empty_pages) == 1
+        assert report.codes() == ["AUD003"]
+        assert len(report.by_code("AUD003")) == 1
 
-    def test_failed_constraint_reported(self):
+    #: fails when some publication has no category page above it
+    CATEGORIZED = (
+        "forall X (PaperPresentation(X) => "
+        "exists Y (CategoryPage(Y) and Y -> * -> X))"
+    )
+
+    def _uncategorized(self):
         data = bibliography_graph(8, seed=101, category_rate=0.3)
         builder = SiteBuilder(data)
         builder.define(
             SiteDefinition(
                 "home", HOMEPAGE_QUERY, homepage_templates(),
-                roots=["RootPage()"],
-                constraints=[
-                    "forall X (PaperPresentation(X) => "
-                    "exists Y (CategoryPage(Y) and Y -> * -> X))"
-                ],
+                roots=["RootPage()"], constraints=[self.CATEGORIZED],
             )
         )
-        report = audit(builder.build("home"))
-        assert not report.ok
-        assert "0/1 hold" in report.summary()
+        return builder.build("home")
 
-    def test_audit_checks_constraints_when_build_skipped_them(self, healthy):
-        healthy.constraint_results = {}
-        report = audit(healthy)
-        assert report.constraint_results  # recomputed from the definition
+    def test_failed_constraint_reported(self):
+        report = audit(self._uncategorized())
+        assert report.codes() == ["AUD004"]
+        assert [d.subject for d in report.by_code("AUD004")] == [self.CATEGORIZED]
+
+    def test_audit_checks_constraints_when_build_skipped_them(self):
+        built = self._uncategorized()
+        built.constraint_results = {}
+        report = audit(built)  # recomputed from the definition
+        assert [d.subject for d in report.by_code("AUD004")] == [self.CATEGORIZED]
 
 
 class TestCountDirective:

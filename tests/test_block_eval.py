@@ -46,7 +46,7 @@ from repro.struql.ast import Alternation, Concat, LabelIs, Star, any_path
 from repro.struql.eval import _Frame
 from repro.workloads import bibliography_graph
 
-from .reference_eval import reference_bindings
+from .reference_eval import WrittenOrderEngine, reference_bindings
 from .reference_constraints import reverse_expr, sources_to
 from .test_perf_caches import _apply, mutation_scripts
 
@@ -70,28 +70,28 @@ _BLOCK_QUERY_TEXTS = [
 ]
 
 
-#: (optimize, naive): the planner on and off, each checked against the
-#: reference over the same plan or, when naive, its full-scan mode
+#: (planned, naive): the engine with its planner on and off (the
+#: written-order engine), each checked against the reference over the
+#: same plan or, when naive, its full-scan mode
 MODES = [(True, False), (False, False), (True, True), (False, True)]
 MODE_IDS = ["planned", "written", "planned-naive", "written-naive"]
 
 
 def all_modes():
-    return [dict(optimize=o, naive=n) for o, n in MODES]
+    return [dict(planned=p, naive=n) for p, n in MODES]
 
 
-def _bindings(graph, conditions, initial=None, optimize=True, stats=None):
-    engine = QueryEngine(
-        graph, optimize=optimize, stats=stats, plan_cache=PlanCache(),
-    )
+def _bindings(graph, conditions, initial=None, planned=True, stats=None):
+    engine_class = QueryEngine if planned else WrittenOrderEngine
+    engine = engine_class(graph, stats=stats, plan_cache=PlanCache())
     return engine.bindings(conditions, initial=initial)
 
 
-def _reference(graph, conditions, initial=None, optimize=True, stats=None,
+def _reference(graph, conditions, initial=None, planned=True, stats=None,
                use_indexes=True):
     """The reference relation over the plan the engine runs."""
     ordered = list(conditions)
-    if optimize:
+    if planned:
         bound = frozenset(name for row in initial or [] for name in row)
         stats = stats if stats is not None else graph_statistics(graph)
         ordered = order_conditions(conditions, bound, stats)
@@ -133,8 +133,8 @@ def test_block_bindings_match_row_bindings(script):
     planner's order and with the written order."""
     graph = _script_graph(script)
     for text in _BLOCK_QUERY_TEXTS:
-        for optimize in (True, False):
-            assert_matches_reference(graph, parse_query(text).where, optimize=optimize)
+        for planned in (True, False):
+            assert_matches_reference(graph, parse_query(text).where, planned=planned)
 
 
 @given(mutation_scripts())
@@ -143,9 +143,9 @@ def test_block_matches_row_in_naive_mode(script):
     """The indexed operators return the full-scan reference's rows."""
     graph = _script_graph(script)
     for text in _BLOCK_QUERY_TEXTS:
-        for optimize in (True, False):
+        for planned in (True, False):
             assert_matches_reference(
-                graph, parse_query(text).where, optimize=optimize, naive=True
+                graph, parse_query(text).where, planned=planned, naive=True
             )
 
 
@@ -177,14 +177,14 @@ def homepage_graph():
     return bibliography_graph(30, seed=21)
 
 
-@pytest.mark.parametrize("optimize, naive", MODES, ids=MODE_IDS)
+@pytest.mark.parametrize("planned, naive", MODES, ids=MODE_IDS)
 @pytest.mark.parametrize(
     "text", [text for _, text in BLOCKS_SUITE], ids=[n for n, _ in BLOCKS_SUITE]
 )
-def test_homepage_suite_matches_reference(homepage_graph, text, optimize, naive):
+def test_homepage_suite_matches_reference(homepage_graph, text, planned, naive):
     conditions = parse_query(text + " create Probe()").where
     rows = assert_matches_reference(
-        homepage_graph, conditions, optimize=optimize, naive=naive
+        homepage_graph, conditions, planned=planned, naive=naive
     )
     assert rows
 
@@ -342,7 +342,7 @@ def test_block_mode_counts_dedup_and_probes():
     query = parse_query('where C(x), x -> "to" -> h, h -> "name" -> n create Probe()')
     # written order pinned: the name-probe runs over 20 rows that all
     # bind h to the same hub, so 19 of its probes dedup away
-    engine = QueryEngine(graph, optimize=False, plan_cache=PlanCache())
+    engine = WrittenOrderEngine(graph, plan_cache=PlanCache())
     rows = engine.bindings(query.where)
     assert len(rows) == 20
     assert engine.metrics.dedup_hits == 19

@@ -102,6 +102,32 @@ class TestBuild:
         ])
         assert code == 0
 
+    def test_exit_codes_fail_on_any_audit_finding(self, workspace):
+        """0 for a clean site; 1 when the audit finds anything, a
+        warning-only site (unreachable page, empty page) included."""
+        data = _wrap(workspace)
+        unlinked = SITE_QUERY.replace(', Root() -> "Paper" -> Page(x)', "")
+        cases = {
+            "clean": (SITE_QUERY, ROOT_TEMPLATE, PAGE_TEMPLATE, 0),
+            "unreachable": (unlinked, "<h1>Papers</h1>\n", PAGE_TEMPLATE, 1),
+            "empty": (SITE_QUERY, ROOT_TEMPLATE, "<p><SFMT nothing></p>\n", 1),
+            "dangling": (
+                SITE_QUERY, ROOT_TEMPLATE + '<a href="gone.html">x</a>\n',
+                PAGE_TEMPLATE, 1,
+            ),
+        }
+        for name, (query, root, page, expected) in cases.items():
+            (workspace / "site.struql").write_text(query)
+            (workspace / "templates" / "Root__.tmpl").write_text(root)
+            (workspace / "templates" / "Pages.tmpl").write_text(page)
+            code = main([
+                "build", "--data", str(data), "--query",
+                str(workspace / "site.struql"), "--templates",
+                str(workspace / "templates"), "-o", str(workspace / name),
+                "--root", "Root()",
+            ])
+            assert code == expected, name
+
 
 class TestSchema:
     def test_dot_output(self, workspace, capsys):

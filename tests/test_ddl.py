@@ -140,12 +140,24 @@ class TestDump:
             o.name for o in graph.nodes()
         )
 
+    def _ref_first_graph(self):
+        """A node whose ref edge comes before its atom edge."""
+        graph = Graph()
+        a, b = graph.add_node(Oid("a")), graph.add_node(Oid("b"))
+        graph.add_edge(a, "to", b)
+        graph.add_edge(a, "name", string("alpha"))
+        graph.add_to_collection("Pool", a)
+        return graph
+
     def test_round_trip_edges(self):
-        graph = self._graph()
-        reloaded = ddl.loads(ddl.dumps(graph))
-        original = {(s.name, l, str(t)) for s, l, t in graph.edges()}
-        recovered = {(s.name, l, str(t)) for s, l, t in reloaded.edges()}
-        assert original == recovered
+        for graph in (self._graph(), self._ref_first_graph()):
+            text = ddl.dumps(graph)
+            reloaded = ddl.loads(text)
+            original = {(s.name, l, str(t)) for s, l, t in graph.edges()}
+            recovered = {(s.name, l, str(t)) for s, l, t in reloaded.edges()}
+            assert original == recovered
+            # edge order survives too: dumps is a fixed point of loads
+            assert ddl.dumps(reloaded) == text
 
     def test_round_trip_types(self):
         graph = self._graph()

@@ -1,13 +1,13 @@
-"""Unit tests for EXPLAIN (repro.struql.explain) and the template linter
-(repro.template.lint)."""
+"""Unit tests for EXPLAIN (repro.struql.explain) and the template checks
+(repro.analysis.template_checks)."""
 
 import pytest
 
+from repro.analysis import DiagnosticReport, check_templates
 from repro.core import SiteSchema
 from repro.struql import parse
 from repro.struql.explain import explain
 from repro.template import TemplateSet
-from repro.template.lint import LintFinding, TemplateLinter, lint_templates
 from repro.workloads import (
     HOMEPAGE_QUERY,
     NEWS_SITE_QUERY,
@@ -15,6 +15,11 @@ from repro.workloads import (
     homepage_templates,
     news_templates,
 )
+
+
+def _report(templates, schema):
+    """The template checks' findings as one report."""
+    return DiagnosticReport(check_templates(templates, schema))
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +93,7 @@ class TestExplain:
 class TestLinter:
     def test_clean_templates_have_no_errors(self):
         schema = SiteSchema.from_program(parse(NEWS_SITE_QUERY))
-        report = lint_templates(news_templates(), schema)
+        report = _report(news_templates(), schema)
         assert report.ok
         assert "0 error(s)" in report.summary()
 
@@ -97,9 +102,9 @@ class TestLinter:
         templates = TemplateSet()
         templates.add("year", "<h1><SFMT Yearr></h1>")  # typo for Year
         templates.for_collection("YearPages", "year")
-        report = lint_templates(templates, schema)
+        report = _report(templates, schema)
         assert not report.ok
-        assert report.errors[0].kind == "unknown-attribute"
+        assert report.errors[0].code == "TPL001"
         assert "Yearr" in str(report.errors[0])
 
     def test_multi_step_expression_checked(self):
@@ -109,20 +114,20 @@ class TestLinter:
         good = TemplateSet()
         good.add("year", "<SFMT Paper.abstractPage>")
         good.for_collection("YearPages", "year")
-        assert lint_templates(good, schema).ok
+        assert _report(good, schema).ok
         bad = TemplateSet()
         bad.add("year", "<SFMT Nope.title>")
         bad.for_collection("YearPages", "year")
-        assert not lint_templates(bad, schema).ok
+        assert not _report(bad, schema).ok
 
     def test_arc_variable_pages_are_unknowable_not_errors(self):
         schema = SiteSchema.from_program(parse(NEWS_SITE_QUERY))
         templates = TemplateSet()
         templates.add("article", "<SFMT anything_at_all>")
         templates.for_collection("ArticlePages", "article")
-        report = lint_templates(templates, schema)
+        report = _report(templates, schema)
         assert report.ok  # cannot prove it wrong
-        assert any(f.kind == "unknowable" for f in report.findings)
+        assert report.by_code("TPL002")
 
     def test_loop_variables_tracked(self):
         schema = SiteSchema.from_program(parse(HOMEPAGE_QUERY))
@@ -131,39 +136,39 @@ class TestLinter:
             "root", "<SFOR y IN YearPage><SFMT @y.Year></SFOR>"
         )
         templates.for_object("RootPage()", "root")
-        assert lint_templates(templates, schema).ok
+        assert _report(templates, schema).ok
         bad = TemplateSet()
         bad.add("root", "<SFOR y IN YearPage><SFMT @y.Yearr></SFOR>")
         bad.for_object("RootPage()", "root")
-        assert not lint_templates(bad, schema).ok
+        assert not _report(bad, schema).ok
 
     def test_conditional_branches_linted(self):
         schema = SiteSchema.from_program(parse(HOMEPAGE_QUERY))
         templates = TemplateSet()
         templates.add("root", "<SIF YearPage>x<SELSE><SFMT Nope></SIF>")
         templates.for_object("RootPage()", "root")
-        assert not lint_templates(templates, schema).ok
+        assert not _report(templates, schema).ok
 
     def test_object_specific_assignment_resolved(self):
         schema = SiteSchema.from_program(parse(HOMEPAGE_QUERY))
         templates = TemplateSet()
         templates.add("r", "<SFMT Oops>")
         templates.for_object("RootPage()", "r")
-        report = lint_templates(templates, schema)
+        report = _report(templates, schema)
         assert not report.ok
-        assert "RootPage" in report.errors[0].detail
+        assert "RootPage" in report.errors[0].message
 
     def test_findings_deduplicated(self):
         schema = SiteSchema.from_program(parse(HOMEPAGE_QUERY))
         templates = TemplateSet()
         templates.add("r", "<SFMT Oops><SFMT Oops>")
         templates.for_object("RootPage()", "r")
-        report = lint_templates(templates, schema)
+        report = _report(templates, schema)
         assert len(report.errors) == 1
 
     def test_homepage_templates_lint_clean(self):
         schema = SiteSchema.from_program(parse(HOMEPAGE_QUERY))
-        assert lint_templates(homepage_templates(), schema).ok
+        assert _report(homepage_templates(), schema).ok
 
 
 class TestLinterCornerCases:
@@ -180,7 +185,7 @@ class TestLinterCornerCases:
             "</SFOR>",
         )
         good.for_object("RootPage()", "root")
-        assert lint_templates(good, schema).ok
+        assert _report(good, schema).ok
         bad = TemplateSet()
         bad.add(
             "root",
@@ -189,7 +194,7 @@ class TestLinterCornerCases:
             "</SFOR>",
         )
         bad.for_object("RootPage()", "root")
-        report = lint_templates(bad, schema)
+        report = _report(bad, schema)
         assert not report.ok
         assert "Nope" in str(report.errors[0])
 
@@ -201,14 +206,14 @@ class TestLinterCornerCases:
             "<SFOR y IN YearPage><SIF @y.Year><SFMT @y.Year></SIF></SFOR>",
         )
         good.for_object("RootPage()", "root")
-        assert lint_templates(good, schema).ok
+        assert _report(good, schema).ok
         bad = TemplateSet()
         bad.add(
             "root",
             "<SFOR y IN YearPage><SIF @y.Yearr>x</SIF></SFOR>",
         )
         bad.for_object("RootPage()", "root")
-        assert not lint_templates(bad, schema).ok
+        assert not _report(bad, schema).ok
 
     def test_arc_variable_multi_step_is_unknowable(self):
         # PaperPresentation carries arc-variable link clauses, so a
@@ -217,9 +222,9 @@ class TestLinterCornerCases:
         templates = TemplateSet()
         templates.add("p", "<SFMT anything.whatever.deeper>")
         templates.for_collection("Presentations", "p")
-        report = lint_templates(templates, schema)
+        report = _report(templates, schema)
         assert report.ok
-        assert any(f.kind == "unknowable" for f in report.findings)
+        assert report.by_code("TPL002")
 
     def test_object_specific_assignment_overrides_collection(self):
         # YearPage() object template is linted against YearPage's own
@@ -230,17 +235,17 @@ class TestLinterCornerCases:
         templates.for_collection("YearPages", "generic")
         templates.add("special", "<SFMT Yearr>")
         templates.for_object("YearPage()", "special")
-        report = lint_templates(templates, schema)
+        report = _report(templates, schema)
         assert not report.ok
-        assert report.errors[0].template == "special"
+        assert report.errors[0].subject == "special:Yearr"
 
     def test_findings_carry_line_numbers(self):
         schema = self._schema()
         templates = TemplateSet()
         templates.add("r", "<html>\n<p>fine</p>\n<SFMT Oops>\n</html>")
         templates.for_object("RootPage()", "r")
-        report = lint_templates(templates, schema)
+        report = _report(templates, schema)
         assert not report.ok
         finding = report.errors[0]
-        assert finding.line == 3
+        assert finding.span.line == 3
         assert ":3:" in str(finding)

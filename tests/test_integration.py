@@ -207,4 +207,4 @@ def test_living_site_example_runs(capsys):
     module.main()
     out = capsys.readouterr().out
     assert "audit of the materialized site" in out
-    assert "verdict: OK" in out
+    assert "0 error(s), 0 warning(s), 0 note(s)" in out

@@ -37,10 +37,10 @@ from repro.errors import ImmutableNodeError
 from repro.graph import Graph, Oid, string
 from repro.repository import ddl, graph_statistics
 from repro.struql import order_conditions, parse, query_bindings
-from repro.struql.eval import Metrics, _Constructor, evaluate
+from repro.struql.eval import Metrics, QueryEngine, _Constructor, evaluate
 from repro.workloads import HOMEPAGE_QUERY, bibliography_graph
 
-from .reference_eval import RowConstructor, reference_evaluate
+from .reference_eval import RowConstructor, WrittenOrderEngine, reference_evaluate
 from .test_perf_caches import _apply, mutation_scripts
 
 #: the random graphs' vocabulary: collection ``C``, "year" as "a",
@@ -157,22 +157,23 @@ def _layout(graph):
     return nodes, collections
 
 
-def _plan(graph, optimize):
-    """The condition order ``evaluate(optimize=...)`` runs."""
-    if not optimize:
+def _plan(graph, planned):
+    """The condition order the planned or written-order engine runs."""
+    if not planned:
         return lambda conditions, bound: conditions
     stats = graph_statistics(graph)
     return lambda conditions, bound: order_conditions(conditions, bound, stats)
 
 
 def assert_matches_reference(program, graph):
-    for optimize in (True, False):
+    for planned in (True, False):
         metrics = Metrics()
-        got = evaluate(program, graph, optimize=optimize, metrics=metrics)
+        engine = QueryEngine(graph) if planned else WrittenOrderEngine(graph)
+        got = evaluate(program, graph, metrics=metrics, engine=engine)
         expected, reference_metrics = reference_evaluate(
-            program, graph, plan=_plan(graph, optimize)
+            program, graph, plan=_plan(graph, planned)
         )
-        assert _layout(got) == _layout(expected), (str(program.queries[-1]), optimize)
+        assert _layout(got) == _layout(expected), (str(program.queries[-1]), planned)
         assert_same_construction(got, metrics, expected, reference_metrics)
 
 
@@ -223,7 +224,7 @@ def test_fig3_bindings_count_distinct_block_rows():
 
 def _reference_rows(text, graph):
     """The top-level rows of ``text`` in the reference's order."""
-    return query_bindings(text, graph, optimize=False)
+    return WrittenOrderEngine(graph).bindings(parse(text).queries[0].where)
 
 
 DUPLICATED_ROWS = """

@@ -365,9 +365,7 @@ def test_fallback_reasons(corner_pair):
     assert engine.metrics.sql_pushdowns == 0
     assert engine.metrics.sql_fallbacks == 1
     assert engine.last_pushdown.fallback_reason == "below cost cutoff"
-    _, engine = _bindings(sql, text, pushdown_cutoff=0.0, optimize=False)
-    assert engine.last_pushdown.fallback_reason == "ablation mode"
-    assert "ablation mode" in explain_pushdown(engine)
+    assert explain_pushdown(engine) == "no pushdown (below cost cutoff)"
 
 
 def test_residue_after_pushdown_checks_deadline(corner_pair, monkeypatch):

@@ -8,7 +8,7 @@ from repro.struql import (
     Metrics, QueryEngine, evaluate, parse, parse_query, query_bindings,
 )
 
-from .reference_eval import reference_bindings
+from .reference_eval import WrittenOrderEngine, reference_bindings
 
 
 class TestWhereStage:
@@ -101,7 +101,7 @@ class TestWhereStage:
         from repro.struql import parse_query
 
         query = parse_query("where isImageFile(q), Publications(q)")
-        engine = QueryEngine(pub_graph, optimize=False)
+        engine = WrittenOrderEngine(pub_graph)
         with pytest.raises(StruqlEvaluationError):
             engine.bindings(query.where)
 
@@ -109,7 +109,7 @@ class TestWhereStage:
         from repro.struql import parse_query
 
         query = parse_query("where isImageFile(q), Publications(q)")
-        engine = QueryEngine(pub_graph, optimize=True)
+        engine = QueryEngine(pub_graph)
         assert engine.bindings(query.where) == []
 
     def test_metrics_counted(self, pub_graph):
