@@ -23,9 +23,10 @@ the fallback.
 
 Exit-code contract (usable as a CI gate): 0 = clean, 1 = error-severity
 findings (``analyze``, ``lint``, ``check``, ``build`` with a failing
-``--analyze`` gate) or any post-build audit finding (``build``, warnings
-included), 2 = the command itself failed (bad input file, syntax error
-raised outside an analyzed artifact).
+``--analyze`` gate), a template that does not parse (``TPL004``:
+``analyze``, ``lint``, ``build``, ``serve``) or any post-build audit
+finding (``build``, warnings included), 2 = the command itself failed
+(bad input file, syntax error raised outside an analyzed artifact).
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from .analysis import (
     RENDERERS,
     audit,
     check_templates,
+    load_templates,
     render_text,
 )
-from .analysis import load_templates as load_templates_checked
 from .core import SiteBuilder, SiteDefinition, SiteSchema, check, verify_static
 from .errors import SiteAnalysisError, StrudelError
 from .graph import Graph
@@ -119,22 +120,13 @@ def _add_backend_flags(command: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_templates(directory: str) -> TemplateSet:
-    templates = TemplateSet()
-    names: List[str] = []
-    for entry in sorted(os.listdir(directory)):
-        if not entry.endswith(".tmpl"):
-            continue
-        name = entry[: -len(".tmpl")]
-        templates.add_file(os.path.join(directory, entry), name)
-        names.append(name)
-    for name in names:
-        if name == "default":
-            templates.set_default(name)
-        elif name.endswith("__"):
-            templates.for_object(name[:-2] + "()", name)
-        else:
-            templates.for_collection(name, name)
+def _parsed_templates(directory: str) -> Optional[TemplateSet]:
+    """The template set in ``directory``, or ``None`` after printing a
+    ``TPL004`` finding to stderr for each file that does not parse."""
+    templates, _, unparsable = load_templates(directory)
+    if unparsable:
+        print(render_text(DiagnosticReport(unparsable)), file=sys.stderr)
+        return None
     return templates
 
 
@@ -240,7 +232,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     data, _ = _open_data(args)
-    templates = _load_templates(args.templates)
+    templates = _parsed_templates(args.templates)
+    if templates is None:
+        return 1
     definition = SiteDefinition(
         name=args.name,
         query=_read(args.query),
@@ -300,7 +294,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     templates = None
     template_files = {}
     if args.templates:
-        templates, template_files, diagnostics_pending = load_templates_checked(
+        templates, template_files, diagnostics_pending = load_templates(
             args.templates
         )
     constraints, constraint_lines = _load_constraints(args)
@@ -374,7 +368,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve import ServeCore, SiteServer
 
     data, _ = _open_data(args)
-    templates = _load_templates(args.templates)
+    templates = _parsed_templates(args.templates)
+    if templates is None:
+        return 1
     core = ServeCore(
         _read(args.query),
         data,
@@ -546,8 +542,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     schema = SiteSchema.from_program(parse(_read(args.query)))
-    templates = _load_templates(args.templates)
-    report = DiagnosticReport(check_templates(templates, schema))
+    templates, files, unparsable = load_templates(args.templates)
+    report = DiagnosticReport(unparsable + check_templates(templates, schema, files))
     print(render_text(report))
     return report.exit_code
 

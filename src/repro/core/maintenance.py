@@ -7,10 +7,11 @@ module implements a practical insert-maintenance algorithm on top of the
 machinery we already have, with honest fallbacks.
 
 Every pass asks one :class:`~repro.struql.footprint.DependencyIndex`,
-holding what each query's where-clauses read, which queries the data
-graph's changes since the last pass can have changed -- the same index,
-and the same truncated-log rule, as every other "data changed, what is
-stale?" answer in the repository:
+holding what each where-clause condition reads, which conditions the
+data graph's changes since the last pass can have changed -- the same
+index, and the same truncated-log rule, as every other "data changed,
+what is stale?" answer in the repository.  A query is affected when one
+of its conditions is:
 
 * **Full rebuild** -- the index answers ``COARSE`` (the bounded delta
   log no longer reaches back), or the delta removed something
@@ -23,14 +24,18 @@ stale?" answer in the repository:
 * **Seed** -- an affected monotone, path-free query, at whatever block
   depth: each block's new rows are computed from the delta as
   d(P join N) = dP join N + P join dN: for every condition of the
-  where-clauses from the root down to the block that the delta
-  matches, the other conditions are evaluated with that condition's
-  variables pre-bound from the delta.  The rows are projected to the
-  block's variables and only the block's own clauses are constructed
-  for them, block by block in the order a full evaluation constructs
-  them.  Skolem memoization and the graph's set semantics make
-  re-construction idempotent: only genuinely new nodes and edges appear
-  (the tests check they come in the order a recompute adds them).
+  where-clauses from the root down to the block that the index found
+  stale, the engine evaluates the condition alone over a graph holding
+  only the delta's new edges and members -- its delta rows -- and the
+  other conditions over the data graph from those rows.  The rows are
+  projected to the block's variables and only the block's own clauses
+  are constructed for them, block by block in the order a full
+  evaluation constructs them.  Skolem memoization and the graph's set
+  semantics make re-construction idempotent: only genuinely new nodes
+  and edges appear.  The tests check that they come in the order a
+  recompute adds them when the delta has one source node; a delta that
+  spans several sources, in other than the plan's order, can add the
+  same edges in another order.
 * **Recompute** -- an affected query with a regular-path condition (a
   new edge or node anywhere can extend a path) is re-evaluated, and
   only it.
@@ -45,30 +50,32 @@ evaluation of the program over the current data graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from itertools import count
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..graph import Atom, Graph, Oid, Target
+from ..graph import Graph, Oid, Target
+from ..graph.delta import GraphDelta
 from ..struql.ast import (
     CollectionCond,
     Condition,
-    Const,
     EdgeCond,
     NotCond,
     PathCond,
     Program,
     Query,
-    Var,
 )
 from ..struql.eval import (
     Binding,
     Metrics,
+    QueryEngine,
     _Constructor,
     _project,
-    _values_equal,
+    evaluate,
     make_engine,
 )
-from ..struql.footprint import COARSE, DependencyIndex, Footprint
+from ..struql.footprint import COARSE, DependencyIndex, Footprint, Stale
 from ..struql.parser import parse
+from ..struql.plancache import PlanCache
 
 
 @dataclass
@@ -87,13 +94,13 @@ class SiteMaintainer:
     """Keeps a materialized site graph consistent with a mutating data graph.
 
     Every pass asks one :class:`~repro.struql.footprint.DependencyIndex`,
-    holding one entry per query, what changed since the site graph was
-    last brought up to date.  Changes made through the update methods
-    and any other data change -- a direct mutation of ``data_graph``, or
-    an edit whose pass raised -- are therefore maintained alike: from
-    the data graph's delta log, or by a rebuild when the index answers
-    ``COARSE`` (the log no longer reaches back) or the delta removed
-    something.
+    holding one entry per (query, condition), what changed since the
+    site graph was last brought up to date.  Changes made through the
+    update methods and any other data change -- a direct mutation of
+    ``data_graph``, or an edit whose pass raised -- are therefore
+    maintained alike: from the data graph's delta log, or by a rebuild
+    when the index answers ``COARSE`` (the log no longer reaches back)
+    or the delta removed something.
     """
 
     def __init__(self, program: Union[Program, Query, str], data_graph: Graph) -> None:
@@ -110,10 +117,12 @@ class SiteMaintainer:
         self.site_graph = self._evaluate_all()
         #: the data-graph epoch the site graph was last brought up to
         self._synced = data_graph.epoch
-        #: query position -> what its where-clauses read
+        #: (query position, condition position in ``_conditions``) ->
+        #: what that condition reads
         self._reads = DependencyIndex()
         for key, query in enumerate(program.queries):
-            self._reads.add(key, _query_reads(query))
+            for position, condition in enumerate(_conditions(query)):
+                self._reads.add((key, position), _reads_of(condition))
         self.last_report = MaintenanceReport()
 
     # ------------------------------------------------------------ #
@@ -170,147 +179,115 @@ class SiteMaintainer:
         stale = self._reads.affected(self.data_graph, self._synced)
         if stale is COARSE or stale.delta.has_removals:
             return self.rebuild()
-        new_edges, new_members = stale.delta.edges_added, stale.delta.members_added
         report = MaintenanceReport()
         sizes = (self.site_graph.node_count, self.site_graph.edge_count)
-        self._mirror_imported_subgraphs(new_edges)
+        # a data node a link or collect clause imported brought its
+        # reachable subgraph along: mirror the edges it gained, and
+        # import a new target's subgraph
+        importer = _Constructor(self.site_graph, Metrics(), self.data_graph)
+        for source, label, target in stale.delta.edges_added:
+            if self.site_graph.has_node(source):
+                if isinstance(target, Oid) and not self.site_graph.has_node(target):
+                    importer._import_subgraph(target)
+                self.site_graph.add_edge(source, label, target)
+        stale_queries = {key for key, _ in stale}
+        delta_engine: Optional[QueryEngine] = None
         for key, query in enumerate(self.program.queries):
-            disposition = self._classify(query) if key in stale else "skip"
+            disposition = self._classify(query) if key in stale_queries else "skip"
             if disposition == "skip":
                 report.queries_skipped += 1
             elif disposition == "rebuild":
                 return self.rebuild()
             elif disposition == "recompute":
-                self._recompute_query(query)
+                evaluate(
+                    query, self.data_graph, into=self.site_graph, engine=self._engine
+                )
                 report.queries_recomputed += 1
             else:
-                self._seed_query(query, new_edges, new_members)
+                if delta_engine is None:
+                    delta_engine = _delta_engine(stale.delta)
+                self._seed_query(key, query, stale, delta_engine)
                 report.queries_seeded += 1
         report.nodes_added = self.site_graph.node_count - sizes[0]
         report.edges_added = self.site_graph.edge_count - sizes[1]
         self._synced = self.data_graph.epoch
         return report
 
-    def _mirror_imported_subgraphs(
-        self, new_edges: List[Tuple[Oid, str, Target]]
-    ) -> None:
-        """Data nodes referenced by link/collect clauses were imported into
-        the site graph *with their reachable subgraph*; when such a node
-        gains an edge in the data graph, the site-graph copy must gain it
-        too (and the new target's subgraph must be imported)."""
-        for source, label, target in new_edges:
-            if not self.site_graph.has_node(source):
-                continue
-            if isinstance(target, Oid) and not self.site_graph.has_node(target):
-                for reached in self.data_graph.reachable(target):
-                    self.site_graph.add_node(reached)
-                for reached in self.data_graph.reachable(target):
-                    for out_label, out_target in self.data_graph.out_edges(reached):
-                        if isinstance(out_target, Oid) and not self.site_graph.has_node(out_target):
-                            self.site_graph.add_node(out_target)
-                        self.site_graph.add_edge(reached, out_label, out_target)
-            self.site_graph.add_edge(source, label, target)
-
     @staticmethod
     def _classify(query: Query) -> str:
         """How to maintain a query the delta can have changed."""
-        conditions = [c for block in query.walk() for c in block.where]
+        conditions = _conditions(query)
         if any(isinstance(c, NotCond) for c in conditions):
             return "rebuild"
         if any(isinstance(c, PathCond) for c in conditions):
             return "recompute"
         return "seed"
 
-    # ------------------------------------------------------------ #
-    # dispositions
-
     def _evaluate_all(self) -> Graph:
-        from ..struql.eval import evaluate
-
         return evaluate(self.program, self.data_graph, engine=self._engine)
 
-    def _recompute_query(self, query: Query) -> None:
-        """Re-evaluate one query into the existing site graph; Skolem
-        memoization + set semantics make this purely additive and
-        idempotent."""
-        engine = self._engine
-        rows = engine.bindings(query.where, initial=[{}])
-        _Constructor(self.site_graph, Metrics(), self.data_graph).run(
-            query, rows, engine
-        )
-
     def _seed_query(
-        self,
-        query: Query,
-        new_edges: List[Tuple[Oid, str, Target]],
-        new_members: List[Tuple[str, Oid]],
+        self, key: int, query: Query, stale: Stale, delta_engine: QueryEngine
     ) -> None:
         """Delta-seeded evaluation of every block of ``query``, depth
         first like :meth:`_Constructor.run`.  A block's new rows are the
-        union, over each condition of its where-clauses from the root
-        down that the delta matches, of the other conditions evaluated
-        from that condition's seeds."""
+        union, over each stale condition of its where-clauses from the
+        root down, of the other conditions evaluated from that
+        condition's delta rows."""
         engine = self._engine
         constructor = _Constructor(self.site_graph, Metrics(), self.data_graph)
+        # condition position -> its delta rows, computed once: each
+        # condition recurs in every block nested below its own
+        delta_rows: Dict[int, List[Binding]] = {}
+        positions = count()
 
-        def seed_block(block: Query, where: List[Condition]) -> None:
+        def seed_block(block: Query, where: List[Tuple[int, Condition]]) -> None:
+            where = where + [(next(positions), c) for c in block.where]
+            conditions = [condition for _, condition in where]
             rows: List[Binding] = []
-            for index, condition in enumerate(where):
-                seeds = self._seeds_for(condition, new_edges, new_members)
+            for index, (position, condition) in enumerate(where):
+                if (key, position) not in stale:
+                    continue
+                seeds = delta_rows.get(position)
+                if seeds is None:
+                    seeds = delta_rows[position] = delta_engine.bindings([condition])
                 if seeds:
-                    remaining = where[:index] + where[index + 1:]
+                    remaining = conditions[:index] + conditions[index + 1:]
                     rows.extend(engine.bindings(remaining, initial=seeds))
             constructor.construct(block, _project(rows, block.variables()))
             for child in block.blocks:
-                seed_block(child, where + child.where)
+                seed_block(child, where)
 
-        seed_block(query, list(query.where))
-
-    @staticmethod
-    def _seeds_for(
-        condition: Condition,
-        new_edges: List[Tuple[Oid, str, Target]],
-        new_members: List[Tuple[str, Oid]],
-    ) -> List[Binding]:
-        seeds: List[Binding] = []
-        if isinstance(condition, EdgeCond):
-            for source, label, target in new_edges:
-                if isinstance(condition.label, str) and label != condition.label:
-                    continue
-                seed: Binding = {condition.source.name: source}
-                conflict = False
-                if isinstance(condition.label, Var):
-                    if condition.label.name in seed:
-                        conflict = True  # same var as source: oid vs label
-                    else:
-                        seed[condition.label.name] = label
-                if isinstance(condition.target, Var):
-                    existing = seed.get(condition.target.name)
-                    if existing is None:
-                        seed[condition.target.name] = target
-                    elif not _values_equal(existing, target):
-                        conflict = True  # e.g. x -> "l" -> x on a non-loop
-                elif isinstance(condition.target, Const):
-                    from ..graph import atoms_equal
-
-                    if not (
-                        isinstance(target, Atom)
-                        and atoms_equal(target, condition.target.atom)
-                    ):
-                        continue
-                if not conflict:
-                    seeds.append(seed)
-        elif isinstance(condition, CollectionCond):
-            for name, member in new_members:
-                if name == condition.collection:
-                    seeds.append({condition.var.name: member})
-        return seeds
+        seed_block(query, [])
 
 
-def _query_reads(query: Query) -> Footprint:
-    """What ``query``'s where-clauses read, for the dependency index:
-    the labels of its constant-label edges and the collections it scans.
-    An arc variable or a regular path can read any edge, so it reads all
+def _conditions(query: Query) -> List[Condition]:
+    """Every block's where-clause conditions, blocks depth first: the
+    order a condition's position in the dependency index counts in."""
+    return [condition for block in query.walk() for condition in block.where]
+
+
+def _delta_engine(delta: GraphDelta) -> QueryEngine:
+    """An engine over a graph holding only ``delta``'s new edges and
+    members, with the data graph's oids: a condition's rows over it are
+    its delta rows.  The graph is new on every pass, so its plans go to
+    a private cache rather than the process-wide one."""
+    view = Graph()
+    for source, label, target in delta.edges_added:
+        view.add_node(source)
+        if isinstance(target, Oid):
+            view.add_node(target)
+        view.add_edge(source, label, target)
+    for name, member in delta.members_added:
+        view.add_node(member)
+        view.add_to_collection(name, member)
+    return QueryEngine(view, plan_cache=PlanCache())
+
+
+def _reads_of(condition: Condition) -> Footprint:
+    """What ``condition`` reads, for the dependency index: a
+    constant-label edge reads its label, a collection its members.  An
+    arc variable or a regular path can read any edge, so it reads all
     of them; a negation reads what its inner conditions read."""
     reads = Footprint()
 
@@ -325,7 +302,5 @@ def _query_reads(query: Query) -> Footprint:
             for inner in condition.inner:
                 note(inner)
 
-    for block in query.walk():
-        for condition in block.where:
-            note(condition)
+    note(condition)
     return reads

@@ -229,8 +229,11 @@ def coercion_probes(atom: Atom) -> Tuple[Atom, ...]:
     coerces: a probe for ``"1998"`` must also try the INTEGER and FLOAT
     spellings, and vice versa.  The probe order is significant -- index
     lookups report matches probe-by-probe -- so both engines share this
-    one definition.  Memoized per distinct atom: the same constant is
-    probed for every frontier row, and the spelling set never changes.
+    one definition.  Every probe is :func:`atoms_equal` to ``atom``, so
+    an index probe finds no edge that a scan comparing targets rejects
+    (``"7"`` is no probe of ``" 7 "``: two strings compare verbatim).
+    Memoized per distinct atom: the same constant is probed for every
+    frontier row, and the spelling set never changes.
     """
     probes: List[Atom] = [atom]
     number = atom.as_number()
@@ -243,7 +246,11 @@ def coercion_probes(atom: Atom) -> Tuple[Atom, ...]:
         if number == int(number):
             candidates.append(Atom(AtomType.STRING, str(int(number))))
         for candidate in candidates:
-            if candidate is not None and candidate not in probes:
+            if (
+                candidate is not None
+                and candidate not in probes
+                and atoms_equal(candidate, atom)
+            ):
                 probes.append(candidate)
     else:
         text = atom.as_string()

@@ -755,6 +755,7 @@ class TestFixtureCorpus:
             ("skolem_arity", "SQ002", 6),
             ("unreachable_page", "SCH001", 4),
             ("template_typo", "TPL001", 2),
+            ("template_syntax", "TPL004", 4),
             ("violated_constraint", "CON004", 2),
         ],
     )

@@ -205,7 +205,31 @@ class TestLintAndExplain:
             "--templates", str(workspace / "templates"),
         ])
         assert code == 1
-        assert "Paperr" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "Paperr" in out
+        assert f"{workspace / 'templates' / 'Root__.tmpl'}:1: error[TPL001]" in out
+
+    def test_unparsable_template_is_a_finding(self, workspace, capsys):
+        """A template that does not parse is a ``TPL004`` finding at its
+        file and line: ``lint`` and ``build`` exit 1, not 2, and
+        ``build`` writes nothing."""
+        data = _wrap(workspace)
+        pages = workspace / "templates" / "Pages.tmpl"
+        pages.write_text("<p>\n</SFOR>\n")
+        code = main([
+            "lint", "--query", str(workspace / "site.struql"),
+            "--templates", str(workspace / "templates"),
+        ])
+        assert code == 1
+        assert f"{pages}:2: error[TPL004]" in capsys.readouterr().out
+        code = main([
+            "build", "--data", str(data), "--query",
+            str(workspace / "site.struql"), "--templates",
+            str(workspace / "templates"), "-o", str(workspace / "out"),
+        ])
+        assert code == 1
+        assert f"{pages}:2: error[TPL004]" in capsys.readouterr().err
+        assert not (workspace / "out").exists()
 
     def test_explain_inline_query(self, workspace, capsys):
         data = _wrap(workspace)

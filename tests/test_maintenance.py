@@ -134,26 +134,60 @@ class TestSeeding:
         assert insert_cost(50) == insert_cost(400)
 
     @pytest.mark.parametrize(
-        "label, target",
-        [("name", string("name")), ("1998", integer(1998))],
-        ids=["string", "coerced-integer"],
+        "query, label, target",
+        [
+            ("x -> L -> L", "name", string("name")),
+            ("x -> L -> L", "1998", integer(1998)),
+            ('x -> L -> "1998"', "year", integer(1998)),
+            ("x -> L -> x", "self", None),
+            ('x -> L -> v, Tags(t), t -> "name" -> L', "topic", string("v")),
+        ],
+        ids=[
+            "string", "coerced-integer", "coerced-constant-target",
+            "self-loop", "shared-arc-variable",
+        ],
     )
-    def test_repeated_arc_variable_joins_like_the_engine(self, label, target):
-        """``x -> L -> L`` binds the label and the target to one value; a
-        seed compares them with the engine's coercing equality."""
+    def test_repeated_arc_variable_joins_like_the_engine(self, query, label, target):
+        """A condition's delta rows bind and compare like the engine's
+        own rows: ``x -> L -> L`` binds the label and the target to one
+        value under coercing equality, a constant target matches by
+        coercion, ``x -> L -> x`` only on a loop, and an arc variable
+        shared with another condition joins on the label."""
         data = Graph()
         item = data.add_node()
         data.add_edge(item, "title", string("other"))
         data.add_to_collection("Items", item)
+        tag = data.add_node()
+        data.add_edge(tag, "name", string("topic"))
+        data.add_to_collection("Tags", tag)
         maintainer = SiteMaintainer(
-            'where Items(x), x -> L -> L create Echo(x) '
-            'link Echo(x) -> "label" -> L',
+            f'where Items(x), {query} create Echo(x) link Echo(x) -> "label" -> L',
             data,
         )
-        maintainer.add_edge(item, label, target)
+        maintainer.add_edge(item, label, item if target is None else target)
         assert maintainer.last_report.queries_seeded == 1
         assert maintainer.last_report.nodes_added == 1
         fresh = evaluate(maintainer.program, maintainer.data_graph)
+        assert ddl.dumps(maintainer.site_graph) == ddl.dumps(fresh)
+
+    @pytest.mark.parametrize("items", [1, 50])
+    def test_constant_target_matches_by_value_not_by_plan(self, items):
+        """``"1.0"`` and ``"1"`` are two strings that compare unequal,
+        whether the plan scans an item's ``v`` edges (one item) or probes
+        the value index for the constant (fifty items); the maintained
+        site agrees with both builds."""
+        data = Graph()
+        for index in range(items):
+            item = data.add_node()
+            data.add_edge(item, "name", string(f"item{index}"))
+            data.add_to_collection("Items", item)
+        first = data.collection("Items")[0]
+        maintainer = SiteMaintainer(
+            'where Items(x), x -> "v" -> "1.0" create P(x)', data
+        )
+        maintainer.add_edge(first, "v", string("1"))
+        fresh = evaluate(maintainer.program, maintainer.data_graph)
+        assert fresh.node_count == 0
         assert ddl.dumps(maintainer.site_graph) == ddl.dumps(fresh)
 
 

@@ -348,7 +348,9 @@ class TestAtomRoundTrips:
 
 
 #: ``coercion_probes`` answers, as a reprs list per atom, recorded from
-#: the dataclass ``Atom`` the tuple subclass replaced
+#: the dataclass ``Atom`` the tuple subclass replaced; a same-typed
+#: respelling (``" 7 "`` -> ``"7"``) is no probe, since ``atoms_equal``
+#: compares two strings verbatim
 COERCION_PROBES = [
     (integer(1998), [
         "Atom(integer:1998)", "Atom(float:1998.0)", "Atom(string:'1998')",
@@ -384,14 +386,13 @@ COERCION_PROBES = [
     ]),
     (string(" 7 "), [
         "Atom(string:' 7 ')", "Atom(integer:7)", "Atom(float:7.0)", "Atom(url:' 7 ')",
-        "Atom(string:'7')",
     ]),
     (integer(0), [
         "Atom(integer:0)", "Atom(float:0.0)", "Atom(string:'0')", "Atom(url:'0')",
     ]),
     (string("1e3"), [
         "Atom(string:'1e3')", "Atom(integer:1000)", "Atom(float:1000.0)",
-        "Atom(url:'1e3')", "Atom(string:'1000')",
+        "Atom(url:'1e3')",
     ]),
     (image_file("1.0"), [
         "Atom(image:'1.0')", "Atom(integer:1)", "Atom(float:1.0)", "Atom(string:'1.0')",
@@ -405,6 +406,7 @@ def test_coercion_probes_unchanged(atom, expected):
     probes = coercion_probes(atom)
     assert [repr(probe) for probe in probes] == expected
     assert all(type(probe) is Atom for probe in probes)
+    assert all(atoms_equal(probe, atom) for probe in probes)
     # memoized per distinct atom, whichever object asks
     assert coercion_probes(Atom(atom.type, atom.value)) is probes
 
