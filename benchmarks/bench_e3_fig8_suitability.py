@@ -9,7 +9,7 @@ complexity is the number of link clauses in the site-definition query."
 We regenerate the figure as a grid: for each (items N, features K) cell
 we compute the *specification size* a site builder must write and
 maintain under each technology (the same site, same page set -- see
-repro.baselines.family), and mark the cell's winner.  Expected shape:
+benchmarks/baselines/family.py), and mark the cell's winner.  Expected shape:
 
 * static HTML wins only the tiny corner (its spec grows with N*K);
 * DB-template and Strudel are close at low K;
@@ -21,7 +21,7 @@ A generation-time comparison at the heavy corner is benchmarked too.
 
 import pytest
 
-from repro.baselines import (
+from benchmarks.baselines import (
     dbtemplate_spec_lines,
     family_graph,
     procedural_spec_lines,
@@ -31,7 +31,7 @@ from repro.baselines import (
     static_html_lines,
     strudel_spec_lines,
 )
-from repro.baselines.family import SETUP_OVERHEAD
+from benchmarks.baselines.family import SETUP_OVERHEAD
 
 DATA_SIZES = [5, 100, 1000]
 COMPLEXITIES = [1, 4, 8, 16]

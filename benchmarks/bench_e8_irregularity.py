@@ -15,7 +15,7 @@ ALTER-TABLE migrations during iterative loading.
 
 import pytest
 
-from repro.baselines import graph_model, maximal_schema
+from benchmarks.baselines import graph_model, maximal_schema
 from repro.workloads import bibliography_graph, build_mediator
 
 SWEEP = [

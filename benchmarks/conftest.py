@@ -5,7 +5,7 @@ fixture, which also persists the table under ``benchmarks/out/`` so
 EXPERIMENTS.md numbers can be regenerated.  Run with ``-s`` to see the
 tables inline:
 
-    pytest benchmarks/ --benchmark-only -s
+    PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only -s
 """
 
 import json

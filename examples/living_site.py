@@ -9,7 +9,8 @@ paper sketches as future work:
 2. the same definition is *maintained incrementally*
    (`SiteMaintainer`) as articles arrive -- no full rebuilds;
 3. an editor fixes a typo on a page and the change is *propagated back*
-   to the data (`EditPropagator`, the section 5.2 user request);
+   to the data (`EditPropagator` in `edit_propagation.py` beside this
+   script, the section 5.2 user request);
 4. the site is *audited* (`audit`) after every change.
 
 Run:  python examples/living_site.py
@@ -18,8 +19,9 @@ Run:  python examples/living_site.py
 from repro import Graph, SiteBuilder, SiteDefinition, TemplateSet
 from repro.analysis import audit, render_text
 from repro.core import PageServer, SiteMaintainer
-from repro.core.propagation import EditPropagator
 from repro.graph import Oid, string
+
+from edit_propagation import EditPropagator
 
 SITE_QUERY = """
 create FrontPage()

@@ -160,8 +160,8 @@ RULES: Dict[str, Rule] = dict(
         _rule("CON003", "constraint-unverifiable",
               "Static analysis cannot decide the constraint; it will be "
               "model-checked after each build.", Severity.WARNING,
-              help="The audit bridge reports AUD004 if the materialized "
-                   "site graph violates it."),
+              help="The post-build audit (repro.analysis.audit) reports "
+                   "AUD004 if the materialized site graph violates it."),
         _rule("CON004", "constraint-refuted",
               "No site this query generates can satisfy the constraint "
               "(no schema path matches the required pattern).",

@@ -33,12 +33,6 @@ from .incremental import (
 )
 from .maintenance import MaintenanceReport, SiteMaintainer
 from .regen import RegeneratingSite, RegenReport
-from .propagation import (
-    DataOrigin,
-    EditPropagator,
-    PropagationError,
-    PropagationResult,
-)
 from .schema import NS, SchemaCreation, SchemaEdge, SiteSchema
 from .server import PageServer
 from .site import BuiltSite, SiteBuilder, SiteDefinition
@@ -52,11 +46,7 @@ __all__ = [
     "CheckResult",
     "ClassAtom",
     "ClickMetrics",
-    "DataOrigin",
     "DynamicSite",
-    "EditPropagator",
-    "PropagationError",
-    "PropagationResult",
     "Exists",
     "ExpandedEdge",
     "ForAll",

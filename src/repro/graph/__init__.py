@@ -1,4 +1,4 @@
-"""Semistructured data model: labeled directed graphs, atoms, oids, schema.
+"""Semistructured data model: labeled directed graphs, atoms, oids.
 
 Public surface of the substrate every other Strudel component builds on.
 """
@@ -8,7 +8,6 @@ from .delta import DeltaLog, GraphDelta
 from .dot import to_dot
 from .graph import Edge, Graph, Target
 from .oid import Oid, OidAllocator, SkolemRegistry, skolem_term_name
-from .schema import AttributeStats, CollectionSchema, GraphSchema, summarize
 from .values import (
     Atom,
     AtomType,
@@ -33,13 +32,10 @@ from .values import (
 __all__ = [
     "Atom",
     "AtomType",
-    "AttributeStats",
-    "CollectionSchema",
     "DeltaLog",
     "Edge",
     "Graph",
     "GraphDelta",
-    "GraphSchema",
     "Oid",
     "OidAllocator",
     "SkolemRegistry",
@@ -58,7 +54,6 @@ __all__ = [
     "real",
     "skolem_term_name",
     "string",
-    "summarize",
     "text_file",
     "to_dot",
     "type_predicate",

@@ -32,19 +32,6 @@ from .ast import (
     any_path,
     format_query,
 )
-from .builder import (
-    ProgramBuilder,
-    QueryBuilder,
-    alt,
-    any_label,
-    arc,
-    const,
-    label,
-    seq,
-    skolem,
-    star,
-    var,
-)
 from .builtins import (
     register_label_predicate,
     register_object_predicate,
@@ -102,10 +89,8 @@ __all__ = [
     "PlanCache",
     "PredicateCond",
     "Program",
-    "ProgramBuilder",
     "PushdownReport",
     "Query",
-    "QueryBuilder",
     "QueryEngine",
     "RecordingView",
     "SkolemTerm",
@@ -113,29 +98,20 @@ __all__ = [
     "Star",
     "Value",
     "Var",
-    "alt",
-    "any_label",
     "any_path",
-    "arc",
     "choose_path_direction",
     "clear_plan_cache",
     "compile_path",
-    "const",
     "estimate_cost",
     "evaluate",
     "explain",
     "explain_pushdown",
     "format_query",
     "global_plan_cache",
-    "label",
     "make_engine",
     "order_conditions",
     "parse",
     "path_alphabet",
-    "seq",
-    "skolem",
-    "star",
-    "var",
     "parse_query",
     "query_bindings",
     "register_engine_factory",

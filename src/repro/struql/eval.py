@@ -198,12 +198,7 @@ def _coercion_probes(value: Value) -> Tuple[Atom, ...]:
     atom = _as_atom(value)
     if atom is None:
         return ()
-    return _atom_coercion_probes(atom)
-
-
-# The probe-spelling computation lives with the value model so the SQL
-# backend can materialize the same probe sets without importing struql.
-_atom_coercion_probes = coercion_probes
+    return coercion_probes(atom)
 
 
 def _repeated_positions(

@@ -24,9 +24,12 @@ incremental constraint verdicts all ask it.
 The footprint is *semantic*, not physical: it is recorded from the
 bound/unbound pattern of each condition, not from the index the
 operator probes: it names what the query depends on, not how the
-operator found it.  Coercing value probes are exact because
-``_coercion_probes`` enumerates the complete finite set of atoms a
-constant can match.
+operator found it.  A coercing value probe is recorded as the
+constant's :func:`~repro.graph.values.coercion_probes` spellings, so it
+is exact only relative to that probe set: no finite set holds every atom
+a constant can match (``"1998.0"``, ``"1998.00"``, ... all equal
+``1998``), and an edit to an unlisted spelling is not seen (ROADMAP
+item 2).
 
 Sound over-approximations used (each errs toward invalidating):
 

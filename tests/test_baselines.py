@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines import (
+from benchmarks.baselines import (
     dbtemplate_spec_lines,
     family_graph,
     graph_model,
@@ -16,8 +16,26 @@ from repro.baselines import (
     strudel_query,
     strudel_spec_lines,
 )
+from repro.graph import Graph, integer, string
 from repro.struql import parse
 from repro.workloads import bibliography_graph
+
+
+@pytest.fixture
+def irregular_pubs():
+    """Two publications: one with every attribute (two authors), one
+    with a title only."""
+    graph = Graph()
+    full = graph.add_node()
+    graph.add_edge(full, "title", string("t1"))
+    graph.add_edge(full, "year", integer(1998))
+    graph.add_edge(full, "author", string("a"))
+    graph.add_edge(full, "author", string("b"))
+    partial = graph.add_node()
+    graph.add_edge(partial, "title", string("t2"))
+    graph.add_to_collection("Pubs", full)
+    graph.add_to_collection("Pubs", partial)
+    return graph
 
 
 class TestFamilyEquivalence:
@@ -115,3 +133,34 @@ class TestRelationalModel:
         graph = bibliography_graph(10, seed=1)
         report = maximal_schema(graph, "Nothing")
         assert report.rows == 0 and report.null_fraction == 0.0
+
+    def test_rows_and_columns(self, irregular_pubs):
+        report = maximal_schema(irregular_pubs, "Pubs")
+        assert report.rows == 2
+        assert report.columns == ["title", "year", "author"]
+
+    def test_null_fraction_counts_missing_cells(self, irregular_pubs):
+        # 2 objects x 3 columns = 6 cells; filled: title(2) + year(1) + author(1)
+        report = maximal_schema(irregular_pubs, "Pubs")
+        assert report.null_fraction == pytest.approx(1 - 4 / 6)
+
+    def test_multivalued_column_gets_an_overflow_table(self, irregular_pubs):
+        report = maximal_schema(irregular_pubs, "Pubs")
+        assert report.overflow_tables == {"author": 2}
+
+    def test_regular_collection_has_zero_nulls(self):
+        graph = Graph()
+        for index in range(3):
+            oid = graph.add_node()
+            graph.add_edge(oid, "name", string(f"n{index}"))
+            graph.add_to_collection("C", oid)
+        assert maximal_schema(graph, "C").null_fraction == 0.0
+
+    def test_type_conflicts(self):
+        graph = Graph()
+        a, b = graph.add_node(), graph.add_node()
+        graph.add_edge(a, "addr", string("street"))
+        graph.add_edge(b, "addr", graph.add_node())
+        graph.add_to_collection("C", a)
+        graph.add_to_collection("C", b)
+        assert maximal_schema(graph, "C").type_conflicts == ["addr"]

@@ -1,22 +1,10 @@
-"""Unit tests for the fluent query builder (repro.struql.builder)."""
+"""Unit tests for the fluent query builder (examples/query_builder.py)."""
 
 import pytest
 
 from repro.errors import StruqlSemanticError
 from repro.graph import Oid
-from repro.struql import (
-    ProgramBuilder,
-    alt,
-    arc,
-    const,
-    evaluate,
-    label,
-    parse,
-    seq,
-    skolem,
-    star,
-    var,
-)
+from repro.struql import evaluate, parse
 from repro.struql.ast import (
     CollectionCond,
     ComparisonCond,
@@ -28,6 +16,18 @@ from repro.struql.ast import (
     Var,
 )
 from repro.workloads import bibliography_graph
+
+from query_builder import (
+    ProgramBuilder,
+    alt,
+    arc,
+    const,
+    label,
+    seq,
+    skolem,
+    star,
+    var,
+)
 
 
 class TestTermHelpers:

@@ -10,7 +10,9 @@ import string as stringmod
 
 from hypothesis import given, settings, strategies as st
 
-from repro.struql import ProgramBuilder, arc, const, parse, skolem, star
+from repro.struql import parse
+
+from query_builder import ProgramBuilder, arc, const, skolem, star
 
 _names = st.sampled_from(["Pubs", "Items", "People"])
 _labels = st.sampled_from(["year", "title", "group", "kind"])

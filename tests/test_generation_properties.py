@@ -6,7 +6,7 @@ import re
 
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines import family_graph, run_strudel, strudel_query, strudel_templates
+from benchmarks.baselines import family_graph, run_strudel, strudel_query, strudel_templates
 from repro.core import DynamicSite, NodeInstance
 from repro.graph import Oid
 from repro.struql import evaluate, parse

@@ -90,7 +90,7 @@ class TestLivingSite:
         assert server_names == site_names
 
     def test_edit_propagation_then_serve(self, living):
-        from repro.core.propagation import EditPropagator
+        from edit_propagation import EditPropagator
 
         data, server, maintainer = living
         propagator = EditPropagator(maintainer)

@@ -1,12 +1,13 @@
-"""Unit tests for edit propagation (repro.core.propagation)."""
+"""Unit tests for edit propagation (examples/edit_propagation.py)."""
 
 import pytest
 
 from repro.core import SiteMaintainer
-from repro.core.propagation import EditPropagator, PropagationError
 from repro.graph import Graph, Oid, atoms_equal, string, text_file
 from repro.struql import evaluate
 from repro.workloads import HOMEPAGE_QUERY, bibliography_graph
+
+from edit_propagation import EditPropagator, PropagationError
 
 SIMPLE_QUERY = """
 where Items(x), x -> l -> v

@@ -38,6 +38,7 @@ from repro.graph import (
 from repro.graph import Graph, Oid
 from repro.graph.values import coercion_probes
 from repro.repository import SqlRepository, ddl
+from repro.struql import evaluate
 from repro.wrappers import BibtexWrapper, DdlWrapper
 
 
@@ -409,6 +410,28 @@ def test_coercion_probes_unchanged(atom, expected):
     assert all(atoms_equal(probe, atom) for probe in probes)
     # memoized per distinct atom, whichever object asks
     assert coercion_probes(Atom(atom.type, atom.value)) is probes
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: INTEGER 1998 has no STRING \"1998.0\" probe, so "
+    "an index probe misses an edge that a scan matches",
+)
+def test_constant_target_matches_the_same_edges_by_probe_and_by_scan():
+    """``"1998.0"`` equals ``1998``. With one item the plan scans its
+    ``v`` edges and finds it; among fifty items it probes the value index
+    with the constant's spellings instead, and no probe is ``"1998.0"``."""
+    created = []
+    for items in (1, 50):
+        data = Graph()
+        for index in range(items):
+            item = data.add_node(Oid(f"i{index}"))
+            data.add_edge(item, "name", string(f"item{index}"))
+            data.add_to_collection("Items", item)
+        data.add_edge(Oid("i0"), "v", string("1998.0"))
+        site = evaluate('where Items(x), x -> "v" -> 1998 create P(x)', data)
+        created.append(site.node_count)
+    assert created == [1, 1]
 
 
 def test_no_tuple_isinstance_checks_in_src():

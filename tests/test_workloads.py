@@ -1,6 +1,6 @@
 """Unit tests for the synthetic workload generators (repro.workloads)."""
 
-from repro.graph import summarize
+from benchmarks.baselines import maximal_schema
 from repro.wrappers import BibtexWrapper, RelationalWrapper, StructuredFileWrapper
 from repro.workloads import (
     article_pages,
@@ -27,9 +27,12 @@ class TestBibliography:
         assert graph.collection_cardinality("Publications") == 25
 
     def test_irregularity_present(self):
-        schema = summarize(bibliography_graph(60, seed=0))
-        pubs = schema.collection_schema("Publications")
-        assert "month" in pubs.irregular_attributes
+        graph = bibliography_graph(60, seed=0)
+        pubs = maximal_schema(graph, "Publications")
+        assert "month" in pubs.columns and any(
+            "month" not in graph.labels_of(member)
+            for member in graph.collection("Publications")
+        )
         assert 0.0 < pubs.null_fraction < 0.8
 
     def test_journal_vs_booktitle_disjoint(self):
