@@ -51,6 +51,8 @@ Target = Union[Oid, Atom]
 #: A fully-specified edge.
 Edge = Tuple[Oid, str, Target]
 
+_intern = sys.intern
+
 #: Process-unique tokens for graphs of both backends (and hand-built
 #: statistics): derived-state caches key on ``(token, epoch)``.  Unlike
 #: ``id()``, a token is never reused after its graph is freed.
@@ -99,9 +101,6 @@ class Graph:
         """
         return self._epoch
 
-    def _bump(self) -> None:
-        self._epoch += 1
-
     def delta_since(self, epoch: int) -> Optional[GraphDelta]:
         """Everything that changed after ``epoch``, or ``None``.
 
@@ -125,7 +124,7 @@ class Graph:
             oid = self.allocator.fresh(hint)
         if oid not in self._out:
             self._out[oid] = {}
-            self._bump()
+            self._epoch += 1
             self._delta_log.record((self._epoch, NODE_ADD, oid, None, None))
         return oid
 
@@ -171,7 +170,7 @@ class Graph:
         ]
         for name in dropped_from:
             del self._collections[name][oid]
-        self._bump()
+        self._epoch += 1
         self._delta_log.record((self._epoch, NODE_REMOVE, oid, None, None))
         for name in dropped_from:
             self._delta_log.record((self._epoch, MEMBER_REMOVE, name, oid, None))
@@ -185,42 +184,58 @@ class Graph:
         ``target`` may be an oid (which must exist), an :class:`Atom`, or a
         plain Python value which is wrapped via
         :func:`~repro.graph.values.from_python`.  Duplicate edges are
-        ignored (set semantics).
+        ignored (set semantics).  An unknown source is reported first,
+        then an unknown target oid, then a bad label.
         """
-        if source not in self._out:
+        out = self._out
+        by_label = out.get(source)
+        if by_label is None:
             raise UnknownObjectError(source)
-        if isinstance(target, Oid):
-            if target not in self._out:
-                raise UnknownObjectError(target)
+        if target.__class__ is Atom:
             stored: Target = target
-        elif isinstance(target, Atom):
+            atom = True
+        elif target.__class__ is Oid or isinstance(target, Oid):
+            if target not in out:
+                raise UnknownObjectError(target)
             stored = target
+            atom = False
         else:
-            stored = from_python(target)
-        if not isinstance(label, str) or not label:
+            stored = target if isinstance(target, Atom) else from_python(target)
+            atom = True
+        if not (label.__class__ is str or isinstance(label, str)) or not label:
             raise GraphError(f"edge label must be a non-empty string, got {label!r}")
         # Intern at load time: a site graph repeats a small label
         # vocabulary across millions of edges, and interning makes every
         # downstream label compare/hash (index probes, NFA label tests)
         # an identity check on a shared object.
-        label = sys.intern(label)
+        label = _intern(label)
 
         pair = (source, stored)
-        label_extent = self._by_label.setdefault(label, {})
-        if pair in label_extent:
+        label_extent = self._by_label.get(label)
+        if label_extent is None:
+            label_extent = self._by_label[label] = {}
+        elif pair in label_extent:
             return stored
         label_extent[pair] = None
-        self._out[source].setdefault(label, []).append(stored)
-        if stored not in self._in:
-            self._in[stored] = {}
-            if isinstance(stored, Atom):
+        targets = by_label.get(label)
+        if targets is None:
+            by_label[label] = [stored]
+        else:
+            targets.append(stored)
+        incoming = self._in.get(stored)
+        if incoming is None:
+            incoming = self._in[stored] = {}
+            if atom:
                 self._distinct_atoms += 1
-        self._in[stored][(source, label)] = None
-        if isinstance(stored, Atom):
-            values = self._label_values.setdefault(label, {})
-            values[stored] = values.get(stored, 0) + 1
+        incoming[(source, label)] = None
+        if atom:
+            values = self._label_values.get(label)
+            if values is None:
+                self._label_values[label] = {stored: 1}
+            else:
+                values[stored] = values.get(stored, 0) + 1
         self._edge_count += 1
-        self._bump()
+        self._epoch += 1
         self._delta_log.record((self._epoch, EDGE_ADD, source, label, stored))
         return stored
 
@@ -255,7 +270,7 @@ class Graph:
                 else:
                     values[target] = count - 1
         self._edge_count -= 1
-        self._bump()
+        self._epoch += 1
         self._delta_log.record((self._epoch, EDGE_REMOVE, source, label, target))
 
     def has_edge(self, source: Oid, label: str, target: Target) -> bool:
@@ -398,7 +413,7 @@ class Graph:
         """Declare an (initially empty) named collection; idempotent."""
         if name not in self._collections:
             self._collections[name] = {}
-            self._bump()
+            self._epoch += 1
             self._delta_log.record((self._epoch, COLLECTION_CREATE, name, None, None))
 
     def add_to_collection(self, name: str, oid: Oid) -> None:
@@ -410,7 +425,7 @@ class Graph:
         members = self._collections[name]
         if oid not in members:
             members[oid] = None
-            self._bump()
+            self._epoch += 1
             self._delta_log.record((self._epoch, MEMBER_ADD, name, oid, None))
 
     def remove_from_collection(self, name: str, oid: Oid) -> None:
@@ -418,7 +433,7 @@ class Graph:
         if members is None or oid not in members:
             raise GraphError(f"{oid} is not in collection {name!r}")
         del members[oid]
-        self._bump()
+        self._epoch += 1
         self._delta_log.record((self._epoch, MEMBER_REMOVE, name, oid, None))
 
     def collection(self, name: str) -> List[Oid]:

@@ -39,8 +39,10 @@ labels -- "elements of the graph's schema").
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
+from operator import itemgetter
 from typing import (
     Callable,
     Dict,
@@ -1154,6 +1156,10 @@ class QueryEngine:
 # the construction stage
 
 
+#: A compiled construction clause: applies the clause to one row.
+_Apply = Callable[[Binding], object]
+
+
 class _Constructor:
     """Applies create/link/collect clauses of a query tree to a result graph.
 
@@ -1164,9 +1170,16 @@ class _Constructor:
     grows during :meth:`construct`, so such an application is a no-op,
     and :meth:`construct` skips it.  It applies each clause once per
     distinct binding of the clause's own variables
-    (``sorted_variables``), rows still in order, and resolves each
-    Skolem term once per call.  The effective mutations, and so the
-    result graph and its delta log, are the row-at-a-time ones.
+    (``sorted_variables``), rows still in order.
+
+    Each :meth:`construct` call compiles its clauses once into closures
+    over one row: a clause's shape (a Skolem or variable source, a
+    constant or arc-variable label, a Skolem, constant or variable
+    target) is decided then, not per row.  Skolem terms resolve through
+    one memo per ``(function, arity)`` for the call, keyed on the bare
+    value for one argument and resolved once for none; a miss goes to
+    ``result.skolem``.  The effective mutations, and so the result graph
+    and its delta log, are the row-at-a-time ones.
 
     When a link or collect clause references a *data-graph* node (allowed:
     "each node in link or collect is either mentioned in create or is a
@@ -1182,8 +1195,9 @@ class _Constructor:
         self.metrics = metrics
         self.source = source
         self._imported: Set[Oid] = set()
-        #: this call's Skolem memo: (function, raw argument values) -> oid
-        self._memo: Dict[Tuple[str, Tuple[object, ...]], Oid] = {}
+        #: this call's Skolem memos: (function, arity) -> {argument
+        #: values, or the bare value of a lone argument: oid}
+        self._memos: Dict[Tuple[str, int], Dict[object, Oid]] = {}
         #: the result's node and edge counts at the start of this call,
         #: moved up by whatever :meth:`_import_subgraph` adds
         self._nodes_base = 0
@@ -1201,37 +1215,38 @@ class _Constructor:
         """Apply ``query``'s own clauses (not its nested blocks') to
         ``rows``, each clause once per distinct binding of its variables.
 
-        Clauses with the same sorted variables share one set of the
-        bindings seen.  A clause whose variables are all those the rows
-        bind has none: callers pass distinct rows (``bindings()`` and
-        :func:`_project` return sets), and a duplicate row would only
-        re-apply no-ops.
+        The clauses are compiled once per call, which costs O(clauses):
+        nothing is cached on the query between calls.  Clauses with the
+        same sorted variables share one set of the bindings seen.  A
+        clause whose variables are all those the rows bind has none:
+        callers pass distinct rows (``bindings()`` and :func:`_project`
+        return sets), and a duplicate row would only re-apply no-ops.
         """
         if not rows:
             return
         result = self.result
-        self._memo = {}
+        self._memos = {}
         self._nodes_base = result.node_count
         self._edges_base = result.edge_count
         dedup = len(rows) > 1
-        bound = rows[0].keys()
+        bound = tuple(sorted(rows[0])) if dedup else ()
         groups: Dict[Tuple[str, ...], int] = {}
         keyed: List[Tuple[object, Set[object]]] = []
-        steps = []
-        for apply, clauses in (
-            (self._skolem, query.create),
-            (self._link, query.link),
-            (self._collect, query.collect),
+        steps: List[Tuple[_Apply, int]] = []
+        for compile_clause, clauses in (
+            (self._compile_term, query.create),
+            (self._compile_link, query.link),
+            (self._compile_collect, query.collect),
         ):
             for clause in clauses:
                 names = clause.sorted_variables
                 group = -1
-                if dedup and bound != set(names):
+                if dedup and names != bound:
                     group = groups.get(names, -1)
                     if group < 0:
                         group = groups[names] = len(keyed)
                         keyed.append((names[0] if len(names) == 1 else names, set()))
-                steps.append((apply, clause, group))
+                steps.append((compile_clause(clause), group))
         fresh: List[bool] = []
         for row in rows:
             if keyed:
@@ -1240,23 +1255,45 @@ class _Constructor:
                     key = row.get(names) if names.__class__ is str else tuple(map(row.get, names))
                     fresh.append(key not in seen)
                     seen.add(key)
-            for apply, clause, group in steps:
+            for apply, group in steps:
                 if group < 0 or fresh[group]:
-                    apply(clause, row)
+                    apply(row)
         self.metrics.nodes_created += result.node_count - self._nodes_base
         self.metrics.edges_created += result.edge_count - self._edges_base
 
     # ------------------------------------------------------------ #
+    # clause compilers: each returns a closure over one row
 
-    def _skolem(self, term: SkolemTerm, row: Binding) -> Oid:
-        values = tuple([
-            arg.atom if isinstance(arg, Const) else row.get(arg.name)
-            for arg in term.args
-        ])
-        key = (term.function, values)
-        oid = self._memo.get(key)
-        if oid is not None:
-            return oid
+    def _compile_term(self, term: SkolemTerm) -> Callable[[Binding], Oid]:
+        """The oid ``term`` denotes in a row."""
+        args = term.args
+        memo = self._memos.setdefault((term.function, len(args)), {})
+        skolem = self._skolem
+        if len(args) == 1 and isinstance(args[0], Var):
+            name = args[0].name
+
+            def resolve(row: Binding) -> Oid:
+                value = row.get(name)
+                oid = memo.get(value)
+                return skolem(term, memo, value) if oid is None else oid
+        elif any(isinstance(arg, Var) for arg in args):
+            parts = [(arg.name, None) if isinstance(arg, Var) else (None, arg.atom) for arg in args]
+
+            def resolve(row: Binding) -> Oid:
+                key = tuple([value if name is None else row.get(name) for name, value in parts])
+                oid = memo.get(key)
+                return skolem(term, memo, key) if oid is None else oid
+        else:
+            key = args[0].atom if len(args) == 1 else tuple(arg.atom for arg in args)
+
+            def resolve(row: Binding) -> Oid:
+                oid = memo.get(key)
+                return skolem(term, memo, key) if oid is None else oid
+        return resolve
+
+    def _skolem(self, term: SkolemTerm, memo: Dict[object, Oid], key: object) -> Oid:
+        """A memo miss: apply ``term`` to the values ``key`` holds."""
+        values = (key,) if len(term.args) == 1 else key
         args: List[object] = []
         for arg, value in zip(term.args, values):
             if value is None:
@@ -1266,22 +1303,87 @@ class _Constructor:
             if isinstance(value, str):
                 value = Atom(AtomType.STRING, value)
             args.append(value)
-        oid = self._memo[key] = self.result.skolem(term.function, *args)
+        oid = memo[key] = self.result.skolem(term.function, *args)
         return oid
 
-    def _collect(self, collect: CollectClause, row: Binding) -> None:
-        ref = collect.node
-        if isinstance(ref, SkolemTerm):
-            node = self._skolem(ref, row)
-        else:
-            node = row.get(ref.name)
-            if not isinstance(node, Oid):
+    def _compile_collect(self, collect: CollectClause) -> _Apply:
+        collection = collect.collection
+        add_to_collection = self.result.add_to_collection
+        if isinstance(collect.node, SkolemTerm):
+            node = self._compile_term(collect.node)
+            return lambda row: add_to_collection(collection, node(row))
+        name = collect.node.name
+        has_node = self.result.has_node
+
+        def member(row: Binding) -> None:
+            value = row.get(name)
+            if not isinstance(value, Oid):
                 raise StruqlEvaluationError(
-                    f"variable {ref.name!r} does not denote a node (got {node!r})"
+                    f"variable {name!r} does not denote a node (got {value!r})"
                 )
-            if not self.result.has_node(node):
-                self._import_subgraph(node)
-        self.result.add_to_collection(collect.collection, node)
+            if not has_node(value):
+                self._import_subgraph(value)
+            add_to_collection(collection, value)
+        return member
+
+    def _compile_link(self, link: LinkClause) -> _Apply:
+        source = self._compile_term(link.source) if isinstance(link.source, SkolemTerm) \
+            else self._compile_source(link.source.name)
+        target = self._compile_target(link.target)
+        add_edge = self.result.add_edge
+        if isinstance(link.label, str):
+            label = sys.intern(link.label)
+            return lambda row: add_edge(source(row), label, target(row))
+        name = link.label.name
+
+        def arc(row: Binding) -> None:
+            bound = row.get(name)
+            label = bound if bound.__class__ is str else _bound_label(name, bound)
+            add_edge(source(row), label, target(row))
+        return arc
+
+    def _compile_source(self, name: str) -> Callable[[Binding], Oid]:
+        """A link source variable: a node this or an earlier construction
+        created (Skolem-created); an existing data node is immutable."""
+        skolems = self.result.skolems
+
+        def source(row: Binding) -> Oid:
+            value = row.get(name)
+            if not isinstance(value, Oid):
+                raise StruqlEvaluationError(
+                    f"link source {name!r} does not denote a node (got {value!r})"
+                )
+            if value not in skolems:
+                raise ImmutableNodeError(
+                    f"link source {value} is an existing node; STRUQL only adds "
+                    "edges out of new (Skolem-created) nodes"
+                )
+            return value
+        return source
+
+    def _compile_target(self, target: Union[SkolemTerm, Var, Const]) -> Callable[[Binding], Target]:
+        if isinstance(target, SkolemTerm):
+            return self._compile_term(target)
+        if isinstance(target, Const):
+            atom = target.atom
+            return lambda row: atom
+        name = target.name
+        has_node = self.result.has_node
+
+        def value(row: Binding) -> Target:
+            bound = row.get(name)
+            if bound.__class__ is Atom:
+                return bound
+            if bound is None:
+                raise StruqlEvaluationError(f"link target {name!r} unbound")
+            if isinstance(bound, Oid):
+                if not has_node(bound):
+                    self._import_subgraph(bound)
+                return bound
+            if isinstance(bound, str):
+                return Atom(AtomType.STRING, bound)
+            return bound
+        return value
 
     def _import_subgraph(self, root: Oid) -> None:
         """Copy a data-graph node and its reachable closure into the result."""
@@ -1300,66 +1402,49 @@ class _Constructor:
         self._nodes_base += result.node_count - nodes
         self._edges_base += result.edge_count - edges
 
-    def _link(self, link: LinkClause, row: Binding) -> None:
-        source = self._skolem(link.source, row) \
-            if isinstance(link.source, SkolemTerm) else self._resolve_source_var(link.source, row)
-        label = link_label(link, row)
-        target = self._resolve_target(link.target, row)
-        self.result.add_edge(source, label, target)
-
-    def _resolve_source_var(self, ref: Var, row: Binding) -> Oid:
-        value = row.get(ref.name)
-        if not isinstance(value, Oid):
-            raise StruqlEvaluationError(
-                f"link source {ref.name!r} does not denote a node (got {value!r})"
-            )
-        if value not in self.result.skolems:
-            raise ImmutableNodeError(
-                f"link source {value} is an existing node; STRUQL only adds "
-                "edges out of new (Skolem-created) nodes"
-            )
-        return value
-
-    def _resolve_target(self, target, row: Binding) -> Target:
-        if isinstance(target, SkolemTerm):
-            return self._skolem(target, row)
-        if isinstance(target, Const):
-            return target.atom
-        value = row.get(target.name)
-        if value is None:
-            raise StruqlEvaluationError(f"link target {target.name!r} unbound")
-        if isinstance(value, Oid):
-            if not self.result.has_node(value):
-                self._import_subgraph(value)
-            return value
-        if isinstance(value, str):
-            return Atom(AtomType.STRING, value)
-        return value
-
 
 def link_label(link: LinkClause, row: Binding) -> str:
     """The label ``link`` writes for ``row``: its constant, or the label
     its arc variable is bound to."""
     if isinstance(link.label, str):
         return link.label
-    bound = row.get(link.label.name)
+    return _bound_label(link.label.name, row.get(link.label.name))
+
+
+def _bound_label(name: str, bound: object) -> str:
+    """The label an arc variable ``name`` bound to ``bound`` writes."""
     if isinstance(bound, Atom):
         return bound.as_string()
     if isinstance(bound, str):
         return bound
-    raise StruqlEvaluationError(
-        f"arc variable {link.label.name!r} is not bound to a label"
-    )
+    raise StruqlEvaluationError(f"arc variable {name!r} is not bound to a label")
 
 
 def _project(rows: List[Binding], names: FrozenSet[str]) -> List[Binding]:
     """``rows`` restricted to ``names``, keeping the first occurrence of
-    each distinct projection in row order."""
-    distinct: Dict[FrozenSet[Tuple[str, object]], Binding] = {}
+    each distinct projection in row order.
+
+    The names a row keeps are worked out once per row shape (its key
+    tuple).  A projection is keyed on its values in sorted-name order,
+    in one seen set per set of kept names, so rows of different shapes
+    that keep the same names still share one set."""
+    projected: List[Binding] = []
+    shapes: Dict[Tuple[str, ...], Tuple[Tuple[str, ...], Callable[[Binding], object], Set[object]]] = {}
+    seen_by_names: Dict[Tuple[str, ...], Set[object]] = {}
     for row in rows:
-        projected = {name: value for name, value in row.items() if name in names}
-        distinct.setdefault(frozenset(projected.items()), projected)
-    return list(distinct.values())
+        shape = tuple(row)
+        entry = shapes.get(shape)
+        if entry is None:
+            kept = tuple(name for name in shape if name in names)
+            ordered = tuple(sorted(kept))
+            values = itemgetter(*ordered) if ordered else (lambda _: ())
+            entry = shapes[shape] = (kept, values, seen_by_names.setdefault(ordered, set()))
+        kept, values, seen = entry
+        key = values(row)
+        if key not in seen:
+            seen.add(key)
+            projected.append({name: row[name] for name in kept})
+    return projected
 
 
 # ---------------------------------------------------------------------- #

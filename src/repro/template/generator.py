@@ -186,6 +186,9 @@ class HtmlGenerator(PageRegistry):
         self._filenames: Dict[Oid, str] = {}
         self._used_names: Dict[str, int] = {}
         self._queue: deque = deque()
+        #: the oids queued since the last :meth:`generate` began: a
+        #: call re-queues pages an earlier call named
+        self._queued: Dict[Oid, None] = {}
         self._index_assigned = False
 
     # ------------------------------------------------------------ #
@@ -204,19 +207,20 @@ class HtmlGenerator(PageRegistry):
     def generate(
         self, roots: Iterable[Union[Oid, str]], site_name: str = "site"
     ) -> GeneratedSite:
-        """Render all pages reachable from ``roots``, in discovery order."""
+        """Render all pages reachable from ``roots``, in discovery order.
+
+        A later call on the same generator renders every page its own
+        roots reach again, under the file names earlier calls gave."""
         site = GeneratedSite(site_name)
+        self._queue.clear()  # what a call that raised left queued
+        self._queued = {}
         for root in roots:
             for oid in self._resolve_root(root):
                 self._assign_filename(oid)
-        rendered: Dict[Oid, None] = {}
         # one pass renders each EMBED fragment once
         with self._renderer.fragment_pass():
             while self._queue:
                 oid = self._queue.popleft()
-                if oid in rendered:
-                    continue
-                rendered[oid] = None
                 site.pages[self._filenames[oid]] = self._render_page(oid)
         site.filenames = dict(self._filenames)
         return site
@@ -253,16 +257,19 @@ class HtmlGenerator(PageRegistry):
         )
 
     def _assign_filename(self, oid: Oid) -> str:
-        existing = self._filenames.get(oid)
-        if existing is not None:
-            return existing
-        if not self._index_assigned:
-            filename = "index.html"
-            self._index_assigned = True
-        else:
-            filename = page_filename(oid.name, self._used_names)
-        self._filenames[oid] = filename
-        self._queue.append(oid)
+        """``oid``'s page file name, given on first sight; the page is
+        queued the first time it is seen since :meth:`generate` began."""
+        filename = self._filenames.get(oid)
+        if filename is None:
+            if not self._index_assigned:
+                filename = "index.html"
+                self._index_assigned = True
+            else:
+                filename = page_filename(oid.name, self._used_names)
+            self._filenames[oid] = filename
+        if oid not in self._queued:
+            self._queued[oid] = None
+            self._queue.append(oid)
         return filename
 
 

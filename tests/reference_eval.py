@@ -168,9 +168,14 @@ class RowConstructor:
         else:
             source = row.get(link.source.name)
             if not isinstance(source, Oid):
-                raise StruqlEvaluationError(f"link source {link.source.name!r} does not denote a node")
+                raise StruqlEvaluationError(
+                    f"link source {link.source.name!r} does not denote a node (got {source!r})"
+                )
             if source not in self.result.skolems:
-                raise ImmutableNodeError(f"link source {source} is an existing node")
+                raise ImmutableNodeError(
+                    f"link source {source} is an existing node; STRUQL only adds "
+                    "edges out of new (Skolem-created) nodes"
+                )
         label = link.label
         if isinstance(label, Var):
             label = row.get(label.name)

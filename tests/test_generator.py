@@ -6,12 +6,14 @@ import pytest
 
 from repro.errors import TemplateResolutionError
 from repro.graph import Graph, Oid, string
+from repro.struql import evaluate
 from repro.template import (
     TEMPLATE_ATTRIBUTE,
     HtmlGenerator,
     TemplateSet,
     generate_site,
 )
+from repro.workloads import HOMEPAGE_QUERY, bibliography_graph, homepage_templates
 
 
 @pytest.fixture
@@ -118,6 +120,15 @@ class TestGeneration:
         with pytest.raises(TemplateResolutionError):
             generate_site(graph, templates, [orphan])
 
+    def test_a_call_that_raised_leaves_nothing_queued(self, site):
+        graph, templates, root = site
+        orphans = [graph.add_node(Oid(f"Orphan({n})")) for n in (1, 2)]
+        generator = HtmlGenerator(graph, templates)
+        with pytest.raises(TemplateResolutionError):
+            generator.generate(orphans)  # raises on the first, leaving the second
+        again = generator.generate([root])
+        assert len(again.pages) == 4 and "index.html" not in again.pages
+
     def test_object_without_template_rendered_as_text(self, site):
         graph, templates, root = site
         orphan = graph.add_node(Oid("Orphan()"))
@@ -167,3 +178,19 @@ class TestGeneration:
         generated = generate_site(graph, templates, ["Root()"])
         assert generated.page_count == 1
         assert generated.pages["index.html"] == "[part]"
+
+    def test_a_second_generate_rerenders_its_pages_under_the_same_names(self):
+        graph = evaluate(HOMEPAGE_QUERY, bibliography_graph(5, seed=0))
+        generator = HtmlGenerator(graph, homepage_templates())
+        first = generator.generate(["RootPage()"])
+        again = generator.generate(["RootPage()"])
+        assert len(first.pages) == 13
+        assert list(again.pages.items()) == list(first.pages.items())
+        assert again.filenames == first.filenames
+        # a root reached the first time keeps its name, and a call
+        # renders only what its own roots reach
+        year = graph.collection("YearPages")[0]
+        subset = generator.generate([year])
+        assert first.filenames[year] in subset.pages
+        assert "index.html" not in subset.pages and len(subset.pages) < 13
+        assert all(first.pages[name] == html for name, html in subset.pages.items())

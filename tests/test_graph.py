@@ -1,9 +1,13 @@
 """Unit tests for the labeled directed graph (repro.graph.graph)."""
 
+import sys
+
 import pytest
 
 from repro.errors import GraphError, UnknownObjectError
-from repro.graph import Atom, Graph, Oid, integer, string
+from repro.graph import Atom, AtomType, Graph, Oid, from_python, integer, string
+
+from .reference_stats import recount_statistics
 
 
 @pytest.fixture
@@ -112,6 +116,83 @@ class TestEdges:
         graph.add_edge(a, "x", b)
         graph.add_edge(a, "y", string("v"))
         assert len(list(graph.edges())) == 2
+
+
+def _delta_summary(graph, epoch):
+    delta = graph.delta_since(epoch)
+    return [getattr(delta, name) for name in type(delta).__slots__]
+
+
+class TestAddEdgeContract:
+    """What every ``add_edge`` caller relies on: which error wins, how
+    targets are wrapped, that labels are interned, and that a rejected
+    or duplicate write changes nothing."""
+
+    @pytest.fixture
+    def nodes(self, graph):
+        a, b = graph.add_node(Oid("a")), graph.add_node(Oid("b"))
+        graph.add_edge(a, "to", b)
+        graph.add_edge(a, "year", 1998)
+        return a, b
+
+    def test_unknown_source_wins_over_a_bad_label(self, graph):
+        with pytest.raises(UnknownObjectError):
+            graph.add_edge(Oid("ghost"), "", string("v"))
+        with pytest.raises(UnknownObjectError):
+            graph.add_edge(Oid("ghost"), None, Oid("ghost too"))
+
+    def test_unknown_target_oid_wins_over_a_bad_label(self, graph, nodes):
+        with pytest.raises(UnknownObjectError) as raised:
+            graph.add_edge(nodes[0], "", Oid("ghost"))
+        assert raised.value.args == UnknownObjectError(Oid("ghost")).args
+
+    @pytest.mark.parametrize("label", [None, string("a"), 7, ""])
+    def test_a_label_that_is_not_a_non_empty_string_is_rejected(self, graph, nodes, label):
+        with pytest.raises(GraphError):
+            graph.add_edge(nodes[0], label, string("v"))
+
+    @pytest.mark.parametrize(
+        "value, kind",
+        [(True, AtomType.BOOLEAN), (3, AtomType.INTEGER), (2.5, AtomType.FLOAT),
+         ("s", AtomType.STRING)],
+    )
+    def test_plain_targets_are_wrapped_with_from_python(self, graph, nodes, value, kind):
+        stored = graph.add_edge(nodes[0], "v", value)
+        assert stored.__class__ is Atom and stored.type is kind
+        assert stored == from_python(value)
+        assert graph.targets(nodes[0], "v") == [stored]
+
+    def test_stored_labels_are_the_interned_strings(self, graph, nodes):
+        label = "".join(["ti", "tle"])  # built at run time: not interned
+        graph.add_edge(nodes[0], label, string("t"))
+        interned = sys.intern("title")
+        assert graph.labels_of(nodes[0])[-1] is interned
+        assert graph.labels()[-1] is interned
+        assert next(graph.in_edges(string("t")))[1] is interned
+
+    @pytest.mark.parametrize(
+        "source, label, target",
+        [(Oid("ghost"), "a", string("v")), (Oid("a"), "a", Oid("ghost")),
+         (Oid("a"), "", string("v")), (Oid("a"), None, string("v")),
+         (Oid("a"), "a", object())],
+    )
+    def test_a_rejected_write_changes_nothing(self, graph, nodes, source, label, target):
+        start = graph.epoch - 2
+        before = (graph.epoch, graph.edge_count, _delta_summary(graph, start),
+                  recount_statistics(graph))
+        with pytest.raises((GraphError, TypeError)):
+            graph.add_edge(source, label, target)
+        assert (graph.epoch, graph.edge_count, _delta_summary(graph, start),
+                recount_statistics(graph)) == before
+
+    def test_a_duplicate_edge_bumps_no_epoch_and_records_no_delta(self, graph, nodes):
+        a, b = nodes
+        epoch = graph.epoch
+        assert graph.add_edge(a, "to", b) == b
+        assert graph.add_edge(a, "year", integer(1998)) == integer(1998)
+        assert graph.epoch == epoch
+        assert graph.delta_since(epoch).empty
+        assert graph.edge_count == 2
 
 
 class TestNavigation:

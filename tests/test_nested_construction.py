@@ -26,18 +26,24 @@ The contracts under test:
   as Skolem arguments, imported data-graph nodes);
 * an existing-node link source raises ``ImmutableNodeError`` at the
   same point, with the same partial graph, as the reference;
+* every construction error (an unbound Skolem argument or link target,
+  a collected variable or link source that is not a node, an existing
+  link source, an arc variable not bound to a label) has the
+  reference's class and message;
+* ``_project`` returns the dicts, in the order, of the obvious
+  frozenset-keyed projection, for rows of mixed shapes;
 * ``bindings_produced`` counts distinct rows only: for Fig. 3, the
   top-level rows plus the distinct ``(x, y)`` and ``(x, c)`` rows.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from repro.errors import ImmutableNodeError
-from repro.graph import Graph, Oid, string
+from repro.errors import ImmutableNodeError, StrudelError
+from repro.graph import Graph, Oid, integer, string
 from repro.repository import ddl, graph_statistics
 from repro.struql import order_conditions, parse, query_bindings
-from repro.struql.eval import Metrics, QueryEngine, _Constructor, evaluate
+from repro.struql.eval import Metrics, QueryEngine, _Constructor, _project, evaluate
 from repro.workloads import HOMEPAGE_QUERY, bibliography_graph
 
 from .reference_eval import RowConstructor, WrittenOrderEngine, reference_evaluate
@@ -138,6 +144,18 @@ link P(x) -> "item" -> x, P(x) -> l -> v
 collect Items(x), Ps(P(x))
 """
 
+#: one Skolem function at arities 0 to 3, with constant arguments and a
+#: constant target: the 1-argument terms ``K("c")`` and ``K(v)`` share a
+#: memo, and ``K(v)`` for a STRING atom ``"c"`` is the node ``K("c")``
+SKOLEM_ARITIES = """
+where C(x), x -> l -> v
+create K(), K(x), K(x, l), K(v, "c", x), K("c"), K(v)
+link K() -> "one" -> K(x), K(x) -> "pair" -> K(x, l),
+     K(x, l) -> "triple" -> K(v, "c", x), K("c") -> "const" -> K(v),
+     K(v) -> "value" -> v, K(x) -> "flag" -> "yes"
+collect Ks(K("c")), Ks(K(v)), Ks(K())
+"""
+
 QUERIES = [
     FIG3_RANDOM,
     CHILD_USES_ARC,
@@ -146,6 +164,7 @@ QUERIES = [
     CHILD_NEGATES_PARENT_VAR,
     WHERE_ONLY_VARIABLE,
     IMPORTS_DATA_NODES,
+    SKOLEM_ARITIES,
 ]
 
 
@@ -316,3 +335,70 @@ def test_existing_node_link_source_raises_like_the_reference():
     assert got.node_count == 1  # P(x) of the first row only
     with pytest.raises(ImmutableNodeError):
         evaluate(text, graph)
+
+
+#: one query per construction error, each over ``_error_graph``: ``z``
+#: occurs only inside a negation, so no row binds it; ``v`` is an atom
+#: and ``n`` a data node
+CONSTRUCTION_ERRORS = {
+    "unbound Skolem argument": """
+        where C(x) create P(x)
+        { where not(x -> "missing" -> z) create Q(z) }
+    """,
+    "collected atom": 'where C(x), x -> "v" -> v collect Vs(v)',
+    "atom link source": 'where C(x), x -> "v" -> v create P(x) link v -> "a" -> P(x)',
+    "existing link source": 'where C(x) create P(x) link x -> "a" -> P(x)',
+    "arc variable bound to a node": 'where C(x), x -> "n" -> n create P(x) link P(x) -> n -> x',
+    "unbound link target": """
+        where C(x), not(x -> "missing" -> z) create P(x) link P(x) -> "a" -> z
+    """,
+}
+
+
+def _error_graph():
+    graph = Graph()
+    item, other = graph.add_node(Oid("item")), graph.add_node(Oid("other"))
+    graph.add_edge(item, "v", string("s"))
+    graph.add_edge(item, "n", other)
+    graph.add_to_collection("C", item)
+    return graph
+
+
+@pytest.mark.parametrize("text", CONSTRUCTION_ERRORS.values(), ids=list(CONSTRUCTION_ERRORS))
+def test_construction_errors_match_the_reference(text):
+    graph = _error_graph()
+    with pytest.raises(StrudelError) as got:
+        evaluate(text, graph)
+    with pytest.raises(StrudelError) as expected:
+        reference_evaluate(parse(text), graph)
+    assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+
+
+def _frozenset_project(rows, names):
+    """The obvious projection: each row restricted to ``names``, the
+    first occurrence of each distinct restriction kept, in row order."""
+    distinct = {}
+    for row in rows:
+        projected = {name: value for name, value in row.items() if name in names}
+        distinct.setdefault(frozenset(projected.items()), projected)
+    return list(distinct.values())
+
+
+#: tuple-subclass values (oids and atoms) and a plain label
+_VALUES = st.sampled_from(
+    [Oid("a"), Oid("b"), string("a"), string("b"), integer(1), "a"]
+)
+_ROWS = st.lists(
+    st.lists(st.sampled_from("xylv"), unique=True).flatmap(
+        lambda names: st.fixed_dictionaries({name: _VALUES for name in names})
+    ),
+    max_size=12,
+)
+
+
+@given(_ROWS, st.frozensets(st.sampled_from("xylvw")))
+@settings(max_examples=300, deadline=None)
+def test_project_matches_the_frozenset_projection(rows, names):
+    got = _project(rows, names)
+    expected = _frozenset_project(rows, names)
+    assert [list(row.items()) for row in got] == [list(row.items()) for row in expected]
