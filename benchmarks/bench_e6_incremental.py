@@ -40,11 +40,11 @@ CLICKS = 30
 EDIT_ARTICLES = int(os.environ.get("E6_ARTICLES", "400"))
 
 
-def _browse(site, clicks=CLICKS, seed=0):
+def _browse(site, clicks=CLICKS, seed=0, lookahead=False):
     """A realistic trace: mostly forward clicks, ~30% returns to the
     front page (real users bounce back to hubs, which is what makes
     caching pay)."""
-    session = BrowseSession(site)
+    session = BrowseSession(site, lookahead=lookahead)
     rng = random.Random(seed)
     front = NodeInstance("FrontPage", ())
 
@@ -63,14 +63,14 @@ def test_e6_click_time_policies(report, benchmark, articles):
     data = news_graph(articles, seed=31)
     program = parse(NEWS_SITE_QUERY)
 
-    naive = DynamicSite(program, data, cache=False, lookahead=False)
+    naive = DynamicSite(program, data, cache=False)
     naive_time = _browse(naive)
 
-    cached = DynamicSite(program, data, cache=True, lookahead=False)
+    cached = DynamicSite(program, data, cache=True)
     cached_time = _browse(cached)
 
-    lookahead = DynamicSite(program, data, cache=True, lookahead=True)
-    lookahead_time = _browse(lookahead)
+    lookahead = DynamicSite(program, data, cache=True)
+    lookahead_time = _browse(lookahead, lookahead=True)
 
     start = time.perf_counter()
     site_graph = evaluate(program, data)
@@ -115,7 +115,7 @@ def test_e6_click_time_policies(report, benchmark, articles):
     assert lookahead.metrics.cache_hits > cached.metrics.cache_hits
 
     benchmark.pedantic(
-        lambda: _browse(DynamicSite(program, data, cache=True, lookahead=True)),
+        lambda: _browse(DynamicSite(program, data, cache=True), lookahead=True),
         rounds=1, iterations=1,
     )
 
@@ -128,7 +128,7 @@ def test_e6_dynamic_avoids_full_materialization_cost(report, benchmark):
     start = time.perf_counter()
     evaluate(program, data)
     materialize_time = time.perf_counter() - start
-    dynamic = DynamicSite(program, data, cache=True, lookahead=False)
+    dynamic = DynamicSite(program, data, cache=True)
     dynamic_time = benchmark.pedantic(
         lambda: _browse(dynamic, clicks=10), rounds=1, iterations=1
     )

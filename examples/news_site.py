@@ -71,8 +71,8 @@ def main(output_dir: str = "_out/news", count: str = "120") -> None:
     print(f"derivation cost: {diff.as_row()}  (templates shared: all)")
 
     # 3. browse the site dynamically -- no materialized site graph
-    dynamic = builder.dynamic_site("news", cache=True, lookahead=True)
-    session = BrowseSession(dynamic)
+    dynamic = builder.dynamic_site("news", cache=True)
+    session = BrowseSession(dynamic, lookahead=True)
     rng = random.Random(0)
     trajectory = session.walk(
         NodeInstance("FrontPage", ()),

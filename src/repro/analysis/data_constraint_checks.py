@@ -200,13 +200,7 @@ def check_data_constraints(
                     )
                 )
                 continue
-            violations = []
-            for oid in data_graph.collection(constraint.collection):
-                counters.checked += 1
-                violation = checker.check_subject(constraint, oid)
-                if violation is not None:
-                    counters.violated += 1
-                    violations.append(violation)
+            violations = checker.check_members(constraint)
             if violations:
                 first = violations[0]
                 diagnostics.append(

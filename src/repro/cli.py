@@ -141,7 +141,7 @@ def _make_wrapper(kind: str, source: str):
     if kind == "csv":
         name = os.path.basename(source).rsplit(".", 1)[0]
         return RelationalWrapper(
-            [Table.from_csv(name, _read(source), strict=False)],
+            [Table.from_csv(name, _read(source))],
             source_name=source,
         )
     if kind == "structured":

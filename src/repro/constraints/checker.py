@@ -219,10 +219,18 @@ class ConstraintChecker:
             if self.refuted_on_data(constraint):
                 counters.refuted += 1
                 continue
-            for oid in self.graph.collection(constraint.collection):
-                counters.checked += 1
-                violation = self.check_subject(constraint, oid)
-                if violation is not None:
-                    counters.violated += 1
-                    violations.append(violation)
+            violations.extend(self.check_members(constraint))
+        return violations
+
+    def check_members(self, constraint: DataConstraint) -> List[Violation]:
+        """Every member of the constraint's collection that violates it,
+        in member order, counted as ``checked`` and ``violated``."""
+        counters = self.counters
+        violations: List[Violation] = []
+        for oid in self.graph.collection(constraint.collection):
+            counters.checked += 1
+            violation = self.check_subject(constraint, oid)
+            if violation is not None:
+                counters.violated += 1
+                violations.append(violation)
         return violations

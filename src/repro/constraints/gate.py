@@ -20,12 +20,15 @@ violating subject is removed from the graph and logged into the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from ..errors import ConstraintViolation, QuarantineExceeded
+from ..errors import ConstraintViolation
 from ..graph import Graph, Oid
 from .checker import ConstraintChecker
 from .model import CheckCounters, ConstraintSet, Violation
+
+if TYPE_CHECKING:
+    from ..resilience.quarantine import QuarantineReport, WrapPolicy
 
 
 @dataclass(frozen=True)
@@ -43,8 +46,8 @@ class ConstraintPolicy:
 
 def apply_constraint_gate(
     graph: Graph,
-    wrap_policy: "object",
-    report: "object",
+    wrap_policy: "WrapPolicy",
+    report: "QuarantineReport",
     source_name: str = "",
 ) -> List[Violation]:
     """Enforce ``wrap_policy.constraints`` on a freshly-built graph.
@@ -55,14 +58,14 @@ def apply_constraint_gate(
     ``report`` (one quarantined record per subject, messages joined),
     then the usual error budget applies.  Returns the violations found.
     """
-    policy: Optional[ConstraintPolicy] = getattr(wrap_policy, "constraints", None)
+    policy: Optional[ConstraintPolicy] = wrap_policy.constraints
     if policy is None:
         return []
     checker = ConstraintChecker(graph, policy.constraint_set, policy.counters)
     violations = checker.check_all()
     if not violations:
         return violations
-    if not getattr(wrap_policy, "quarantine", False):
+    if not wrap_policy.quarantine:
         first = violations[0]
         raise ConstraintViolation(first.constraint, witness=first.subject.name)
 
@@ -82,12 +85,5 @@ def apply_constraint_gate(
             source=source_name,
         )
         graph.remove_node(subject)
-    max_errors = getattr(wrap_policy, "max_errors", None)
-    if max_errors is not None and report.count > max_errors:
-        raise QuarantineExceeded(
-            source_name or getattr(report, "source", ""),
-            report.count,
-            max_errors,
-            report,
-        )
+    wrap_policy.enforce_budget(report, source_name)
     return violations

@@ -141,7 +141,6 @@ class DynamicSite:
         program: Union[Program, Query, str],
         data_graph: Graph,
         cache: bool = True,
-        lookahead: bool = False,
     ) -> None:
         if isinstance(program, str):
             program = parse(program)
@@ -151,7 +150,6 @@ class DynamicSite:
         self.schema = SiteSchema.from_program(program)
         self.data_graph = data_graph
         self.cache_enabled = cache
-        self.lookahead = lookahead
         self.metrics = ClickMetrics()
         # one warm engine for every click: plans, the statistics
         # snapshot and the path-reachability memo carry across requests
@@ -464,14 +462,15 @@ class BrowseSession:
     skipped rather than redundantly re-expanded.
     """
 
-    def __init__(self, site: DynamicSite) -> None:
+    def __init__(self, site: DynamicSite, lookahead: bool = False) -> None:
         self.site = site
+        self.lookahead = lookahead
         self.history: List[NodeInstance] = []
 
     def visit(self, instance: NodeInstance) -> List[ExpandedEdge]:
         edges = self.site.expand(instance)
         self.history.append(instance)
-        if self.site.lookahead:
+        if self.lookahead:
             for _, target in edges:
                 if isinstance(target, NodeInstance):
                     if self.site.is_fully_cached(target):

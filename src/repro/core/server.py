@@ -11,7 +11,7 @@ answers ``GET``-style requests by
 1. resolving the request path to a Skolem-term :class:`NodeInstance`;
 2. computing the node's outgoing edges with the *incremental query* of
    its site-schema edges (:class:`~repro.core.incremental.DynamicSite`,
-   with caching and optional lookahead), built by the static constructor;
+   with caching), built by the static constructor;
 3. rendering the node's HTML template against the dynamic site's
    :class:`~repro.core.incremental.LazySiteGraph` -- a site graph
    materialized on demand, one node expansion at a time, so a request
@@ -93,9 +93,8 @@ class PageServer(PageRegistry):
         data_graph: Graph,
         templates: TemplateSet,
         cache: bool = True,
-        lookahead: bool = False,
     ) -> None:
-        self.dynamic = DynamicSite(program, data_graph, cache=cache, lookahead=lookahead)
+        self.dynamic = DynamicSite(program, data_graph, cache=cache)
         self.templates = templates
         self._paths: Dict[str, Oid] = {}
         self._hrefs: Dict[Oid, str] = {}

@@ -187,14 +187,9 @@ class SiteBuilder:
             constraint_results=results,
         )
 
-    def dynamic_site(
-        self, name: str, cache: bool = True, lookahead: bool = False
-    ) -> DynamicSite:
+    def dynamic_site(self, name: str, cache: bool = True) -> DynamicSite:
         """A click-time evaluated version of a registered definition."""
-        definition = self.definition(name)
-        return DynamicSite(
-            definition.program(), self.data_graph, cache=cache, lookahead=lookahead
-        )
+        return DynamicSite(self.definition(name).program(), self.data_graph, cache=cache)
 
 
 def _default_roots(definition: SiteDefinition) -> List[Union[Oid, str]]:

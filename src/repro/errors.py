@@ -79,15 +79,6 @@ class WrapperError(StrudelError):
         context = [part for part in (source_name, locator) if part]
         super().__init__(": ".join(context + [message]))
 
-    def with_source(self, source_name: str) -> "WrapperError":
-        """A copy of this error attributed to ``source_name``."""
-        return type(self)(
-            self.base_message,
-            source_name=source_name,
-            locator=self.locator,
-            cause=self.cause,
-        )
-
 
 class QuarantineExceeded(WrapperError):
     """A tolerant wrap blew its error budget.

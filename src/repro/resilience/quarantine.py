@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..errors import QuarantineExceeded
+
 
 @dataclass
 class QuarantinedRecord:
@@ -41,7 +43,8 @@ class QuarantinedRecord:
 
 @dataclass
 class QuarantineReport:
-    """What one tolerant wrap quarantined (and how much it admitted)."""
+    """What one wrap admitted and quarantined (a strict wrap that
+    returns has quarantined nothing)."""
 
     source: str = ""
     records: List[QuarantinedRecord] = field(default_factory=list)
@@ -89,10 +92,10 @@ class QuarantineReport:
 class WrapPolicy:
     """How a wrapper should react to malformed records.
 
-    The default (``quarantine=False``) is the historical strict behavior:
-    the first bad record raises.  :meth:`tolerant` returns a policy under
-    which wrappers catch per-record failures into their
-    ``last_quarantine`` report, subject to an error budget.
+    The default (``quarantine=False``) is strict: the first bad record
+    raises.  :meth:`tolerant` returns a policy under which a wrapper's
+    ``_fault`` quarantines each bad record into its ``last_quarantine``
+    report instead, subject to an error budget.
     """
 
     #: catch per-record failures instead of raising
@@ -121,3 +124,12 @@ class WrapPolicy:
 
     def clip(self, snippet: str) -> str:
         return snippet[: self.snippet_length]
+
+    def enforce_budget(self, report: QuarantineReport, source: str = "") -> None:
+        """Abort the load once ``report`` holds more quarantined records
+        than ``max_errors`` allows; the one budget rule of wrappers and
+        the constraint gate alike."""
+        if self.max_errors is not None and report.count > self.max_errors:
+            raise QuarantineExceeded(
+                source or report.source, report.count, self.max_errors, report
+            )

@@ -9,36 +9,48 @@ outputs into the data graph.
 The paper's wrappers were "simple AWK programs"; ours are small Python
 classes sharing this interface so the mediator can treat them uniformly.
 
-Wrapping has two modes.  The default is strict: the first malformed
-record raises a :class:`~repro.errors.WrapperError` carrying the source
-name and a record locator.  Passing ``wrap(policy=WrapPolicy.tolerant())``
-instead quarantines per-record failures into ``last_quarantine`` -- a
-:class:`~repro.resilience.QuarantineReport` -- and ingests everything
-well-formed, up to the policy's error budget.  Real feeds are messy
-(the paper's AT&T and CNN sites re-ingested live data continuously);
-one bad entry must not take down the site.
+Each wrapper has one record loop, :meth:`Wrapper._wrap_into`, which hands
+every malformed record to :meth:`Wrapper._fault`.  That is the one place
+where the two modes differ.  The default is strict: the fault raises a
+:class:`~repro.errors.WrapperError` carrying the source name and the
+record's locator.  Under ``wrap(policy=WrapPolicy.tolerant())`` the
+fault is quarantined into ``last_quarantine`` -- a
+:class:`~repro.resilience.QuarantineReport` -- and the loop goes on,
+up to the policy's error budget.  Real feeds are messy (the paper's AT&T
+and CNN sites re-ingested live data continuously); one bad entry must
+not take down the site.  Sources with no record structure (XML, DDL)
+report a parse error as one fault located at ``line N`` (or
+``source``).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..errors import QuarantineExceeded, StrudelError, WrapperError
+from ..errors import WrapperError
 from ..graph import Graph, collection_paused
 from ..resilience.chaos import maybe_fail
 from ..resilience.quarantine import QuarantineReport, WrapPolicy
 
+_STRICT = WrapPolicy()
+
 
 class Wrapper:
-    """Base class: a named translator from one source into a graph."""
+    """Base class: a named translator from one source into a graph.
+
+    Subclasses implement :meth:`_wrap_into`, which calls :meth:`_fault`
+    for each record that will not translate and counts each admitted
+    record in ``last_quarantine.admitted``.
+    """
 
     #: short identifier of the source kind ("bibtex", "relational", ...)
     source_kind = "abstract"
 
     def __init__(self, source_name: str = "") -> None:
         self.source_name = source_name or self.source_kind
-        #: per-record failures of the most recent tolerant wrap
+        #: admitted and quarantined records of the most recent wrap
         self.last_quarantine = QuarantineReport(source=self.source_name)
+        self._policy = _STRICT
 
     @collection_paused()
     def wrap(self, policy: Optional[WrapPolicy] = None) -> Graph:
@@ -46,66 +58,40 @@ class Wrapper:
 
         Strict by default; with a quarantining ``policy``, malformed
         records are reported in ``last_quarantine`` instead of raising
-        (until the policy's error budget is exhausted).  Subclasses
-        implement :meth:`_wrap_into` (strict) and, for per-record
-        granularity, :meth:`_wrap_tolerant`.
+        (until the policy's error budget is exhausted).
         """
         maybe_fail(f"wrapper.{self.source_kind}.wrap")
         graph = Graph(self.source_name)
+        self._policy = policy or _STRICT
         self.last_quarantine = QuarantineReport(source=self.source_name)
-        if policy is None or not policy.quarantine:
-            try:
-                self._wrap_into(graph)
-            except WrapperError as error:
-                if error.source_name:
-                    raise
-                raise error.with_source(self.source_name) from error
-        else:
-            self._wrap_tolerant(graph, policy, self.last_quarantine)
-        if policy is not None and policy.constraints is not None:
+        self._wrap_into(graph)
+        if self._policy.constraints is not None:
             # a record that parses but violates a declared data
             # constraint is a record fault like any other: quarantined
             # (tolerant) or raising (strict)
             from ..constraints.gate import apply_constraint_gate
 
             apply_constraint_gate(
-                graph, policy, self.last_quarantine, self.source_name
+                graph, self._policy, self.last_quarantine, self.source_name
             )
         return graph
 
     def _wrap_into(self, graph: Graph) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def _wrap_tolerant(
-        self, graph: Graph, policy: WrapPolicy, report: QuarantineReport
-    ) -> None:
-        """Fallback tolerance: all-or-nothing at source granularity.
+    def _fault(self, locator: str, error: BaseException, snippet: str = "") -> None:
+        """One record at ``locator`` will not translate.
 
-        Wrappers with per-record structure override this; for the rest a
-        failing source quarantines as a single record and contributes an
-        empty graph.
+        Strict: raise a :class:`WrapperError` naming the source and the
+        record.  Tolerant: quarantine it and return, unless that blows
+        the error budget.
         """
-        scratch = Graph(self.source_name)
-        try:
-            self._wrap_into(scratch)
-        except (StrudelError, ValueError) as error:
-            locator = getattr(error, "locator", "") or "source"
-            self._quarantine(policy, report, locator, error)
-            return
-        graph.merge(scratch)
-        report.admitted += 1
-
-    def _quarantine(
-        self,
-        policy: WrapPolicy,
-        report: QuarantineReport,
-        locator: str,
-        error: object,
-        snippet: str = "",
-    ) -> None:
-        """Record one failed record; abort when the budget is blown."""
+        policy = self._policy
+        if not policy.quarantine:
+            message = getattr(error, "base_message", "") or str(error)
+            raise WrapperError(
+                message, source_name=self.source_name, locator=locator, cause=error
+            ) from error
+        report = self.last_quarantine
         report.add(locator, error, snippet=policy.clip(snippet), source=self.source_name)
-        if policy.max_errors is not None and report.count > policy.max_errors:
-            raise QuarantineExceeded(
-                self.source_name, report.count, policy.max_errors, report
-            )
+        policy.enforce_budget(report, self.source_name)

@@ -9,7 +9,7 @@ into the same mediation pipeline as every other source.
 
 from __future__ import annotations
 
-from ..errors import DDLSyntaxError, WrapperError
+from ..errors import StrudelError
 from ..graph import Graph
 from ..repository import ddl
 from .base import Wrapper
@@ -30,12 +30,13 @@ class DdlWrapper(Wrapper):
             return cls(handle.read(), source_name=path)
 
     def _wrap_into(self, graph: Graph) -> None:
+        """The file is one record: an error while loading it is a fault
+        at ``line N`` (or ``source``) and nothing is wrapped."""
         try:
-            graph.merge(ddl.loads(self.text, self.source_name))
-        except DDLSyntaxError as error:
+            loaded = ddl.loads(self.text, self.source_name)
+        except (StrudelError, ValueError) as error:
             line = getattr(error, "line", 0)
-            raise WrapperError(
-                str(error),
-                locator=f"line {line}" if line else "",
-                cause=error,
-            ) from error
+            self._fault(f"line {line}" if line else "source", error, self.text)
+            return
+        graph.merge(loaded)
+        self.last_quarantine.admitted += 1

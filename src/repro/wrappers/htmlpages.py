@@ -29,9 +29,8 @@ import posixpath
 from html.parser import HTMLParser
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import StrudelError, WrapperError
+from ..errors import StrudelError
 from ..graph import Graph, Oid, image_file, string, text_file, url
-from ..resilience.quarantine import QuarantineReport, WrapPolicy
 from .base import Wrapper
 
 
@@ -119,6 +118,8 @@ class HtmlSiteWrapper(Wrapper):
     # ------------------------------------------------------------ #
 
     def _wrap_into(self, graph: Graph) -> None:
+        """A page that will not scan is a fault at ``page PATH``; links
+        that pointed at it degrade into plain ``href`` atoms."""
         graph.create_collection(self.collection)
         scans: Dict[str, _PageScan] = {}
         oids: Dict[str, Oid] = {}
@@ -126,33 +127,12 @@ class HtmlSiteWrapper(Wrapper):
             try:
                 scans[path], oids[path] = self._wrap_page(graph, path, text)
             except (StrudelError, ValueError) as error:
-                message = getattr(error, "base_message", "") or str(error)
-                raise WrapperError(
-                    message, locator=f"page {path}", cause=error
-                ) from error
-        self._wire_links(graph, scans, oids)
-
-    def _wrap_tolerant(
-        self, graph: Graph, policy: WrapPolicy, report: QuarantineReport
-    ) -> None:
-        """Per-page quarantine: a page that will not scan is dropped;
-        links that pointed at it degrade into plain ``href`` atoms."""
-        graph.create_collection(self.collection)
-        scans: Dict[str, _PageScan] = {}
-        oids: Dict[str, Oid] = {}
-        for path, text in self.pages.items():
-            try:
-                scans[path], oids[path] = self._wrap_page(graph, path, text)
-                report.admitted += 1
-            except (StrudelError, ValueError) as error:
-                scans.pop(path, None)
-                oids.pop(path, None)
                 oid = Oid(f"page:{path}")
                 if graph.has_node(oid):
                     graph.remove_node(oid)
-                self._quarantine(
-                    policy, report, f"page {path}", error, snippet=text
-                )
+                self._fault(f"page {path}", error, text)
+                continue
+            self.last_quarantine.admitted += 1
         self._wire_links(graph, scans, oids)
 
     def _wrap_page(self, graph: Graph, path: str, text: str) -> Tuple[_PageScan, Oid]:

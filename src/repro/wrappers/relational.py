@@ -20,44 +20,30 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import StrudelError, WrapperError
 from ..graph import Atom, AtomType, Graph, Oid, parse_typed_value
-from ..resilience.quarantine import QuarantineReport, WrapPolicy
 from .base import Wrapper
 
 
 class Table:
     """An in-memory relational table: a header plus rows of strings.
 
-    ``strict=False`` admits ragged rows (kept as-is); wrapping them then
-    raises per row -- or quarantines them, under a tolerant policy.
+    Rows are kept as given; wrapping checks each row's width.
     """
 
     def __init__(
-        self,
-        name: str,
-        columns: Sequence[str],
-        rows: Iterable[Sequence[str]],
-        strict: bool = True,
+        self, name: str, columns: Sequence[str], rows: Iterable[Sequence[str]]
     ) -> None:
         self.name = name
         self.columns = list(columns)
         self.rows = [list(row) for row in rows]
-        if strict:
-            for number, row in enumerate(self.rows, start=1):
-                if len(row) != len(self.columns):
-                    raise WrapperError(
-                        f"row width {len(row)} != header width {len(self.columns)} "
-                        f"in table {name!r}",
-                        locator=f"row {number}",
-                    )
 
     @classmethod
-    def from_csv(cls, name: str, text: str, strict: bool = True) -> "Table":
+    def from_csv(cls, name: str, text: str) -> "Table":
         reader = csv.reader(io.StringIO(text))
         try:
             header = next(reader)
         except StopIteration:
             raise WrapperError(f"empty CSV for table {name!r}") from None
-        return cls(name, header, list(reader), strict=strict)
+        return cls(name, header, list(reader))
 
     @classmethod
     def from_csv_file(cls, path: str, name: str = "") -> "Table":
@@ -113,32 +99,17 @@ class RelationalWrapper(Wrapper):
     _Placed = Tuple[Oid, List[str], int]
 
     def _wrap_into(self, graph: Graph) -> None:
+        """A ragged row, an uncoercible cell or a dangling foreign key is
+        a fault at ``TABLE row N``; the row is dropped, not the table."""
         placed: Dict[str, List["RelationalWrapper._Placed"]] = {}
         by_key: Dict[str, Dict[str, Oid]] = {}
         for table in self.tables:
             placed[table.name], by_key[table.name] = self._wrap_table(graph, table)
         self._wire_foreign_keys(graph, placed, by_key)
-
-    def _wrap_tolerant(
-        self, graph: Graph, policy: WrapPolicy, report: QuarantineReport
-    ) -> None:
-        """Per-row quarantine: a ragged row, an uncoercible cell, or a
-        dangling foreign key drops that row (node removed), not the table."""
-        placed: Dict[str, List["RelationalWrapper._Placed"]] = {}
-        by_key: Dict[str, Dict[str, Oid]] = {}
-        for table in self.tables:
-            placed[table.name], by_key[table.name] = self._wrap_table(
-                graph, table, policy, report
-            )
-        self._wire_foreign_keys(graph, placed, by_key, policy, report)
-        report.admitted += sum(len(rows) for rows in placed.values())
+        self.last_quarantine.admitted += sum(len(rows) for rows in placed.values())
 
     def _wrap_table(
-        self,
-        graph: Graph,
-        table: Table,
-        policy: Optional[WrapPolicy] = None,
-        report: Optional[QuarantineReport] = None,
+        self, graph: Graph, table: Table
     ) -> Tuple[List["RelationalWrapper._Placed"], Dict[str, Oid]]:
         graph.create_collection(table.name)
         key_column = self.key_columns.get(table.name, "")
@@ -147,40 +118,33 @@ class RelationalWrapper(Wrapper):
         placed: List[RelationalWrapper._Placed] = []
         by_key: Dict[str, Oid] = {}
         for number, row in enumerate(table.rows, start=1):
-            oid: Optional[Oid] = None
+            # every cell is typed before the first write, so a row that
+            # will not load leaves nothing behind
             try:
                 if len(row) != len(table.columns):
                     raise WrapperError(
                         f"row width {len(row)} != header width "
                         f"{len(table.columns)} in table {table.name!r}"
                     )
-                if key_index >= 0 and row[key_index].strip():
-                    oid = graph.add_node(Oid(f"{table.name}:{row[key_index].strip()}"))
-                else:
-                    oid = graph.add_node(hint=table.name)
-                for column, cell in zip(table.columns, row):
-                    cell = cell.strip()
-                    if not cell or column in fk_columns:
-                        continue  # NULL -> missing attribute; FKs wired later
-                    graph.add_edge(oid, column, self._cell_atom(table.name, column, cell))
+                cells = [
+                    (column, self._cell_atom(table.name, column, cell.strip()))
+                    for column, cell in zip(table.columns, row)
+                    # NULL -> missing attribute; FKs wired later
+                    if cell.strip() and column not in fk_columns
+                ]
             except (WrapperError, ValueError) as error:
-                locator = f"{table.name} row {number}"
-                if policy is None or report is None:
-                    message = getattr(error, "base_message", "") or str(error)
-                    raise WrapperError(
-                        message, locator=locator, cause=error
-                    ) from error
-                # an earlier row may own the same keyed oid; keep it then
-                if oid is not None and not graph.in_collection(table.name, oid):
-                    graph.remove_node(oid)
-                self._quarantine(
-                    policy, report, locator, error, snippet=",".join(map(str, row))
-                )
+                self._fault(f"{table.name} row {number}", error, ",".join(map(str, row)))
                 continue
+            key = row[key_index].strip() if key_index >= 0 else ""
+            if key:
+                oid = graph.add_node(Oid(f"{table.name}:{key}"))
+                by_key[key] = oid
+            else:
+                oid = graph.add_node(hint=table.name)
+            for column, atom in cells:
+                graph.add_edge(oid, column, atom)
             graph.add_to_collection(table.name, oid)
             placed.append((oid, row, number))
-            if key_index >= 0 and row[key_index].strip():
-                by_key[row[key_index].strip()] = oid
         return placed, by_key
 
     def _cell_atom(self, table: str, column: str, cell: str) -> Atom:
@@ -194,8 +158,6 @@ class RelationalWrapper(Wrapper):
         graph: Graph,
         placed: Dict[str, List["RelationalWrapper._Placed"]],
         by_key: Dict[str, Dict[str, Oid]],
-        policy: Optional[WrapPolicy] = None,
-        report: Optional[QuarantineReport] = None,
     ) -> None:
         for table in self.tables:
             declared = self.foreign_keys.get(table.name)
@@ -207,7 +169,8 @@ class RelationalWrapper(Wrapper):
                     # misconfiguration, not dirty data: raise even tolerantly
                     raise WrapperError(
                         f"foreign key column {fk.column!r} missing from "
-                        f"table {table.name!r}"
+                        f"table {table.name!r}",
+                        source_name=self.source_name,
                     )
             admitted = placed.get(table.name, [])
             survivors: List[RelationalWrapper._Placed] = []
@@ -225,16 +188,9 @@ class RelationalWrapper(Wrapper):
                             )
                         graph.add_edge(oid, fk.edge_label, target)
                 except StrudelError as error:
-                    locator = f"{table.name} row {number}"
-                    if policy is None or report is None:
-                        message = getattr(error, "base_message", "") or str(error)
-                        raise WrapperError(
-                            message, locator=locator, cause=error
-                        ) from error
                     graph.remove_node(oid)
-                    self._quarantine(
-                        policy, report, locator, error,
-                        snippet=",".join(map(str, row)),
+                    self._fault(
+                        f"{table.name} row {number}", error, ",".join(map(str, row))
                     )
                     continue
                 survivors.append((oid, row, number))

@@ -18,14 +18,11 @@ directly into semistructured objects.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import StrudelError, WrapperError
 from ..graph import Graph, Oid, parse_typed_value, string
-from ..resilience.quarantine import QuarantineReport, WrapPolicy
 from .base import Wrapper
-
-_OnError = Callable[[str, Exception, str], None]
 
 
 class StructuredFileWrapper(Wrapper):
@@ -48,59 +45,34 @@ class StructuredFileWrapper(Wrapper):
     # ------------------------------------------------------------ #
 
     def _wrap_into(self, graph: Graph) -> None:
-        self._scan(graph)
-
-    def _wrap_tolerant(
-        self, graph: Graph, policy: WrapPolicy, report: QuarantineReport
-    ) -> None:
-        """Per-record quarantine: a bad line discards the record it belongs
-        to (skipping to the next blank line); every other record loads."""
-
-        def on_error(locator: str, error: Exception, snippet: str) -> None:
-            self._quarantine(policy, report, locator, error, snippet)
-
-        self._scan(graph, on_error, report)
-
-    def _scan(
-        self,
-        graph: Graph,
-        on_error: Optional[_OnError] = None,
-        report: Optional[QuarantineReport] = None,
-    ) -> None:
+        """A bad directive or a bad line is a fault at ``line N``; the
+        rest of a bad line's record is skipped up to the next blank
+        line.  A record whose values will not load is a fault at
+        ``record at line N``, its first line."""
         collection = self.default_collection
         types: Dict[str, str] = {}
         id_key = ""
         record: List[Tuple[str, str]] = []
         record_start = 0
-        skipping = False  # tolerant mode: discard until the next blank line
+        skipping = False  # after a bad line: discard until the next blank line
 
         def flush() -> None:
-            nonlocal skipping
-            if skipping:
-                record.clear()
-                skipping = False
-                return
             if not record:
                 return
             try:
-                self._add_record(graph, collection, types, id_key, list(record))
-                if report is not None:
-                    report.admitted += 1
+                self._add_record(graph, collection, types, id_key, record)
             except (StrudelError, ValueError) as error:
-                locator = f"record at line {record_start}"
-                if on_error is None:
-                    message = getattr(error, "base_message", "") or str(error)
-                    raise WrapperError(
-                        message, locator=locator, cause=error
-                    ) from error
                 snippet = "\n".join(f"{k}: {v}" for k, v in record)
-                on_error(locator, error, snippet)
+                self._fault(f"record at line {record_start}", error, snippet)
+            else:
+                self.last_quarantine.admitted += 1
             record.clear()
 
         for line_no, line in enumerate(self.text.splitlines(), start=1):
             if line.startswith("#"):
                 continue
             if not line.strip():
+                skipping = False
                 flush()
                 continue
             if skipping:
@@ -108,50 +80,33 @@ class StructuredFileWrapper(Wrapper):
             if line.startswith("%"):
                 flush()
                 try:
-                    collection, id_key = self._directive(
-                        line, line_no, collection, types, id_key
-                    )
+                    collection, id_key = self._directive(line, collection, types, id_key)
                 except WrapperError as error:
-                    if on_error is None:
-                        raise WrapperError(
-                            error.base_message,
-                            locator=f"line {line_no}",
-                            cause=error,
-                        ) from error
-                    on_error(f"line {line_no}", error, line.strip())
+                    self._fault(f"line {line_no}", error, line.strip())
                 continue
-            try:
-                if line[0].isspace():
-                    if not record:
-                        raise WrapperError("continuation line with no record")
+            if line[0].isspace():
+                if record:
                     key, value = record[-1]
                     record[-1] = (key, value + " " + line.strip())
                     continue
-                if ":" not in line:
-                    raise WrapperError(f"expected 'key: value': {line.strip()!r}")
-            except WrapperError as error:
-                if on_error is None:
-                    raise WrapperError(
-                        error.base_message, locator=f"line {line_no}", cause=error
-                    ) from error
-                start = record_start or line_no
-                on_error(
-                    f"record at line {start}", error,
-                    "\n".join([f"{k}: {v}" for k, v in record] + [line.strip()]),
-                )
-                record.clear()
-                skipping = True
+                problem = "continuation line with no record"
+            elif ":" in line:
+                if not record:
+                    record_start = line_no
+                key, _, value = line.partition(":")
+                record.append((key.strip(), value.strip()))
                 continue
-            if not record:
-                record_start = line_no
-            key, _, value = line.partition(":")
-            record.append((key.strip(), value.strip()))
+            else:
+                problem = f"expected 'key: value': {line.strip()!r}"
+            snippet = "\n".join([f"{k}: {v}" for k, v in record] + [line.strip()])
+            record.clear()
+            skipping = True
+            self._fault(f"line {line_no}", WrapperError(problem), snippet)
         flush()
 
     def _directive(
         self,
         line: str,
-        line_no: int,
         collection: str,
         types: Dict[str, str],
         id_key: str,
@@ -183,9 +138,13 @@ class StructuredFileWrapper(Wrapper):
                 if key == id_key and value:
                     oid = Oid(f"{collection}:{value}")
                     break
+        # every value is parsed before the first write, so a record that
+        # will not load leaves nothing behind
+        atoms = [
+            (key, parse_typed_value(types[key], value) if key in types else string(value))
+            for key, value in fields
+        ]
         node = graph.add_node(oid, hint=collection.lower())
-        for key, value in fields:
-            declared = types.get(key)
-            atom = parse_typed_value(declared, value) if declared else string(value)
+        for key, atom in atoms:
             graph.add_edge(node, key, atom)
         graph.add_to_collection(collection, node)

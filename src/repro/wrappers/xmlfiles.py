@@ -65,21 +65,25 @@ class XmlWrapper(Wrapper):
     # ------------------------------------------------------------ #
 
     def _wrap_into(self, graph: Graph) -> None:
+        """The document is one record: a parse error is a fault at
+        ``line N`` (or ``source``) and nothing is wrapped."""
         try:
             root = ElementTree.fromstring(self.text)
         except ElementTree.ParseError as error:
             line, _ = getattr(error, "position", (0, 0))
-            raise WrapperError(
-                f"malformed XML: {error}",
-                locator=f"line {line}" if line else "",
-                cause=error,
-            ) from error
+            self._fault(
+                f"line {line}" if line else "source",
+                WrapperError(f"malformed XML: {error}", cause=error),
+                self.text,
+            )
+            return
         collection_tags = self.collection_tags
         if collection_tags is None:
             collection_tags = sorted({child.tag for child in root})
         for tag in collection_tags:
             graph.create_collection(tag)
         self._element_node(graph, root, set(collection_tags))
+        self.last_quarantine.admitted += 1
 
     def _element_node(self, graph: Graph, element, collection_tags) -> Oid:
         identifier = element.get(self.id_attribute)

@@ -101,15 +101,15 @@ class TestCaching:
 
     def test_lookahead_prefetches(self, homepage):
         data, program, _ = homepage
-        dynamic = DynamicSite(program, data, cache=True, lookahead=True)
-        session = BrowseSession(dynamic)
+        dynamic = DynamicSite(program, data, cache=True)
+        session = BrowseSession(dynamic, lookahead=True)
         session.visit(NodeInstance("RootPage", ()))
         assert dynamic.metrics.lookahead_prefetches > 0
 
     def test_lookahead_makes_next_click_cached(self, homepage):
         data, program, _ = homepage
-        dynamic = DynamicSite(program, data, cache=True, lookahead=True)
-        session = BrowseSession(dynamic)
+        dynamic = DynamicSite(program, data, cache=True)
+        session = BrowseSession(dynamic, lookahead=True)
         edges = session.visit(NodeInstance("RootPage", ()))
         target = next(t for _, t in edges if isinstance(t, NodeInstance))
         hits_before = dynamic.metrics.cache_hits

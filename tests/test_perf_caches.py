@@ -524,8 +524,8 @@ def test_dynamic_site_refresh_is_selective():
 
 def test_lookahead_skips_fully_cached_prefetch():
     data = news_graph(8, seed=12)
-    site = DynamicSite(NEWS_SITE_QUERY, data, cache=True, lookahead=True)
-    session = BrowseSession(site)
+    site = DynamicSite(NEWS_SITE_QUERY, data, cache=True)
+    session = BrowseSession(site, lookahead=True)
     front = NodeInstance("FrontPage", ())
     session.visit(front)  # prefetches the front page's successors
     before = site.metrics.lookahead_skipped

@@ -165,7 +165,7 @@ def test_quarantine_budget_exceeded():
 
 
 def test_csv_tolerant_quarantines_ragged_rows():
-    table = Table("T", ["a", "b"], [["1", "2"], ["only"], ["3", "4", "5"]], strict=False)
+    table = Table("T", ["a", "b"], [["1", "2"], ["only"], ["3", "4", "5"]])
     wrapper = RelationalWrapper([table], source_name="rel")
     graph = wrapper.wrap(WrapPolicy.tolerant())
     assert len(graph.collection("T")) == 1
@@ -175,11 +175,11 @@ def test_csv_tolerant_quarantines_ragged_rows():
 
 
 def test_csv_strict_ragged_row_raises():
-    with pytest.raises(WrapperError):
-        Table("T", ["a", "b"], [["1"]])
-    table = Table("T", ["a", "b"], [["1"]], strict=False)
-    with pytest.raises(WrapperError):
+    table = Table("T", ["a", "b"], [["1"]])
+    with pytest.raises(WrapperError) as excinfo:
         RelationalWrapper([table], source_name="rel").wrap()
+    assert excinfo.value.locator == "T row 1"
+    assert excinfo.value.source_name == "rel"
 
 
 def test_csv_dangling_foreign_key_quarantines_referencing_row():
@@ -236,12 +236,13 @@ def test_xml_tolerant_falls_back_to_whole_source_quarantine():
 
 
 def test_wrapper_error_carries_context():
-    error = WrapperError("bad value", locator="row 3", cause=ValueError("x"))
+    error = WrapperError(
+        "bad value", source_name="people.csv", locator="row 3", cause=ValueError("x")
+    )
     assert error.base_message == "bad value"
-    enriched = error.with_source("people.csv")
-    assert str(enriched) == "people.csv: row 3: bad value"
-    assert enriched.source_name == "people.csv"
-    assert enriched.locator == "row 3"
+    assert str(error) == "people.csv: row 3: bad value"
+    assert error.source_name == "people.csv"
+    assert error.locator == "row 3"
 
 
 # ------------------------------------------------------------------ #
@@ -817,7 +818,7 @@ def test_corrupted_bibtex_corpus_admits_exactly_wellformed(flags):
 @settings(max_examples=40, deadline=None, suppress_health_check=_suppress)
 def test_ragged_csv_corpus_admits_exactly_wellformed(widths):
     rows = [[f"v{i}_{j}" for j in range(w)] for i, w in enumerate(widths)]
-    table = Table("T", ["a", "b"], rows, strict=False)
+    table = Table("T", ["a", "b"], rows)
     wrapper = RelationalWrapper([table], source_name="fuzz")
     graph = wrapper.wrap(WrapPolicy.tolerant())  # must never raise
     good = sum(1 for w in widths if w == 2)

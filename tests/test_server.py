@@ -128,8 +128,8 @@ class TestLazyGraphKeepsNoHistory:
         monkeypatch.setattr(LazySiteGraph, "delta_since", unread)
         data = news_graph(20, seed=31)
         program = parse(NEWS_SITE_QUERY)
-        site = DynamicSite(program, data, cache=True, lookahead=True)
-        session = BrowseSession(site)
+        site = DynamicSite(program, data, cache=True)
+        session = BrowseSession(site, lookahead=True)
         front = NodeInstance("FrontPage", ())
         session.walk(front, chooser=lambda candidates: candidates[0], clicks=6)
         article = data.collection("Articles")[0]

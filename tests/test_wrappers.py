@@ -271,8 +271,10 @@ class TestRelationalWrapper:
             ).wrap()
 
     def test_ragged_row_rejected(self):
-        with pytest.raises(WrapperError):
-            Table("t", ["a", "b"], [["only-one"]])
+        table = Table("t", ["a", "b"], [["only-one"]])
+        with pytest.raises(WrapperError) as caught:
+            RelationalWrapper([table]).wrap()
+        assert caught.value.locator == "t row 1"
 
     def test_csv_parsing(self):
         table = Table.from_csv("t", "a,b\n1,x\n2,y\n")
