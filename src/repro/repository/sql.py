@@ -72,6 +72,9 @@ REPOSITORY_FILENAME = "repository.sqlite"
 #: Cap on the name->id lookup caches before they are dropped wholesale.
 _CACHE_CAP = 65536
 
+#: Ids per ``IN (...)`` list, well under SQLite's host-parameter limit.
+_IN_CHUNK = 500
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS graphs(
     id INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -408,6 +411,8 @@ class SqlGraph:
         self._atom_of_id: Dict[int, Atom] = {}
         self._id_of_name: Dict[str, int] = {}
         self._id_of_atom: Dict[Tuple[str, str], int] = {}
+        #: out-edge lists :meth:`reachable` read, served by :meth:`out_edges`
+        self._out_edges_read: Dict[Oid, List[Tuple[str, Target, Optional[int]]]] = {}
 
     # -------------------------------------------------------------- #
     # store plumbing
@@ -430,6 +435,7 @@ class SqlGraph:
         self._atom_of_id.clear()
         self._id_of_name.clear()
         self._id_of_atom.clear()
+        self._out_edges_read.clear()
 
     def _oid(self, node_id: int, name: str) -> Oid:
         cached = self._oid_of_id.get(node_id)
@@ -508,8 +514,8 @@ class SqlGraph:
                 missing.append(node_id)
             else:
                 out[node_id] = cached
-        for start in range(0, len(missing), 500):
-            chunk = missing[start:start + 500]
+        for start in range(0, len(missing), _IN_CHUNK):
+            chunk = missing[start:start + _IN_CHUNK]
             marks = ",".join("?" * len(chunk))
             for node_id, name in self._q(
                 f"SELECT id, name FROM nodes WHERE id IN ({marks})", chunk
@@ -527,8 +533,8 @@ class SqlGraph:
                 missing.append(atom_id)
             else:
                 out[atom_id] = cached
-        for start in range(0, len(missing), 500):
-            chunk = missing[start:start + 500]
+        for start in range(0, len(missing), _IN_CHUNK):
+            chunk = missing[start:start + _IN_CHUNK]
             marks = ",".join("?" * len(chunk))
             for atom_id, typ, val in self._q(
                 f"SELECT id, typ, val FROM atoms WHERE id IN ({marks})", chunk
@@ -643,6 +649,11 @@ class SqlGraph:
     # navigation
 
     def out_edges(self, oid: Oid) -> Iterator[Tuple[str, Target]]:
+        cached = self._out_edges_read.get(oid)
+        if cached is not None:
+            for label, target, _ in cached:
+                yield label, target
+            return
         node_id = self._node_id(oid)
         if node_id is None:
             raise UnknownObjectError(oid)
@@ -808,23 +819,79 @@ class SqlGraph:
         via: Optional[Set[str]] = None,
         include_atoms: bool = False,
     ) -> List[Target]:
-        if not self.has_node(start):
+        """Objects reachable from ``start`` (inclusive), breadth first, in
+        :meth:`Graph.reachable`'s order.
+
+        Each BFS level is read with one statement per chunk of its
+        nodes, not one per node.  A FIFO queue visits the level's nodes
+        in the order the previous level found them, so visiting the
+        level's out-edge lists in that order finds the same nodes in
+        the same order.  The lists it read stay in the generation's
+        out-edge cache, so :meth:`out_edges` serves them without a
+        query (an import copies a closure's edges right after).
+        """
+        start_id = self._node_id(start)
+        if start_id is None:
             raise UnknownObjectError(start)
         seen: Dict[Target, None] = {start: None}
-        queue: List[Oid] = [start]
-        while queue:
-            current = queue.pop(0)
-            for label, target in self.out_edges(current):
-                if via is not None and label not in via:
-                    continue
-                if target in seen:
-                    continue
-                seen[target] = None
-                if isinstance(target, Oid):
-                    queue.append(target)
+        level: List[Tuple[int, Oid]] = [(start_id, start)]
+        while level:
+            lists = self._read_out_edges(level)
+            following: List[Tuple[int, Oid]] = []
+            for _, current in level:
+                for label, target, target_id in lists[current]:
+                    if via is not None and label not in via:
+                        continue
+                    if target in seen:
+                        continue
+                    seen[target] = None
+                    if target_id is not None:
+                        following.append((target_id, target))
+            level = following
         if include_atoms:
             return list(seen)
         return [t for t in seen if isinstance(t, Oid)]
+
+    def _read_out_edges(
+        self, nodes: List[Tuple[int, Oid]]
+    ) -> Dict[Oid, List[Tuple[str, Target, Optional[int]]]]:
+        """The out-edge lists of ``(node id, oid)`` pairs, each in
+        :meth:`out_edges` order with the target's node id (None for an
+        atom), read ``_IN_CHUNK`` sources per statement.  Every list
+        lands in the out-edge cache."""
+        cache = self._out_edges_read
+        lists: Dict[Oid, List[Tuple[str, Target, Optional[int]]]] = {}
+        missing: Dict[int, Oid] = {}
+        for node_id, oid in nodes:
+            cached = cache.get(oid)
+            if cached is None:
+                missing[node_id] = oid
+                lists[oid] = []
+            else:
+                lists[oid] = cached
+        ids = list(missing)
+        for begin in range(0, len(ids), _IN_CHUNK):
+            chunk = ids[begin:begin + _IN_CHUNK]
+            marks = ",".join("?" * len(chunk))
+            for src, label, t_node, t_atom, t_name, a_typ, a_val in self._q(
+                "SELECT e.src, e.label, e.tgt_node, e.tgt_atom, tn.name, ta.typ, ta.val"
+                " FROM edges e"
+                " JOIN egroups g ON g.graph=e.graph AND g.src=e.src AND g.label=e.label"
+                " LEFT JOIN nodes tn ON tn.id=e.tgt_node"
+                " LEFT JOIN atoms ta ON ta.id=e.tgt_atom"
+                f" WHERE e.graph=? AND e.src IN ({marks}) ORDER BY g.seq, e.id",
+                [self._graph_id, *chunk],
+            ):
+                lists[missing[src]].append((
+                    sys.intern(label),
+                    self._target(t_node, t_atom, t_name, a_typ, a_val),
+                    t_node,
+                ))
+        if len(cache) + len(missing) > _CACHE_CAP:
+            cache.clear()
+        for oid in missing.values():
+            cache[oid] = lists[oid]
+        return lists
 
     # -------------------------------------------------------------- #
     # collections

@@ -41,6 +41,7 @@ from .eval import (
     Metrics,
     OperatorStats,
     QueryEngine,
+    SplitStats,
     Value,
     evaluate,
     make_engine,
@@ -94,6 +95,7 @@ __all__ = [
     "QueryEngine",
     "RecordingView",
     "SkolemTerm",
+    "SplitStats",
     "SqlQueryEngine",
     "Star",
     "Value",

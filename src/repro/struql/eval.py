@@ -31,6 +31,10 @@ conditions and run their own construction clauses once per distinct
 binding of the variables the block uses (:meth:`Query.variables`): a
 parent row that agrees with an earlier one on those variables would only
 re-apply memoized Skolem terms and already-present edges and members.
+For the same reason a top-level block whose clauses and nested blocks
+read either the variables bound before its last join or only that
+join's variables expands the join once per distinct join value
+(:func:`_join_split`): the rows that skips are ones construction skips.
 
 Binding values are :class:`~repro.graph.Oid` (nodes),
 :class:`~repro.graph.Atom` (atomic values), or ``str`` (arc-variable
@@ -164,6 +168,23 @@ class OperatorStats:
     rows_out: int
     probes: int
     dedup_hits: int
+
+
+@dataclass
+class SplitStats:
+    """Row counts of a top-level block whose last operator ran once per
+    distinct join value (:func:`_join_split`).  EXPLAIN renders these."""
+
+    #: the last operator's variables that the operators before it bind
+    join: Tuple[str, ...]
+    #: distinct rows of the operators before it
+    prefix_rows: int
+    #: distinct join values the split operator was seeded with
+    join_values: int
+    #: rows the split operator produced from those seeds
+    suffix_rows: int
+    #: rows handed to construction
+    rows: int
 
 
 # ---------------------------------------------------------------------- #
@@ -378,6 +399,9 @@ class QueryEngine:
         #: per-operator row counts of the most recent top-level
         #: ``bindings`` call (EXPLAIN renders these)
         self.last_operator_stats: List[OperatorStats] = []
+        #: the split of the most recent ``bindings(query)`` call, or
+        #: None when its block ran whole
+        self.last_split: Optional[SplitStats] = None
         #: when set, every condition evaluated records its semantic
         #: dependence here (see :mod:`repro.struql.footprint`)
         self.footprint: Optional[Footprint] = None
@@ -408,14 +432,25 @@ class QueryEngine:
 
     def bindings(
         self,
-        conditions: Sequence[Condition],
+        conditions: Union[Sequence[Condition], Query],
         initial: Optional[Iterable[Binding]] = None,
     ) -> List[Binding]:
         """The binding relation of a conjunction of conditions.
 
         ``initial`` seeds the pipeline (used for nested blocks); default
         is the single empty binding.  The result is deduplicated.
+
+        Given a top-level :class:`Query` instead, as :func:`evaluate`
+        does, the result is the rows the block's construction reads.
+        When :func:`_join_split` splits the block's plan, that is a
+        subsequence of the relation in which every clause and nested
+        block sees the same distinct bindings in the same order; else
+        it is the whole relation.  ``last_split`` describes the split.
         """
+        query: Optional[Query] = None
+        if isinstance(conditions, Query):
+            query, conditions = conditions, conditions.where
+            self.last_split = None
         maybe_fail("engine.bindings")
         deadline = current_deadline()
         if deadline is not None:
@@ -433,7 +468,11 @@ class QueryEngine:
             else frozenset()
         )
         ordered = self._plan(conditions, bound)
-        rows = self._run_blocks(ordered, rows, conditions, frame)
+        split = _join_split(query, ordered) if query is not None and not bound else None
+        if split is None:
+            rows = self._run_blocks(ordered, rows, conditions, frame)
+        else:
+            rows = self._run_split(split, ordered, rows, conditions, frame)
         self.metrics.bindings_produced += len(rows)
         # every slot of a surviving row is bound unless a seed row left
         # one open or a negation carried inner-only variables into the
@@ -458,6 +497,67 @@ class QueryEngine:
         # assigned last so nested calls (negations) don't clobber it
         self.last_operator_stats = ops
         return rows
+
+    def _run_split(
+        self,
+        split: Tuple[FrozenSet[str], FrozenSet[str]],
+        ordered: Sequence[Condition],
+        rows: List[Row],
+        conditions: Sequence[Condition],
+        frame: _Frame,
+    ) -> List[Row]:
+        """A split block's collapsed rows (see :func:`_join_split`).
+
+        The operators before the last run as planned (on a stored
+        generation, one pushed-down statement) and their rows are
+        deduplicated.  The last operator runs once, seeded with the
+        distinct join values.  Each prefix row then takes all suffix
+        rows of its join value the first time that value occurs, and
+        only the first one after that; a value with none drops its rows.
+        """
+        join, suffix = split
+        prefix = list(dict.fromkeys(self._run_blocks(ordered[:-1], rows, conditions, frame)))
+        ops = self.last_operator_stats
+        slots = frame.slots
+        join_names = [name for name in frame.names if name in join]
+        suffix_names = [name for name in frame.names if name in suffix]
+        join_slots = [slots[name] for name in join_names]
+        suffix_slots = [slots[name] for name in suffix_names]
+        row_keys = [tuple([row[i] for i in join_slots]) for row in prefix]
+        keys = dict.fromkeys(row_keys)
+        found: List[Binding] = []
+        if keys:
+            found = self.bindings(
+                [ordered[-1]], initial=[dict(zip(join_names, key)) for key in keys]
+            )
+            ops = ops + self.last_operator_stats
+        tails: Dict[Tuple[object, ...], List[Tuple[object, ...]]] = {}
+        for binding in found:
+            tails.setdefault(tuple([binding[name] for name in join_names]), []).append(
+                tuple([binding[name] for name in suffix_names])
+            )
+        out: List[Row] = []
+        for row, key in zip(prefix, row_keys):
+            matches = tails.get(key)
+            if not matches:
+                continue
+            if len(matches) > 1:
+                # later rows with this join value take only the first
+                tails[key] = matches[:1]
+            new = list(row)
+            for match in matches:
+                for slot, value in zip(suffix_slots, match):
+                    new[slot] = value
+                out.append(tuple(new))
+        self.last_operator_stats = ops
+        self.last_split = SplitStats(
+            join=tuple(join_names),
+            prefix_rows=len(prefix),
+            join_values=len(keys),
+            suffix_rows=len(found),
+            rows=len(out),
+        )
+        return out
 
     def _run_operators(
         self,
@@ -1172,6 +1272,13 @@ class _Constructor:
     distinct binding of the clause's own variables
     (``sorted_variables``), rows still in order.
 
+    A top-level block's rows may be fewer than its binding relation:
+    when :func:`_join_split` splits its plan, ``bindings(query)`` expands
+    the last join once per distinct join value, and the rows it drops
+    repeat, for every clause and nested block, a key an earlier row
+    already had.  :meth:`construct` would skip them anyway, so it makes
+    the same mutations in the same order either way.
+
     Each :meth:`construct` call compiles its clauses once into closures
     over one row: a clause's shape (a Skolem or variable source, a
     constant or arc-variable label, a Skolem, constant or variable
@@ -1420,6 +1527,52 @@ def _bound_label(name: str, bound: object) -> str:
     raise StruqlEvaluationError(f"arc variable {name!r} is not bound to a label")
 
 
+def _join_split(
+    query: Query, ordered: Sequence[Condition]
+) -> Optional[Tuple[FrozenSet[str], FrozenSet[str]]]:
+    """The join and suffix variables ``(J, S)`` at which a top-level
+    block's plan splits before its last operator, or None.
+
+    Let P be the variables the operators before the last one bind,
+    J = vars(last) & P and S = vars(last) - P.  The block's rows are
+    read by its clauses, each keyed on its own variables, and by its
+    nested blocks, through :func:`_project` onto their variables.  The
+    plan splits when S is non-empty, P has a variable outside J, and
+    there is at least one key set and each lies within P or within
+    J | S.  (A block that constructs nothing keeps its relation whole,
+    so EXPLAIN of a bare where-clause still shows the full join.)
+
+    The last operator's matches for a row depend on the row's J values
+    alone, so the full relation repeats, for every prefix row with a
+    given J value, that value's suffix rows.  The split keeps all of
+    them at the value's first prefix row and one at every later prefix
+    row (:meth:`QueryEngine._run_split`).  What it drops repeats a key
+    within P (the prefix row already appeared) or within J | S (the
+    suffix row already appeared), so each key set sees the same
+    distinct values in the same first-occurrence order, and
+    construction makes the same mutations in the same order.
+    """
+    if len(ordered) < 2 or isinstance(ordered[-1], NotCond):
+        return None
+    prefix: Set[str] = set()
+    for condition in ordered[:-1]:
+        # a negation's own variables stay existential: it binds none
+        if not isinstance(condition, NotCond):
+            prefix |= condition.variables()
+    own = ordered[-1].variables()
+    join, suffix = own & prefix, own - prefix
+    if not suffix or prefix <= join:
+        return None
+    rows_bind = prefix | suffix
+    tail = join | suffix
+    keys = [clause.variables() for clause in (*query.create, *query.link, *query.collect)]
+    keys += [block.variables() & rows_bind for block in query.blocks]
+    # a block that constructs nothing keeps its whole relation
+    if keys and all(names <= prefix or names <= tail for names in keys):
+        return frozenset(join), frozenset(suffix)
+    return None
+
+
 def _project(rows: List[Binding], names: FrozenSet[str]) -> List[Binding]:
     """``rows`` restricted to ``names``, keeping the first occurrence of
     each distinct projection in row order.
@@ -1498,6 +1651,14 @@ def evaluate(
     Passing ``engine`` reuses a warm :class:`QueryEngine` (its plan cache
     and statistics snapshot carry across calls); its metrics are pointed
     at this call's ``metrics`` object for the duration.
+
+    Each top-level block's rows come from ``engine.bindings(query)``:
+    when the block's clauses and nested blocks each read only variables
+    bound before its last planned join, or only that join's variables
+    (:func:`_join_split`), the join is expanded once per distinct join
+    value instead of once per row, and construction gets the rows that
+    differ in some key it reads.  The result graph, its orders and its
+    delta log are those of the full relation.
     """
     if isinstance(program, str):
         program = parse(program)
@@ -1510,7 +1671,7 @@ def evaluate(
     else:
         engine.metrics = shared_metrics
     for query in program.queries:
-        rows = engine.bindings(query.where, initial=[{}])
+        rows = engine.bindings(query)
         _Constructor(result, shared_metrics, source).run(query, rows, engine)
     return result
 

@@ -45,7 +45,7 @@ from .ast import (
     Query,
     Var,
 )
-from .eval import Binding, OperatorStats, QueryEngine, _project, make_engine
+from .eval import Binding, OperatorStats, QueryEngine, _join_split, _project, make_engine
 from .optimizer import _binds, estimate_cost, order_conditions
 from .parser import parse
 from .plancache import PlanCache
@@ -88,14 +88,17 @@ def explain(
                 for section in _explain_tree(top, "", frozenset(), stats, engine, None)
             )
         header = query.strip().splitlines()[0].strip()
-        conditions: Sequence[Condition] = queries[0].where
+        block, top_level = queries[0], True
     elif isinstance(query, Query):
         header = f"query {query.name or '?'}"
-        conditions = query.where
+        block, top_level = query, True
     else:
-        conditions = list(query)
-        header = f"{len(conditions)} conditions"
-    return _plan_table(header, conditions, frozenset(), stats, engine, None)[0]
+        # bare conditions: a where-clause with no block around it
+        block, top_level = Query(where=list(query)), False
+        header = f"{len(block.where)} conditions"
+    return _plan_table(
+        header, block, frozenset(), stats, engine, None, top_level=top_level
+    )[0]
 
 
 def _explain_tree(
@@ -117,7 +120,9 @@ def _explain_tree(
         names = ", ".join(sorted(bound))
         header += f", nested in {parent}" + (f" (bound: {names})" if names else "")
     initial = None if rows is None else _project(rows, own)
-    text, inner, rows = _plan_table(header, block.where, bound, stats, engine, initial)
+    text, inner, rows = _plan_table(
+        header, block, bound, stats, engine, initial, top_level=not parent
+    )
     yield text
     for child in block.blocks:
         yield from _explain_tree(child, block.name or "?", inner, stats, engine, rows)
@@ -125,20 +130,29 @@ def _explain_tree(
 
 def _plan_table(
     header: str,
-    conditions: Sequence[Condition],
+    block: Query,
     initially_bound: FrozenSet[str],
     stats: IndexStatistics,
     engine: Optional[QueryEngine],
     initial: Optional[List[Binding]],
+    top_level: bool,
 ) -> Tuple[str, FrozenSet[str], Optional[List[Binding]]]:
     """One block's plan table, the variables bound after the block and,
-    when ``engine`` executed it from the ``initial`` rows, its rows."""
+    when ``engine`` executed it from the ``initial`` rows, its rows.
+
+    A ``top_level`` block whose plan splits before its last operator
+    (see :func:`~repro.struql.eval._join_split`) gets a line naming
+    the split; with ``engine``, the block runs split, as
+    :func:`~repro.struql.eval.evaluate` runs it, and a second line
+    gives the split's row counts."""
+    conditions = block.where
     ordered = order_conditions(conditions, initially_bound, stats)
+    split = _join_split(block, ordered) if top_level else None
 
     op_stats: List[OperatorStats] = []
     found: Optional[List[Binding]] = None
     if engine is not None:
-        found = engine.bindings(conditions, initial=initial)
+        found = engine.bindings(block if top_level else conditions, initial=initial)
         op_stats = engine.last_operator_stats
 
     out = io.StringIO()
@@ -176,6 +190,19 @@ def _plan_table(
             "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
             + "\n"
         )
+    if split is not None:
+        join = ", ".join(sorted(split[0])) or "-"
+        out.write(
+            f"split: step {len(ordered)} ({ordered[-1]}) runs once per "
+            f"distinct join value of {join}\n"
+        )
+        counts = engine.last_split if engine is not None else None
+        if counts is not None:
+            out.write(
+                f"split rows: {counts.prefix_rows} prefix, {counts.join_values} "
+                f"join values, {counts.suffix_rows} suffix, {counts.rows} to "
+                "construction\n"
+            )
     return out.getvalue(), frozenset(bound), found
 
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..errors import StrudelError, WrapperError
+from ..errors import WrapperError
 from ..graph import Atom, AtomType, Graph, Oid, parse_typed_value
 from .base import Wrapper
 
@@ -95,31 +95,45 @@ class RelationalWrapper(Wrapper):
 
     # ------------------------------------------------------------ #
 
-    #: one admitted row: (oid, raw row, 1-based row number)
-    _Placed = Tuple[Oid, List[str], int]
+    #: one row that will load: (1-based row number, raw row, key, typed cells)
+    _Typed = Tuple[int, List[str], str, List[Tuple[str, Atom]]]
 
     def _wrap_into(self, graph: Graph) -> None:
         """A ragged row, an uncoercible cell or a dangling foreign key is
-        a fault at ``TABLE row N``; the row is dropped, not the table."""
-        placed: Dict[str, List["RelationalWrapper._Placed"]] = {}
-        by_key: Dict[str, Dict[str, Oid]] = {}
-        for table in self.tables:
-            placed[table.name], by_key[table.name] = self._wrap_table(graph, table)
-        self._wire_foreign_keys(graph, placed, by_key)
-        self.last_quarantine.admitted += sum(len(rows) for rows in placed.values())
+        a fault at ``TABLE row N``; the row is dropped, not the table.
 
-    def _wrap_table(
-        self, graph: Graph, table: Table
-    ) -> Tuple[List["RelationalWrapper._Placed"], Dict[str, Oid]]:
-        graph.create_collection(table.name)
+        Every row is typed and its foreign keys checked before the first
+        write, so a dropped row leaves nothing behind -- not even in the
+        node that an admitted row with the same key shares.  A foreign
+        key must name a row that is admitted itself, so the check repeats
+        until no row drops (a row can lose its target to an earlier
+        round)."""
+        typed = {table.name: self._typed_rows(table) for table in self.tables}
+        remaining = -1
+        while remaining != sum(map(len, typed.values())):
+            remaining = sum(map(len, typed.values()))
+            keys = {
+                name: {key for _, _, key, _ in rows if key}
+                for name, rows in typed.items()
+            }
+            for table in self.tables:
+                typed[table.name] = self._check_foreign_keys(
+                    table, typed[table.name], keys
+                )
+        placed = {
+            table.name: self._write_rows(graph, table, typed[table.name])
+            for table in self.tables
+        }
+        for table in self.tables:
+            self._wire_foreign_keys(graph, table, placed[table.name])
+        self.last_quarantine.admitted += sum(len(rows) for rows in typed.values())
+
+    def _typed_rows(self, table: Table) -> List["RelationalWrapper._Typed"]:
         key_column = self.key_columns.get(table.name, "")
         key_index = table.columns.index(key_column) if key_column in table.columns else -1
         fk_columns = {fk.column for fk in self.foreign_keys.get(table.name, ())}
-        placed: List[RelationalWrapper._Placed] = []
-        by_key: Dict[str, Oid] = {}
+        typed: List[RelationalWrapper._Typed] = []
         for number, row in enumerate(table.rows, start=1):
-            # every cell is typed before the first write, so a row that
-            # will not load leaves nothing behind
             try:
                 if len(row) != len(table.columns):
                     raise WrapperError(
@@ -136,16 +150,8 @@ class RelationalWrapper(Wrapper):
                 self._fault(f"{table.name} row {number}", error, ",".join(map(str, row)))
                 continue
             key = row[key_index].strip() if key_index >= 0 else ""
-            if key:
-                oid = graph.add_node(Oid(f"{table.name}:{key}"))
-                by_key[key] = oid
-            else:
-                oid = graph.add_node(hint=table.name)
-            for column, atom in cells:
-                graph.add_edge(oid, column, atom)
-            graph.add_to_collection(table.name, oid)
-            placed.append((oid, row, number))
-        return placed, by_key
+            typed.append((number, row, key, cells))
+        return typed
 
     def _cell_atom(self, table: str, column: str, cell: str) -> Atom:
         pinned = self.column_types.get(f"{table}.{column}")
@@ -153,48 +159,74 @@ class RelationalWrapper(Wrapper):
             return parse_typed_value(pinned, cell)
         return infer_atom(cell)
 
-    def _wire_foreign_keys(
+    def _check_foreign_keys(
         self,
-        graph: Graph,
-        placed: Dict[str, List["RelationalWrapper._Placed"]],
-        by_key: Dict[str, Dict[str, Oid]],
-    ) -> None:
-        for table in self.tables:
-            declared = self.foreign_keys.get(table.name)
-            if not declared:
-                continue
-            column_index = {c: i for i, c in enumerate(table.columns)}
+        table: Table,
+        rows: List["RelationalWrapper._Typed"],
+        keys: Dict[str, Set[str]],
+    ) -> List["RelationalWrapper._Typed"]:
+        """``rows`` without those whose foreign keys name none of ``keys``."""
+        declared = self.foreign_keys.get(table.name)
+        if not declared:
+            return rows
+        for fk in declared:
+            if fk.column not in table.columns:
+                # misconfiguration, not dirty data: raise even tolerantly
+                raise WrapperError(
+                    f"foreign key column {fk.column!r} missing from "
+                    f"table {table.name!r}",
+                    source_name=self.source_name,
+                )
+        column_index = {c: i for i, c in enumerate(table.columns)}
+        survivors: List[RelationalWrapper._Typed] = []
+        for typed in rows:
+            number, row = typed[0], typed[1]
             for fk in declared:
-                if fk.column not in column_index:
-                    # misconfiguration, not dirty data: raise even tolerantly
-                    raise WrapperError(
-                        f"foreign key column {fk.column!r} missing from "
-                        f"table {table.name!r}",
-                        source_name=self.source_name,
-                    )
-            admitted = placed.get(table.name, [])
-            survivors: List[RelationalWrapper._Placed] = []
-            for oid, row, number in admitted:
-                try:
-                    for fk in declared:
-                        cell = row[column_index[fk.column]].strip()
-                        if not cell:
-                            continue
-                        target = by_key.get(fk.target_table, {}).get(cell)
-                        if target is None:
-                            raise WrapperError(
-                                f"dangling foreign key {table.name}.{fk.column} = "
-                                f"{cell!r} (no {fk.target_table} row)"
-                            )
-                        graph.add_edge(oid, fk.edge_label, target)
-                except StrudelError as error:
-                    graph.remove_node(oid)
+                cell = row[column_index[fk.column]].strip()
+                if cell and cell not in keys.get(fk.target_table, ()):
                     self._fault(
-                        f"{table.name} row {number}", error, ",".join(map(str, row))
+                        f"{table.name} row {number}",
+                        WrapperError(
+                            f"dangling foreign key {table.name}.{fk.column} = "
+                            f"{cell!r} (no {fk.target_table} row)"
+                        ),
+                        ",".join(map(str, row)),
                     )
-                    continue
-                survivors.append((oid, row, number))
-            placed[table.name] = survivors
+                    break
+            else:
+                survivors.append(typed)
+        return survivors
+
+    def _write_rows(
+        self, graph: Graph, table: Table, rows: List["RelationalWrapper._Typed"]
+    ) -> List[Tuple[Oid, List[str]]]:
+        graph.create_collection(table.name)
+        placed: List[Tuple[Oid, List[str]]] = []
+        for _, row, key, cells in rows:
+            if key:
+                oid = graph.add_node(Oid(f"{table.name}:{key}"))
+            else:
+                oid = graph.add_node(hint=table.name)
+            for column, atom in cells:
+                graph.add_edge(oid, column, atom)
+            graph.add_to_collection(table.name, oid)
+            placed.append((oid, row))
+        return placed
+
+    def _wire_foreign_keys(
+        self, graph: Graph, table: Table, placed: List[Tuple[Oid, List[str]]]
+    ) -> None:
+        """One edge per non-empty foreign key cell of each written row
+        (checked by :meth:`_check_foreign_keys`)."""
+        declared = self.foreign_keys.get(table.name, ())
+        column_index = {c: i for i, c in enumerate(table.columns)}
+        for oid, row in placed:
+            for fk in declared:
+                cell = row[column_index[fk.column]].strip()
+                if cell:
+                    graph.add_edge(
+                        oid, fk.edge_label, Oid(f"{fk.target_table}:{cell}")
+                    )
 
 
 def infer_atom(cell: str) -> Atom:

@@ -5,13 +5,14 @@ import pytest
 
 from repro.analysis import DiagnosticReport, check_templates
 from repro.core import SiteSchema
-from repro.struql import parse
+from repro.struql import make_engine, parse
 from repro.struql.explain import explain
 from repro.template import TemplateSet
 from repro.workloads import (
     HOMEPAGE_QUERY,
     NEWS_SITE_QUERY,
     bibliography_graph,
+    build_mediator,
     homepage_templates,
     news_templates,
 )
@@ -88,6 +89,41 @@ class TestExplain:
     def test_single_block_program_keeps_its_text_header(self, graph):
         text = 'where Publications(x), x -> "year" -> y create P(x)'
         assert explain(text, graph).splitlines()[0] == f"plan for: {text}"
+
+    def test_split_block_names_its_split_and_counts_its_rows(self):
+        data = build_mediator(people=60, seed=0).materialize("data")
+        text = (
+            'where People(p), p -> "publication" -> b, b -> l -> v\n'
+            "create PubPage(b)\n"
+            'link PubPage(b) -> l -> v, PersonPage(p) -> "Publication" -> PubPage(b)'
+        )
+        full = make_engine(data).bindings(parse(text).queries[0].where)
+        plan = explain(text, data, counts=True).splitlines()
+        assert plan[-2] == (
+            "split: step 3 (b -> l -> v) runs once per distinct join value of b"
+        )
+        prefix = len({(row["p"], row["b"]) for row in full})
+        joins = len({row["b"] for row in full})
+        suffix = len({(row["b"], row["l"], row["v"]) for row in full})
+        rows = int(plan[-1].split(", ")[-1].split()[0])
+        assert plan[-1] == (
+            f"split rows: {prefix} prefix, {joins} join values, {suffix} suffix, "
+            f"{rows} to construction"
+        )
+        assert rows < len(full)
+        # the split step (it binds "l, v") takes one row per join value
+        assert plan[-3].split("l, v")[1].split()[0] == str(joins)
+        assert explain(text, data).splitlines()[-1] == plan[-2]
+
+    def test_block_that_does_not_split_explains_as_its_where_clause(self, graph):
+        query = parse(
+            "where Publications(x), x -> l -> v create P(x) link P(x) -> l -> v"
+        ).queries[0]
+        for counts in (False, True):
+            block = explain(query, graph, counts=counts).splitlines()
+            bare = explain(list(query.where), graph, counts=counts).splitlines()
+            assert block[1:] == bare[1:]
+            assert not any(line.startswith("split") for line in block)
 
 
 class TestLinter:

@@ -204,6 +204,56 @@ def test_csv_dangling_foreign_key_quarantines_referencing_row():
     assert "Papers" in wrapper.last_quarantine.records[0].locator
 
 
+def test_dangling_foreign_key_keeps_the_node_an_admitted_row_shares():
+    """Rows with one key share one node: dropping the second row for its
+    foreign key must not take the first row's node with it."""
+    people = Table("People", ["id", "name"], [["a", "Ann"]])
+    papers = Table(
+        "Papers",
+        ["id", "title", "author"],
+        [["p1", "One", "a"], ["p1", "One again", "zz"]],
+    )
+    wrapper = RelationalWrapper(
+        [people, papers],
+        key_columns={"People": "id", "Papers": "id"},
+        foreign_keys={"Papers": [ForeignKey("author", "People", "id")]},
+    )
+    graph = wrapper.wrap(WrapPolicy.tolerant())
+    report = wrapper.last_quarantine
+    assert graph.collection("Papers") == [Oid("Papers:p1")]
+    assert list(graph.out_edges(Oid("Papers:p1"))) == [
+        ("id", string("p1")), ("title", string("One")), ("author", Oid("People:a")),
+    ]
+    # one People row and one Papers row admitted, each a member
+    assert report.admitted == 2 == sum(
+        len(graph.collection(name)) for name in graph.collection_names()
+    )
+    assert [record.locator for record in report.records] == ["Papers row 2"]
+
+
+def test_foreign_key_to_a_dropped_row_drops_the_referencing_row():
+    """A key is there only if a row with it is admitted: a row whose
+    target row was dropped for its own foreign key goes too."""
+    teams = Table("Teams", ["id", "lead"], [["t1", "nobody"]])
+    people = Table("People", ["id", "team"], [["a", "t1"], ["b", ""]])
+    wrapper = RelationalWrapper(
+        [people, teams],
+        key_columns={"People": "id", "Teams": "id"},
+        foreign_keys={
+            "People": [ForeignKey("team", "Teams", "id")],
+            "Teams": [ForeignKey("lead", "People", "id")],
+        },
+    )
+    graph = wrapper.wrap(WrapPolicy.tolerant())
+    assert graph.collection("People") == [Oid("People:b")]
+    assert graph.collection("Teams") == []
+    assert not graph.has_node(Oid("Teams:t1"))
+    assert wrapper.last_quarantine.admitted == 1
+    assert [r.locator for r in wrapper.last_quarantine.records] == [
+        "Teams row 1", "People row 1",
+    ]
+
+
 def test_structured_tolerant_discards_only_bad_record():
     text = (
         "%collection Projects\n"

@@ -213,6 +213,14 @@ def _orders(graph):
         "label_atoms": {l: list(graph.label_atoms(l)) for l in labels},
         "collections": [(c, graph.collection(c)) for c in graph.collection_names()],
         "stats": graph.stats(),
+        # a stored graph reads a BFS level per statement and keeps the
+        # out-edge lists it read: out_edges after reachable uses them
+        "reachable": [
+            (graph.reachable(n), graph.reachable(n, via={"a", "b"}),
+             graph.reachable(n, include_atoms=True))
+            for n in nodes
+        ],
+        "out_edges": [list(graph.out_edges(n)) for n in nodes],
     }
 
 
@@ -282,6 +290,43 @@ def test_materialize_store_calls_do_not_grow_with_the_warehouse(monkeypatch):
         assert graph.delta_since(epoch_before) is None
         assert graph.delta_since(graph.epoch).empty
     assert counts[20] == counts[80]
+
+
+def _chain_graph(depth, width):
+    """A root whose closure is ``depth`` levels of ``width`` nodes each,
+    every node pointing at every node of the next level."""
+    graph = Graph("chain")
+    root = graph.add_node(Oid("root"))
+    level = [root]
+    for d in range(depth):
+        following = [graph.add_node(Oid(f"n{d}.{i}")) for i in range(width)]
+        for node in level:
+            graph.add_edge(node, "note", string(f"{node.name}"))
+            for child in following:
+                graph.add_edge(node, "next", child)
+        level = following
+    return graph, root
+
+
+def test_import_reads_one_statement_per_bfs_level(monkeypatch):
+    """Importing a stored node's closure into a site graph issues one
+    statement per BFS level, whatever the level's width: the copy loop
+    reads nothing again."""
+    program = parse('where R(x) create P() link P() -> "root" -> x')
+    calls = _counting_store_calls(monkeypatch)
+    counts = {}
+    for depth, width in ((1, 3), (4, 3), (4, 30)):
+        mem, root = _chain_graph(depth, width)
+        mem.add_to_collection("R", root)
+        repository = SqlRepository()
+        repository.store("g", mem)
+        stored = repository.fetch("g")
+        want = ddl.dumps(evaluate(program, mem))
+        calls[0] = 0
+        assert ddl.dumps(evaluate(program, stored)) == want
+        counts[depth, width] = calls[0]
+        repository.store_backend.close()
+    assert counts[4, 3] == counts[4, 30] == counts[1, 3] + 3
 
 
 # --------------------------------------------------------------------- #
