@@ -10,25 +10,28 @@ through the :class:`~repro.core.maintenance.SiteMaintainer` (which
 patches the materialized site graph).  Rendering is fragment-granular:
 every page, and every component inlined into a page by ``EMBED``
 (paper section 2.4), is rendered through a
-:class:`~repro.struql.footprint.RecordingView` of the site graph, and
-the site-graph nodes it read are kept in one
-:class:`~repro.struql.footprint.DependencyIndex`.  An embedded
-rendering is a function of ``(oid, embed_stack)`` and its reads, so it
-is cached under that key (:data:`~repro.template.FragmentKey`, the key
-``HtmlGenerator.generate``'s pass cache uses too); recordings nest, so a
-page's read set covers every fragment it embeds, reused or not.  A page
+:class:`~repro.struql.footprint.RecordingView` of the site graph.  An
+embedded rendering is a function of ``(oid, embed_stack)`` and its
+reads, so its bytes are cached under that key
+(:data:`~repro.template.FragmentKey`, the key
+``HtmlGenerator.generate``'s pass cache uses too).  A render reads the
+site-graph nodes it reads itself and the key of every fragment it
+embeds, cached or rendered afresh in its own recording; one
+:class:`~repro.struql.footprint.DependencyIndex` keeps both.  A page
 whose template reaches no ``EMBED``
-(:attr:`~repro.template.Template.embeds` false) reuses its cached top-level
-fragment ``(oid, ())`` with its reads; a page render does not fill the
+(:attr:`~repro.template.Template.embeds` false) reuses its cached
+top-level fragment ``(oid, ())``; a page render does not fill the
 fragment cache, so ``RegenReport.fragments_rendered`` counts fragment
-renders alone.  After a mutation the index
-maps the *site graph's own delta* to the stale pages and fragments: the
-stale fragments are dropped, the stale pages re-rendered, and each
-re-rendered page renders only its stale fragments afresh -- the rest are
-reused byte for byte, and every other page keeps its bytes.  The
-persistent generator keeps the filename table, so retained pages keep
-their names and the whole output stays byte-identical to a from-scratch
-build (property-tested).
+renders alone.  After a mutation the index maps the *site graph's own
+delta* to the renders that read a changed node, and a render that read
+a stale fragment's key is stale too, transitively.  The stale fragments
+are dropped and the stale pages re-rendered, each rendering only its
+stale fragments afresh; every other page keeps its bytes, and the
+persistent generator keeps the filename table.  So ``regen.pages``
+equals a fresh render of the maintained site graph (property-tested),
+but not always a fresh build over the data graph: see
+``test_category_edit_matches_a_fresh_build`` and
+``test_page_name_suffixes_match_a_fresh_build``.
 
 Honest fallbacks, matching the maintainer's: deletions, negation and a
 truncated data-graph log make the maintainer replace the site graph
@@ -40,7 +43,7 @@ everything from an empty fragment cache (counted as ``coarse``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..graph import Graph, Oid, Target
 from ..struql.ast import Program, Query
@@ -90,7 +93,7 @@ class _FragmentRenderer(Renderer):
 
     def render_page(self, template: Template, oid: Oid) -> str:
         if not template.embeds:
-            cached = self._site._replayed((oid, ()))
+            cached = self._site._cached((oid, ()))
             if cached is not None:
                 return cached
         return super().render_page(template, oid)
@@ -99,10 +102,11 @@ class _FragmentRenderer(Renderer):
 class RegeneratingSite:
     """A statically generated site kept warm under data-graph edits.
 
-    ``regen.pages`` is always byte-identical to building the site from
-    scratch over the current data graph; the point is that after a small
-    edit only the affected pages are re-rendered to get there, and
-    inside them only the affected ``EMBED`` fragments.
+    ``regen.pages`` is byte-identical to rendering the maintained site
+    graph from scratch (the module docstring names where a fresh build
+    differs); the point is that after a small edit only the affected
+    pages are re-rendered to get there, and inside them only the
+    affected ``EMBED`` fragments.
     """
 
     def __init__(
@@ -182,11 +186,11 @@ class RegeneratingSite:
         self._view = RecordingView(site_graph)
         self._generator = HtmlGenerator(self._view, self.templates)  # type: ignore[arg-type]
         self._generator._renderer = _FragmentRenderer(self, self._generator)
-        #: page oid or fragment key -> the site-graph nodes its last
-        #: render read
+        #: page oid or fragment key -> the site-graph nodes and fragment
+        #: keys its last render read
         self._deps = DependencyIndex()
-        #: fragment key -> (html, the site-graph nodes it read)
-        self._fragments: Dict[FragmentKey, Tuple[str, Set[Oid]]] = {}
+        #: fragment key -> html
+        self._fragments: Dict[FragmentKey, str] = {}
         #: fragments rendered afresh since the pass began
         self._fragments_rendered = 0
         #: page oid -> position in first-render order
@@ -218,9 +222,14 @@ class RegeneratingSite:
         report.delta_size = stale.delta.size()
         self._site_epoch = site_graph.epoch
         self._fragments_rendered = 0
-        # every page that embeds a stale fragment is stale too (its read
-        # set covers the fragment's), so dropping the fragments first
+        # a render that read a stale fragment's key is stale too; page
+        # keys are oids, which also name site-graph nodes, so only
+        # fragment keys are followed.  Dropping the fragments first
         # makes each stale page re-render exactly its stale fragments
+        found = stale
+        while found:
+            found = self._deps.readers(k for k in found if not isinstance(k, Oid)) - stale
+            stale |= found
         pages: List[Oid] = []
         for key in stale:
             if isinstance(key, Oid):
@@ -272,27 +281,25 @@ class RegeneratingSite:
         embed_stack: Tuple[Oid, ...],
         render: Callable[[Oid, Tuple[Oid, ...]], str],
     ) -> str:
-        """The ``EMBED`` rendering of ``oid`` under ``embed_stack``: the
-        cached one, its reads replayed into the open recording, or a
-        fresh ``render`` whose reads are recorded and cached with it.
-        A render that raises caches nothing."""
+        """The ``EMBED`` rendering of ``oid`` under ``embed_stack``, its
+        key read by the open recording: the cached bytes, or a fresh
+        ``render`` recorded and cached under the key.  A render that
+        raises caches nothing."""
         key = (oid, embed_stack)
-        cached = self._replayed(key)
-        if cached is not None:
-            return cached
-        with self._view.recording() as reads:
-            html = render(oid, embed_stack)
-        self._fragments[key] = (html, reads)
-        self._deps.add(key, reads)
-        self._fragments_rendered += 1
+        html = self._cached(key)
+        if html is None:
+            self._view._note(key)
+            with self._view.recording() as reads:
+                html = render(oid, embed_stack)
+            self._fragments[key] = html
+            self._deps.add(key, reads)
+            self._fragments_rendered += 1
         return html
 
-    def _replayed(self, key: FragmentKey) -> Optional[str]:
-        """The cached fragment under ``key`` with its reads replayed into
-        the open recording, or None."""
-        cached = self._fragments.get(key)
-        if cached is None:
-            return None
-        html, reads = cached
-        self._view.replay(reads)
+    def _cached(self, key: FragmentKey) -> Optional[str]:
+        """The cached fragment under ``key``, its key read by the open
+        recording, or None."""
+        html = self._fragments.get(key)
+        if html is not None:
+            self._view._note(key)
         return html

@@ -444,6 +444,9 @@ class SqlGraph:
             if len(self._oid_of_id) > _CACHE_CAP:
                 self._oid_of_id.clear()
             self._oid_of_id[node_id] = cached
+            if len(self._id_of_name) > _CACHE_CAP:
+                self._id_of_name.clear()
+            self._id_of_name[name] = node_id
         return cached
 
     def _atom(self, atom_id: int, typ: str, val: str) -> Atom:

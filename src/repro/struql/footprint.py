@@ -7,9 +7,10 @@ looked*.  Two kinds of read are recorded:
   evaluation: which ``(source, label)`` adjacency lists it read, which
   label extents and collections it scanned, which atomic values it
   probed in the reverse index;
-* a set of nodes -- what one page render, or one ``EMBED`` component
-  of it, read, recorded through a :class:`RecordingView` of the graph
-  it rendered from.
+* what one page render, or one ``EMBED`` component of it, read,
+  recorded through a :class:`RecordingView` of the graph it rendered
+  from: the nodes it read itself and the key of every component it
+  embedded, so a render that read a stale component's key is stale.
 
 A :class:`DependencyIndex` inverts both kinds, keyed by the cached
 result they belong to, and answers :meth:`DependencyIndex.affected`
@@ -135,8 +136,8 @@ class Footprint:
 #: The footprint slots a :class:`DependencyIndex` inverts item by item.
 _SLOTS = tuple(slot for slot in Footprint.__slots__ if slot != "all_edges")
 
-#: What one cached result read: an evaluation footprint or a render's nodes.
-Reads = Union[Footprint, AbstractSet[Oid]]
+#: What one cached result read: a footprint, or a render's nodes and keys.
+Reads = Union[Footprint, AbstractSet[Hashable]]
 
 
 class _Coarse:
@@ -186,7 +187,7 @@ class DependencyIndex:
             slot: {} for slot in _SLOTS
         }
         self._all_edges: Set[Hashable] = set()
-        self._by_node: Dict[Oid, Set[Hashable]] = {}
+        self._by_node: Dict[Hashable, Set[Hashable]] = {}
 
     def __len__(self) -> int:
         return len(self._reads)
@@ -247,12 +248,12 @@ class DependencyIndex:
             return COARSE
         return Stale(self._match(delta), delta)
 
-    def readers(self, nodes: Iterable[Oid]) -> Set[Hashable]:
-        """The keys whose recorded render read any of ``nodes``."""
+    def readers(self, reads: Iterable[Hashable]) -> Set[Hashable]:
+        """The keys whose recorded render read any of ``reads``."""
         by_node = self._by_node
         found: Set[Hashable] = set()
-        for oid in nodes:
-            keys = by_node.get(oid)
+        for read in reads:
+            keys = by_node.get(read)
             if keys:
                 found |= keys
         return found
@@ -292,45 +293,37 @@ class DependencyIndex:
 
 
 class RecordingView:
-    """A graph view that records which nodes a page render reads.
+    """A graph view that records what a page render reads.
 
     The node-keyed accessors that template selection, rendering and
     root resolution use add their node to the set opened by the
-    enclosing :meth:`recording` block; everything else forwards to the
-    wrapped graph untouched.  Renders that need no read sets (a plain
-    :class:`~repro.template.HtmlGenerator` build) use the graph itself
-    and pay nothing.
+    innermost :meth:`recording` block; a caching renderer adds the key
+    of each cached component it embeds with :meth:`_note`.  Everything
+    else forwards to the wrapped graph untouched.  Renders that need no
+    read sets (a plain :class:`~repro.template.HtmlGenerator` build) use
+    the graph itself and pay nothing.
     """
 
     def __init__(self, graph: Graph) -> None:
         self._graph = graph
-        self._reads: Optional[Set[Oid]] = None
+        self._reads: Optional[Set[Hashable]] = None
 
     @contextmanager
-    def recording(self) -> Iterator[Set[Oid]]:
-        """Collect the nodes read inside the block into the yielded set.
+    def recording(self) -> Iterator[Set[Hashable]]:
+        """Collect the reads made inside the block into the yielded set.
 
-        Recordings nest: on exit the block's reads are also merged into
-        the enclosing recording, so an outer render's set covers every
-        component rendered inside it."""
+        A nested block collects its own reads only: the enclosing
+        recording does not see them."""
         previous = self._reads
         self._reads = reads = set()
         try:
             yield reads
         finally:
             self._reads = previous
-            if previous is not None:
-                previous |= reads
 
-    def replay(self, reads: AbstractSet[Oid]) -> None:
-        """Count ``reads`` as read by the open recording -- the reads of
-        a cached component reused instead of rendered."""
+    def _note(self, read: Hashable) -> None:
         if self._reads is not None:
-            self._reads |= reads
-
-    def _note(self, oid: Oid) -> None:
-        if self._reads is not None:
-            self._reads.add(oid)
+            self._reads.add(read)
 
     def targets(self, oid: Oid, label: str):
         self._note(oid)

@@ -18,16 +18,16 @@ All other atom text is HTML-escaped; literal template HTML never is.
 :data:`FragmentKey` ``(oid, embed_stack)`` and the graph nodes it
 reads, and every ``EMBED`` of an object goes through
 :meth:`Renderer.render_embedded`, the hook a caching renderer overrides
-(the selective regenerator's ``_FragmentRenderer`` does).  Inside
+(the selective regenerator's ``_FragmentRenderer`` records each fragment
+apart, and an embedding render reads the fragment's key).  Inside
 :meth:`Renderer.fragment_pass` (one ``HtmlGenerator.generate`` call)
 each fragment is rendered once, and a page whose template reaches no
 ``EMBED`` (:attr:`~repro.template.ast.Template.embeds` is false)
 shares bytes with its top-level fragment ``(oid, ())``, in both
-directions.  The pass cache holds
-bytes, not reads: a pass recorded through a
-:class:`~repro.struql.footprint.RecordingView` still sees every read,
-because a cache hit's reads were made earlier in the same recording.
-The cache is dropped when the pass ends.
+directions.  The pass cache holds bytes, not reads: one
+:class:`~repro.struql.footprint.RecordingView` recording around a pass
+still sees every read, because a cache hit's reads were made earlier in
+that recording.  The cache is dropped when the pass ends.
 """
 
 from __future__ import annotations

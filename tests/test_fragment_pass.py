@@ -153,10 +153,9 @@ def test_a_generator_over_an_edited_graph_sees_the_edit():
 
 
 def test_a_recording_view_sees_the_reads_of_an_uncached_build():
-    """Recordings merge into the enclosing one, so a fragment served
-    from the pass cache was read inside the same recording already: a
-    build recorded around ``generate`` reads the nodes an uncached
-    node-walking build reads, and gives its pages."""
+    """A fragment served from the pass cache was read inside the same
+    recording already: a build recorded around ``generate`` reads the
+    nodes an uncached node-walking build reads, and gives its pages."""
     site_graph = evaluate(parse(HOMEPAGE_QUERY), bibliography_graph(30, seed=1))
     view = RecordingView(site_graph)
     with view.recording() as reads:

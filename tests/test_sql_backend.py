@@ -329,6 +329,26 @@ def test_import_reads_one_statement_per_bfs_level(monkeypatch):
     assert counts[4, 3] == counts[4, 30] == counts[1, 3] + 3
 
 
+def test_has_node_on_decoded_nodes_reads_no_statement(monkeypatch):
+    """A node the result decoder returned is known to exist: asking for
+    it again issues no ``SELECT`` on ``nodes``."""
+    mem, _ = _chain_graph(2, 10)
+    repository = SqlRepository()
+    repository.store("g", mem)
+    stored = repository.fetch("g")
+    ids = [
+        node_id for (node_id,) in
+        stored._q("SELECT id FROM nodes WHERE graph=?", (stored._graph_id,))
+    ]
+    calls = _counting_store_calls(monkeypatch)
+    decoded = stored.resolve_nodes(ids)
+    assert len(decoded) == 21
+    calls[0] = 0
+    assert all(stored.has_node(oid) for oid in decoded.values())
+    assert calls[0] == 0
+    repository.store_backend.close()
+
+
 # --------------------------------------------------------------------- #
 # directed corners the strategy cannot reach deterministically
 
