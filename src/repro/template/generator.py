@@ -190,17 +190,26 @@ class HtmlGenerator(PageRegistry):
         #: call re-queues pages an earlier call named
         self._queued: Dict[Oid, None] = {}
         self._index_assigned = False
+        #: oid -> its template while a :meth:`generate` call runs: each
+        #: object is resolved once per call, not once per page and link
+        self._resolved: Optional[Dict[Oid, Optional[Template]]] = None
 
     # ------------------------------------------------------------ #
     # PageRegistry interface (called back by the renderer)
 
     def href_for(self, oid: Oid) -> Optional[str]:
-        if self.templates.resolve(self.graph, oid) is None:
+        if self.template_for(oid) is None:
             return None
         return self._assign_filename(oid)
 
     def template_for(self, oid: Oid) -> Optional[Template]:
-        return self.templates.resolve(self.graph, oid)
+        resolved = self._resolved
+        if resolved is None:
+            return self.templates.resolve(self.graph, oid)
+        if oid in resolved:
+            return resolved[oid]
+        template = resolved[oid] = self.templates.resolve(self.graph, oid)
+        return template
 
     # ------------------------------------------------------------ #
 
@@ -218,10 +227,14 @@ class HtmlGenerator(PageRegistry):
             for oid in self._resolve_root(root):
                 self._assign_filename(oid)
         # one pass renders each EMBED fragment once
-        with self._renderer.fragment_pass():
-            while self._queue:
-                oid = self._queue.popleft()
-                site.pages[self._filenames[oid]] = self._render_page(oid)
+        self._resolved = {}
+        try:
+            with self._renderer.fragment_pass():
+                while self._queue:
+                    oid = self._queue.popleft()
+                    site.pages[self._filenames[oid]] = self._render_page(oid)
+        finally:
+            self._resolved = None
         site.filenames = dict(self._filenames)
         return site
 
@@ -232,7 +245,7 @@ class HtmlGenerator(PageRegistry):
         return self._renderer.render_page(template, oid)
 
     def _require_template(self, oid: Oid) -> Template:
-        template = self.templates.resolve(self.graph, oid)
+        template = self.template_for(oid)
         if template is None:
             raise TemplateResolutionError(
                 f"no template for page object {oid} "

@@ -22,6 +22,12 @@ when they look numeric; ``abstract`` becomes a TEXT_FILE atom;
 ``postscript``/``ps`` POSTSCRIPT_FILE; ``url`` URL; everything else
 STRING.  The entry type is exposed as the ``type`` attribute and the
 citation key as ``key``.
+
+The common field -- one brace group, number or macro name, then a comma
+-- is read by one compiled match; every other field falls back to the
+piece loop.  A wrap types each distinct ``(label, value)`` once.  The
+piece-at-a-time parser and loader these replaced are the test oracle
+``tests/reference_bibtex.py``.
 """
 
 from __future__ import annotations
@@ -48,6 +54,21 @@ PUBLICATIONS = "Publications"
 
 _ENTRY_START = re.compile(r"@\s*([A-Za-z]+)\s*[{(]")
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_:\-./+]*")
+_NAME_EQUALS = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_\-]*)\s*=\s*")
+#: a whole ``name = value`` field whose value is one brace group with
+#: no nested braces, a run of digits or a macro name, and which a comma
+#: or the end of the body follows; any other field is read piece by
+#: piece from the same position (:func:`_parse_value`)
+_FIELD = re.compile(
+    _NAME_EQUALS.pattern
+    + rf"(?:\{{([^{{}}]*)\}}|(\d+)|({_IDENT.pattern}))"
+    + r"(?=\s*(?:,|\Z))"
+)
+_COMMA = re.compile(r"\s*,")
+_HASH = re.compile(r"\s*#")
+_DIGITS = re.compile(r"\d+")
+_AND = re.compile(r"\s+and\s+")
+_KEY = re.compile(r"\s*([^,\s{}()\"]+)\s*,")
 #: the delimiters a ``{`` group and a ``(`` group count, respectively
 _BRACES = re.compile(r"[{}]")
 _PARENS = re.compile(r"[()]")
@@ -109,43 +130,68 @@ class BibtexWrapper(Wrapper):
         # parsing every entry before the first write is about 5% faster
         # than interleaving the two (2000 generated entries)
         entries = list(iter_bibtex(self.text, {}, self._fault))
+        # (label, raw value) -> its atom: a repeated booktitle, year or
+        # author is typed once, and its edges share one object
+        atoms: Dict[Tuple[str, str], Atom] = {}
         for entry_type, key, fields in entries:
             try:
-                self._add_entry(graph, entry_type, key, fields)
+                self._add_entry(graph, entry_type, key, fields, atoms)
             except (StrudelError, ValueError) as error:
                 self._fault(f"entry {key or '?'}", error)
                 continue
             report.admitted += 1
 
     def _add_entry(
-        self, graph: Graph, entry_type: str, key: str, fields: List[Tuple[str, str]]
+        self,
+        graph: Graph,
+        entry_type: str,
+        key: str,
+        fields: List[Tuple[str, str]],
+        atoms: Dict[Tuple[str, str], Atom],
     ) -> None:
         oid = graph.add_node(Oid(key) if key else None, hint="bib")
         graph.add_edge(oid, "type", string(entry_type))
         if key:
             graph.add_edge(oid, "key", string(key))
-        for name, raw in fields:
-            label = name.lower()
+        add_edge = graph.add_edge
+        for label, raw in fields:
             if label in _MULTI_FIELDS:
-                self._add_people(graph, oid, label, raw)
+                self._add_people(graph, oid, label, raw, atoms)
                 continue
-            graph.add_edge(oid, label, _typed_value(label, raw))
+            atom = atoms.get((label, raw))
+            if atom is None:
+                atom = atoms[label, raw] = _typed_value(label, raw)
+            add_edge(oid, label, atom)
         graph.add_to_collection(self.collection, oid)
 
-    def _add_people(self, graph: Graph, oid: Oid, label: str, raw: str) -> None:
-        people = [p.strip() for p in re.split(r"\s+and\s+", raw) if p.strip()]
+    def _add_people(
+        self,
+        graph: Graph,
+        oid: Oid,
+        label: str,
+        raw: str,
+        atoms: Dict[Tuple[str, str], Atom],
+    ) -> None:
+        # a person's name keeps its inner whitespace: its atom is
+        # memoized under the (label, name) of the people field, which no
+        # typed value shares
+        people = [p.strip() for p in _AND.split(raw) if p.strip()]
         for order, person in enumerate(people, start=1):
+            name = atoms.get((label, person))
+            if name is None:
+                name = atoms[label, person] = string(person)
             if self.ordered_authors:
                 person_oid = graph.add_node(hint=label)
-                graph.add_edge(person_oid, "name", string(person))
+                graph.add_edge(person_oid, "name", name)
                 graph.add_edge(person_oid, "order", integer(order))
                 graph.add_edge(oid, label, person_oid)
             else:
-                graph.add_edge(oid, label, string(person))
+                graph.add_edge(oid, label, name)
 
 
 def _typed_value(label: str, raw: str) -> Atom:
-    cleaned = re.sub(r"\s+", " ", raw).strip()
+    # str.split() splits on exactly the characters ``\s`` matches
+    cleaned = " ".join(raw.split())
     if label in _INTEGER_FIELDS and cleaned.isdigit():
         return integer(int(cleaned))
     flavour = _FIELD_TYPES.get(label)
@@ -182,7 +228,7 @@ def _line_of(text: str, position: int) -> int:
 
 def _guess_key(text: str, brace_index: int) -> str:
     """The citation key following the opening brace, best effort."""
-    match = re.match(r"\s*([^,\s{}()\"]+)\s*,", text[brace_index + 1 :])
+    match = _KEY.match(text, brace_index + 1)
     return match.group(1) if match else ""
 
 
@@ -253,7 +299,7 @@ def _read_balanced(text: str, open_index: int) -> Tuple[str, int]:
 
 
 def _parse_macro(body: str, macros: Dict[str, str]) -> Tuple[str, str]:
-    match = re.match(r"\s*([A-Za-z_][A-Za-z0-9_\-]*)\s*=\s*", body)
+    match = _NAME_EQUALS.match(body)
     if match is None:
         raise WrapperError(f"bad @string body: {body[:40]!r}")
     value, _ = _parse_value(body, match.end(), macros)
@@ -269,17 +315,30 @@ def _parse_entry_body(
     key = body[:comma].strip()
     fields: List[Tuple[str, str]] = []
     position = comma + 1
-    while position < len(body):
-        match = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_\-]*)\s*=\s*").match(body, position)
-        if match is None:
-            remaining = body[position:].strip()
-            if remaining and remaining != ",":
-                raise WrapperError(f"bad BibTeX field near {remaining[:40]!r}")
-            break
-        name = match.group(1).lower()
-        value, position = _parse_value(body, match.end(), macros)
-        fields.append((name, value))
-        comma_match = re.compile(r"\s*,").match(body, position)
+    end = len(body)
+    while position < end:
+        match = _FIELD.match(body, position)
+        if match is not None:
+            name, braced, digits, macro = match.groups()
+            if braced is not None:
+                value = braced
+            elif digits is not None:
+                value = digits
+            else:
+                macro = macro.lower()
+                value = macros.get(macro, macro)
+            position = match.end()
+        else:
+            match = _NAME_EQUALS.match(body, position)
+            if match is None:
+                remaining = body[position:].strip()
+                if remaining and remaining != ",":
+                    raise WrapperError(f"bad BibTeX field near {remaining[:40]!r}")
+                break
+            name = match.group(1)
+            value, position = _parse_value(body, match.end(), macros)
+        fields.append((name.lower(), value))
+        comma_match = _COMMA.match(body, position)
         if comma_match is None:
             break
         position = comma_match.end()
@@ -313,19 +372,18 @@ def _parse_value(body: str, position: int, macros: Dict[str, str]) -> Tuple[str,
                 raise WrapperError("unterminated quoted BibTeX value")
             pieces.append(_strip_braces(body[position + 1 : end]))
             position = end + 1
-        elif char.isdigit():
-            match = re.compile(r"\d+").match(body, position)
-            assert match is not None
-            pieces.append(match.group(0))
-            position = match.end()
         else:
-            match = _IDENT.match(body, position)
-            if match is None:
-                raise WrapperError(f"bad BibTeX value near {body[position:][:40]!r}")
-            name = match.group(0).lower()
-            pieces.append(macros.get(name, name))
+            match = _DIGITS.match(body, position)
+            if match is not None:
+                pieces.append(match.group(0))
+            else:
+                match = _IDENT.match(body, position)
+                if match is None:
+                    raise WrapperError(f"bad BibTeX value near {body[position:][:40]!r}")
+                name = match.group(0).lower()
+                pieces.append(macros.get(name, name))
             position = match.end()
-        hash_match = re.compile(r"\s*#").match(body, position)
+        hash_match = _HASH.match(body, position)
         if hash_match is None:
             break
         position = hash_match.end()

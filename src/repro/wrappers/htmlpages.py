@@ -101,6 +101,11 @@ class HtmlSiteWrapper(Wrapper):
     against the linking page's directory; hrefs that resolve to another
     wrapped page become ``linksTo`` edges, the rest become ``href`` URL
     atoms.
+
+    HTML has no record faults: the stdlib ``HTMLParser`` reads any text,
+    so unbalanced markup, empty ``src``/``href``/``title`` values, NUL
+    bytes and an empty file all wrap as admitted pages.  Only a page the
+    graph refuses would be a fault, at ``page PATH``.
     """
 
     source_kind = "html"

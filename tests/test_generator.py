@@ -59,6 +59,21 @@ class TestTemplateSelection:
         templates.set_default("fallback")
         assert templates.resolve(graph, orphan).name == "fallback"
 
+    def test_graph_collection_order_picks_among_templated_collections(self, site):
+        """A node in two collections with templates gets the template of
+        the one the graph lists first, whatever order the templates were
+        registered in; a collection without a template is passed over."""
+        graph, templates, root = site
+        both = graph.add_node(Oid("Both()"))
+        for name in ("Untemplated", "First", "Second"):
+            graph.add_to_collection(name, both)
+        templates.add("second", "2")
+        templates.add("first", "1")
+        templates.for_collection("Second", "second")
+        templates.for_collection("First", "first")
+        assert graph.collections_of(both) == ["Untemplated", "First", "Second"]
+        assert templates.resolve(graph, both).name == "first"
+
     def test_registering_unknown_template_fails(self, site):
         _, templates, _ = site
         with pytest.raises(TemplateResolutionError):
@@ -178,6 +193,23 @@ class TestGeneration:
         generated = generate_site(graph, templates, ["Root()"])
         assert generated.page_count == 1
         assert generated.pages["index.html"] == "[part]"
+
+    def test_each_object_is_resolved_once_per_generate(self, site):
+        graph, templates, root = site
+        templates.add("twice", "<SFMT item UL><SFMT item EMBED>")
+        templates.for_object("Root()", "twice")
+        resolved = []
+        resolve = templates.resolve
+        templates.resolve = lambda graph, oid: resolved.append(oid) or resolve(graph, oid)
+        generator = HtmlGenerator(graph, templates)
+        first = generator.generate([root])
+        assert sorted(resolved) == sorted([root] + graph.collection("Items"))
+        # a later call resolves afresh, so it sees a changed selection
+        templates.add("other", "other")
+        graph.add_edge(Oid("Item(0)"), TEMPLATE_ATTRIBUTE, string("other"))
+        again = generator.generate([root])
+        assert len(resolved) == 8
+        assert again.pages[first.filenames[Oid("Item(0)")]] == "other"
 
     def test_a_second_generate_rerenders_its_pages_under_the_same_names(self):
         graph = evaluate(HOMEPAGE_QUERY, bibliography_graph(5, seed=0))

@@ -1,6 +1,8 @@
 """Unit tests for the source wrappers (repro.wrappers)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WrapperError
 from repro.graph import AtomType, Oid
@@ -16,8 +18,11 @@ from repro.wrappers import (
     parse_bibtex,
 )
 from repro.wrappers import bibtex
+from repro.repository import ddl
 from repro.resilience.quarantine import WrapPolicy
 from repro.workloads import generate_entries
+
+from .reference_bibtex import ReferenceBibtexWrapper, reference_iter_bibtex
 
 BIBTEX = """
 @string{sigmod = "Proceedings of SIGMOD"}
@@ -154,6 +159,18 @@ class TestBibtexScanning:
         monkeypatch.setattr(bibtex, "_read_balanced", _read_balanced_per_char)
         assert got == scan()
 
+    def test_superscript_digit_value_is_quarantined(self):
+        """``str.isdigit`` holds for superscripts that no digit run
+        matches: such a value is a located fault, not a crash."""
+        text = "@misc{a, note = {ok}}\n@misc{b, year = ²}\n"
+        wrapper = BibtexWrapper(text)
+        graph = wrapper.wrap(WrapPolicy.tolerant())
+        report = wrapper.last_quarantine
+        assert [r.locator for r in report.records] == ["entry b (line 2)"]
+        assert "bad BibTeX value" in report.records[0].error
+        assert report.admitted == 1
+        assert graph.has_node(Oid("a"))
+
     def test_hand_written_delimiter_rules(self):
         nested, paren, early = parse_bibtex("\n".join(HAND_WRITTEN_ENTRIES[:3]))
         assert dict(nested[2]) == {"title": "A B C D E", "note": "x(y"}
@@ -204,6 +221,142 @@ class TestBibtexWrapper:
     def test_entry_type_attribute(self):
         graph = BibtexWrapper(BIBTEX).wrap()
         assert str(graph.attribute(Oid("pub1"), "type")) == "article"
+
+
+# ---------------------------------------------------------------- #
+# the compiled field scanner and the atom memo against the reference
+
+_WS = st.sampled_from(["", " ", "  ", "\t", "\n", "\n  "])
+#: values shared across labels, so one raw value is typed as an
+#: integer, a URL, a file and a string in the same wrap
+_SHARED = [
+    "1998", " 1998 ", "12ab", "x", "", "Mary  Fernandez and Dan\tSuciu",
+    "a\tb\n c", "Proceedings of\n  SIGMOD", "http://x.org/p", "papers/p.ps",
+    "x(y", "²",
+]
+_INNER = st.one_of(
+    st.sampled_from(_SHARED),
+    st.text(alphabet="ab1 \t\n,#=", max_size=6),
+)
+
+
+@st.composite
+def _piece(draw):
+    kind = draw(st.sampled_from(["brace", "nested", "quote", "digits", "macro"]))
+    inner = draw(_INNER)
+    if kind == "brace":
+        return "{" + inner + "}"
+    if kind == "nested":
+        return "{" + draw(_INNER) + "{" + inner + "}" + draw(_INNER) + "}"
+    if kind == "quote":
+        return '"' + draw(st.sampled_from(["", "{\"}", "{A}"])) + inner + '"'
+    if kind == "digits":
+        return draw(st.sampled_from(["1998", "7", "0042", "²"])) + draw(
+            st.sampled_from(["", "", "abc"])
+        )
+    return draw(st.sampled_from(["jan", "SEP", "sig", "unknown", "x.y:z"]))
+
+
+@st.composite
+def _value(draw):
+    pieces = draw(st.lists(_piece(), min_size=1, max_size=3))
+    joined = pieces[0]
+    for piece in pieces[1:]:
+        joined += draw(_WS) + "#" + draw(_WS) + piece
+    return joined
+
+
+_FIELD_NAMES = [
+    "title", "TITLE", "author", "Editor", "year", "Year", "volume", "number",
+    "abstract", "postscript", "ps", "url", "note", "booktitle", "month", "type",
+]
+_MALFORMED = [
+    "@article{broken,\n  title = ?oops\n}",
+    "@article{unclosed, title = {never closed, year = 1999}",
+    '@misc{q, note = "unterminated}',
+    "@misc{nf, title {x}}",
+    "@book(early, title = {x}, note = a ) trailing)",
+]
+
+
+@st.composite
+def _entry(draw):
+    kind = draw(st.sampled_from(["entry"] * 6 + ["string", "comment", "malformed"]))
+    if kind == "malformed":
+        return draw(st.sampled_from(_MALFORMED))
+    if kind == "comment":
+        return "@comment{" + draw(_INNER) + "}"
+    opener, closer = draw(st.sampled_from(["{}", "()"]))
+    if kind == "string":
+        name = draw(st.sampled_from(["sig", "SIG", "unknown"]))
+        return f"@string{opener}{name} ={draw(_WS)}{draw(_value())}{closer}"
+    fields = []
+    for _ in range(draw(st.integers(0, 4))):
+        name = draw(st.sampled_from(_FIELD_NAMES))
+        fields.append(f"{draw(_WS)}{name}{draw(_WS)}={draw(_WS)}{draw(_value())}")
+    body = draw(st.sampled_from(["p1", "p2", "p3", "Key:9", ""]))
+    if fields or draw(st.booleans()):
+        body += "," + ",".join(fields) + draw(st.sampled_from(["", ",", " ,\n"]))
+    entry_type = draw(st.sampled_from(["article", "InProceedings", "misc"]))
+    return f"@{entry_type}{opener}{body}{draw(_WS)}{closer}"
+
+
+_BIBTEX = st.lists(_entry(), max_size=6).flatmap(
+    lambda entries: st.lists(
+        st.sampled_from(["\n", "\n\n", " ", "\t"]),
+        min_size=len(entries),
+        max_size=len(entries),
+    ).map(lambda gaps: "".join(g + e for g, e in zip(gaps, entries)))
+)
+
+
+def _scan(iterate, text):
+    """Entries and ``(locator, message, snippet)`` faults of a tolerant
+    scan, and the entries or the raised fault of a strict one."""
+    faults = []
+    tolerant = list(iterate(text, {}, lambda *fault: faults.append(
+        (fault[0], str(fault[1]), fault[2]))))
+    try:
+        strict = list(iterate(text, {}))
+    except WrapperError as error:
+        strict = (error.locator, str(error))
+    return tolerant, faults, strict
+
+
+def _wraps(wrapper_class, text, ordered):
+    """The ``ddl.dumps`` of a strict wrap (or its fault) and of a
+    tolerant wrap with its quarantine."""
+    try:
+        strict = ddl.dumps(wrapper_class(text, ordered_authors=ordered).wrap())
+    except WrapperError as error:
+        strict = (error.locator, str(error))
+    wrapper = wrapper_class(text, ordered_authors=ordered)
+    tolerant = ddl.dumps(wrapper.wrap(WrapPolicy.tolerant()))
+    report = wrapper.last_quarantine
+    quarantined = [(r.locator, r.error, r.snippet) for r in report.records]
+    return strict, tolerant, quarantined, report.admitted
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_BIBTEX, ordered=st.booleans())
+def test_bibtex_matches_the_reference_parser_and_loader(text, ordered):
+    assert _scan(bibtex.iter_bibtex, text) == _scan(reference_iter_bibtex, text)
+    assert _wraps(BibtexWrapper, text, ordered) == _wraps(
+        ReferenceBibtexWrapper, text, ordered
+    )
+
+
+def test_generated_corpus_matches_the_reference():
+    text = generate_entries(300, seed=5)
+    assert list(bibtex.iter_bibtex(text)) == list(reference_iter_bibtex(text))
+    assert _wraps(BibtexWrapper, text, False) == _wraps(ReferenceBibtexWrapper, text, False)
+
+
+def test_wrapper_keeps_no_atom_memo():
+    wrapper = BibtexWrapper(generate_entries(20, seed=1))
+    before = set(vars(wrapper))
+    wrapper.wrap()
+    assert set(vars(wrapper)) == before
 
 
 class TestRelationalWrapper:
