@@ -448,6 +448,9 @@ class LazySiteGraph(Graph):
             return data.collections_of(oid)
         return []
 
+    def in_collection(self, name: str, oid: Oid) -> bool:
+        return name in self.collections_of(oid)
+
 
 class BrowseSession:
     """Simulates a user browsing a dynamic site.

@@ -208,7 +208,7 @@ def atom_num(atom: Atom) -> Optional[float]:
 
 
 #: VDBE opcodes between progress-handler invocations.  Small enough to
-#: notice an expired deadline within a few milliseconds of CTE work,
+#: notice an expired deadline within a few milliseconds of join work,
 #: large enough that the callback cost is noise.
 _PROGRESS_OPCODES = 4000
 
@@ -221,10 +221,10 @@ class SqlStore:
     statements of a ``store`` or ``delete`` into a single transaction.
 
     Long statements are cancellable two ways: :meth:`query_named` (the
-    pushdown path -- the only place a single statement can run
-    unboundedly long, e.g. a ``WITH RECURSIVE`` CTE over a cyclic star
-    path) arms a progress handler against the ambient request deadline,
-    and :meth:`interrupt` lets a watchdog abort whatever statement the
+    pushdown path -- the only place a single statement can run long,
+    e.g. a pushed prefix joining two large collections) arms a progress
+    handler against the ambient request deadline, and
+    :meth:`interrupt` lets a watchdog abort whatever statement the
     connection is running from another thread.  Both surface as
     :class:`~repro.errors.DeadlineExceeded`, never a raw sqlite error.
     """

@@ -58,7 +58,6 @@ from .plancache import PlanCache, clear_plan_cache, global_plan_cache
 # imported for its side effect too: registers the SQL-pushdown engine
 # factory for SqlGraph sources (must follow the .eval import)
 from .sqlcompile import (
-    DEFAULT_PUSHDOWN_CUTOFF,
     PushdownReport,
     SqlQueryEngine,
     explain_pushdown,
@@ -75,7 +74,6 @@ __all__ = [
     "Concat",
     "Condition",
     "Const",
-    "DEFAULT_PUSHDOWN_CUTOFF",
     "DependencyIndex",
     "EdgeCond",
     "Footprint",

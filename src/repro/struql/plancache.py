@@ -53,8 +53,8 @@ PlanKey = Tuple[Tuple[int, ...], FrozenSet[str], Tuple[int, int]]
 PathMemoKey = Tuple[int, int, int, object]
 
 #: A compiled-SQL key: (ordered condition identities, frame variable
-#: names, statistics fingerprint, pushdown cost cutoff).
-SqlPlanKey = Tuple[Tuple[int, ...], Tuple[str, ...], Tuple[int, int], float]
+#: names, statistics fingerprint).
+SqlPlanKey = Tuple[Tuple[int, ...], Tuple[str, ...], Tuple[int, int]]
 
 
 class PlanCache:
@@ -126,9 +126,8 @@ class PlanCache:
         ordered: Sequence[Condition],
         frame_names: Sequence[str],
         fingerprint: Tuple[int, int],
-        cutoff: float,
     ) -> SqlPlanKey:
-        return (tuple(map(id, ordered)), tuple(frame_names), fingerprint, cutoff)
+        return (tuple(map(id, ordered)), tuple(frame_names), fingerprint)
 
     def get_sql(self, key: SqlPlanKey) -> Optional[Tuple[object]]:
         """The cached compiled-SQL entry for ``key`` wrapped in a 1-tuple,

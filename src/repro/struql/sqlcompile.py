@@ -5,11 +5,11 @@ variant registered for :class:`~repro.repository.sql.SqlGraph` sources.
 Its one override is `_run_blocks`: when a top-level evaluation starts
 from the empty seed, the maximal *prefix* of the ordered plan that
 falls in the conjunctive fragment -- collection membership, edge
-conditions, comparisons, type predicates, and fully-bound regular path
-filters -- is compiled into a single parameterized SELECT and executed
-inside SQLite; the decoded rows then flow through the in-memory
-operator loop for whatever residue the compiler declined (negation,
-generating paths, label predicates, custom predicates).
+conditions, comparisons and type predicates -- is compiled into a
+single parameterized SELECT and executed inside SQLite; the decoded
+rows then flow through the in-memory operator loop for whatever residue
+the compiler declined (negation, regular paths, label predicates,
+custom predicates).
 
 The compiled query must reproduce the in-memory engine's binding
 relation *exactly* -- rows and row order -- because warm and cold
@@ -36,13 +36,12 @@ output.  Three mechanisms deliver that:
   unknown or custom predicate, a premature negation) stops the prefix,
   so the residual loop raises the identical error.
 
-Regular path expressions whose leaves are plain labels or wildcards
-compile to a recursive CTE over the closure-expanded Thompson automaton;
-automata the CTE form cannot express (label *predicates*) and generating
-paths fall back to the existing NFA search -- the paper's evaluation
-strategy, kept as-is.
+A regular path condition ends the prefix: it runs on the engine's one
+path evaluator (the paper's NFA search, batched per distinct endpoint
+and memoised per graph epoch) over the decoded rows.
 
-Pushdown is chosen per query by a cost cutoff against
+Pushdown is chosen per query by a cost cutoff
+(``SqlQueryEngine.pushdown_cutoff``) against
 :class:`~repro.repository.indexes.IndexStatistics`: below the cutoff the
 in-memory operators over the fetched frontier win (the per-row overhead
 of SQLite beats its set-at-a-time advantage on small frontiers), so the
@@ -56,24 +55,16 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from ..graph import Atom, AtomType, Graph, Oid, coercion_probes, type_predicate_names
+from ..graph import Atom, AtomType, coercion_probes, type_predicate_names
 from ..repository.sql import SqlGraph, atom_num, atom_val
 from . import builtins
 from .ast import (
-    AnyLabel,
-    Alternation,
     CollectionCond,
     ComparisonCond,
-    Concat,
     Condition,
     Const,
     EdgeCond,
-    LabelIs,
-    LabelPredicate,
-    PathCond,
-    PathExpr,
     PredicateCond,
-    Star,
     Var,
 )
 from .eval import (
@@ -87,10 +78,6 @@ from .eval import (
 )
 from .optimizer import estimate_cost
 from .plancache import PlanCache
-
-#: Estimated first-operator cardinality below which the in-memory
-#: operators are kept (the per-query ablation baseline selection).
-DEFAULT_PUSHDOWN_CUTOFF = 64.0
 
 #: Predicate names with a compiled SQL form; anything else stops the
 #: prefix so the residual loop resolves (or rejects) it identically.
@@ -277,10 +264,9 @@ class _Compiler:
             self._compile_comparison(condition)
         elif isinstance(condition, PredicateCond):
             self._compile_predicate(condition)
-        elif isinstance(condition, PathCond):
-            self._compile_path(condition)
         else:
-            raise _Bail  # negation and anything unknown stay residual
+            # negation, regular paths and anything unknown stay residual
+            raise _Bail
 
     # ------------------------------------------------------------ #
     # collection membership
@@ -679,112 +665,6 @@ class _Compiler:
                 self.where.append(f"{alias}.typ IN ({marks})")
 
     # ------------------------------------------------------------ #
-    # regular path filters
-
-    def _compile_path(self, condition: PathCond) -> None:
-        src_info = self.vars.get(condition.source.name)
-        if src_info is None:
-            raise _Bail  # generating paths stay on the NFA search
-        if src_info.kind in ("label", "const"):
-            self.empty = True  # only nodes have outgoing paths
-            return
-
-        target = condition.target
-        tgt_const: Optional[Atom] = None
-        tgt_info: Optional[_VarInfo] = None
-        if isinstance(target, Const):
-            tgt_const = target.atom
-        else:
-            tinfo = self.vars.get(target.name)
-            if tinfo is None:
-                raise _Bail  # generating paths stay on the NFA search
-            if tinfo.kind == "const":
-                tgt_const = tinfo.const
-            elif tinfo.kind == "label":
-                raise _Bail  # runtime string probes
-            else:
-                tgt_info = tinfo
-
-        automaton = _compile_automaton(condition.path)
-        if automaton is None:
-            raise _Bail  # label predicates: the NFA fallback handles them
-        starts, accept, arcs = automaton
-
-        src_expr = src_info.node_expr
-        guards: List[str] = []
-        if src_info.kind == "target":
-            guards.append(f"{src_expr} IS NOT NULL")
-
-        if not arcs:
-            # no consuming transitions: only the zero-length path exists
-            if accept not in starts:
-                self.empty = True
-                return
-            if tgt_const is not None:
-                self.empty = True  # a node never equals an atom
-                return
-            eq = f"{tgt_info.node_expr} = {src_expr}"
-            if tgt_info.kind == "target":
-                eq = f"({tgt_info.node_expr} IS NOT NULL AND {eq})"
-            self.where.append(" AND ".join(guards + [eq]))
-            return
-
-        tr_rows = " UNION ALL ".join(
-            "SELECT "
-            + f"{frm} AS frm, "
-            + (f"{self.p(lbl)} AS lbl" if lbl is not None else "NULL AS lbl")
-            + f", {nxt} AS nxt"
-            for frm, lbl, nxt in arcs
-        )
-        seed_rows = " UNION ALL ".join(f"SELECT {s} AS s" for s in sorted(starts))
-
-        accepts: List[str] = []
-        if tgt_const is None and tgt_info is not None:
-            node_expr = tgt_info.node_expr
-            node_accept = (
-                f"SELECT 1 FROM reach r WHERE r.s = {accept}"
-                f" AND r.n = {node_expr}"
-            )
-            accepts.append(node_accept)
-            if tgt_info.kind == "target":
-                accepts.append(
-                    f"SELECT 1 FROM reach r"
-                    f" JOIN edges e ON e.graph = :g AND e.src = r.n"
-                    f" AND e.tgt_atom IN (SELECT probe FROM atom_probes"
-                    f" WHERE graph = :g AND atom = {tgt_info.atom_expr})"
-                    f" JOIN tr t ON t.frm = r.s AND t.nxt = {accept}"
-                    f" AND (t.lbl IS NULL OR t.lbl = e.label)"
-                )
-        else:
-            probe_ids = self._static_probe_ids(tgt_const)
-            if not probe_ids:
-                self.empty = True
-                return
-            marks = ", ".join(self.p(atom_id) for atom_id, _ in probe_ids)
-            accepts.append(
-                f"SELECT 1 FROM reach r"
-                f" JOIN edges e ON e.graph = :g AND e.src = r.n"
-                f" AND e.tgt_atom IN ({marks})"
-                f" JOIN tr t ON t.frm = r.s AND t.nxt = {accept}"
-                f" AND (t.lbl IS NULL OR t.lbl = e.label)"
-            )
-
-        exists = (
-            "EXISTS (WITH RECURSIVE"
-            f" tr(frm, lbl, nxt) AS ({tr_rows}),"
-            f" reach(n, s) AS ("
-            f"SELECT {src_expr}, st.s FROM ({seed_rows}) st"
-            f" UNION "
-            f"SELECT e.tgt_node, t.nxt FROM reach r"
-            f" JOIN edges e ON e.graph = :g AND e.src = r.n"
-            f" AND e.tgt_node IS NOT NULL"
-            f" JOIN tr t ON t.frm = r.s"
-            f" AND (t.lbl IS NULL OR t.lbl = e.label))"
-            f" {' UNION ALL '.join(accepts)})"
-        )
-        self.where.append(" AND ".join(guards + [exists]))
-
-    # ------------------------------------------------------------ #
     # assembly
 
     def finalize(self) -> Optional[PushdownPlan]:
@@ -823,103 +703,6 @@ class _Compiler:
 
 
 # ---------------------------------------------------------------------- #
-# path automaton (closure-expanded Thompson construction)
-
-
-def _compile_automaton(
-    path: PathExpr,
-) -> Optional[Tuple[Set[int], int, List[Tuple[int, Optional[str], int]]]]:
-    """(start states, accept state, consuming transitions) of a path
-    expression, with epsilon moves folded away -- or None when the path
-    uses label predicates (those need the Python NFA's closures).
-
-    Transitions are closure-expanded: an arc ``(u, lbl, v)`` becomes one
-    row per state in eclose(v), and the start-state set is eclose(start),
-    so reachability never needs epsilon steps.  ``lbl is None`` matches
-    any label (the wildcard).
-    """
-    states = [0]
-    arcs: List[Tuple[int, Optional[str], int]] = []
-    eps: List[Tuple[int, int]] = []
-
-    def new_state() -> int:
-        states.append(len(states))
-        return states[-1]
-
-    def build(expr: PathExpr) -> Optional[Tuple[int, int]]:
-        if isinstance(expr, LabelIs):
-            s, t = new_state(), new_state()
-            arcs.append((s, expr.label, t))
-            return s, t
-        if isinstance(expr, AnyLabel):
-            s, t = new_state(), new_state()
-            arcs.append((s, None, t))
-            return s, t
-        if isinstance(expr, LabelPredicate):
-            return None
-        if isinstance(expr, Concat):
-            s, t = new_state(), new_state()
-            previous = s
-            for part in expr.parts:
-                frag = build(part)
-                if frag is None:
-                    return None
-                eps.append((previous, frag[0]))
-                previous = frag[1]
-            eps.append((previous, t))
-            return s, t
-        if isinstance(expr, Alternation):
-            s, t = new_state(), new_state()
-            for option in expr.options:
-                frag = build(option)
-                if frag is None:
-                    return None
-                eps.append((s, frag[0]))
-                eps.append((frag[1], t))
-            return s, t
-        if isinstance(expr, Star):
-            s, t = new_state(), new_state()
-            frag = build(expr.inner)
-            if frag is None:
-                return None
-            eps.append((s, t))
-            eps.append((s, frag[0]))
-            eps.append((frag[1], frag[0]))
-            eps.append((frag[1], t))
-            return s, t
-        return None
-
-    frag = build(path)
-    if frag is None:
-        return None
-    start, accept = frag
-
-    adjacency: Dict[int, List[int]] = {}
-    for u, v in eps:
-        adjacency.setdefault(u, []).append(v)
-
-    def eclose(state: int) -> Set[int]:
-        seen = {state}
-        stack = [state]
-        while stack:
-            for nxt in adjacency.get(stack.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
-
-    expanded: List[Tuple[int, Optional[str], int]] = []
-    seen_rows: Set[Tuple[int, Optional[str], int]] = set()
-    for u, lbl, v in arcs:
-        for v2 in sorted(eclose(v)):
-            row = (u, lbl, v2)
-            if row not in seen_rows:
-                seen_rows.add(row)
-                expanded.append(row)
-    return eclose(start), accept, expanded
-
-
-# ---------------------------------------------------------------------- #
 # the engine
 
 
@@ -927,21 +710,14 @@ class SqlQueryEngine(QueryEngine):
     """A :class:`QueryEngine` that pushes plan prefixes into SQLite.
 
     Construction and the public API are identical to the in-memory
-    engine; ``pushdown_cutoff`` is the estimated first-operator
-    cardinality below which the in-memory operators are kept (0 forces
-    pushdown, ``float('inf')`` disables it).  The most recent top-level
-    decision is recorded in ``last_pushdown`` for EXPLAIN.
+    engine.  The most recent top-level decision is recorded in
+    ``last_pushdown`` for EXPLAIN.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        pushdown_cutoff: float = DEFAULT_PUSHDOWN_CUTOFF,
-        **kwargs: object,
-    ) -> None:
-        super().__init__(graph, **kwargs)
-        self.pushdown_cutoff = pushdown_cutoff
-        self.last_pushdown: Optional[PushdownReport] = None
+    #: Estimated first-operator cardinality below which the in-memory
+    #: operators are kept.
+    pushdown_cutoff = 64.0
+    last_pushdown: Optional[PushdownReport] = None
 
     # ------------------------------------------------------------ #
 
@@ -1018,9 +794,7 @@ class SqlQueryEngine(QueryEngine):
         self, ordered: Sequence[Condition], frame: _Frame
     ) -> Optional[PushdownPlan]:
         fingerprint = self.stats.fingerprint()
-        key = PlanCache.sql_key(
-            ordered, frame.names, fingerprint, self.pushdown_cutoff
-        )
+        key = PlanCache.sql_key(ordered, frame.names, fingerprint)
         cached = self.plan_cache.get_sql(key)
         if cached is not None:
             return cached[0]

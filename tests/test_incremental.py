@@ -58,6 +58,21 @@ class TestEquivalence:
         expanded = sorted((label, _edge_key(t)) for label, t in dynamic.expand(front))
         assert static == expanded
 
+    def test_membership_answers_agree_with_the_static_site(self, homepage):
+        data, program, site_graph = homepage
+        dynamic = DynamicSite(program, data)
+        for function in dynamic.schema.functions:
+            for instance in dynamic.instances_of(function):
+                dynamic.expand(instance)
+        graph = dynamic.graph
+        names = site_graph.collection_names()
+        assert graph.node_count == site_graph.node_count
+        for oid in graph.nodes():
+            members = graph.collections_of(oid)
+            assert members == site_graph.collections_of(oid), oid
+            for name in names:
+                assert graph.in_collection(name, oid) == (name in members), (name, oid)
+
 
 class TestInstances:
     def test_roots_are_zero_arg_functions(self, homepage):

@@ -21,11 +21,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.graph import Graph, Oid, integer, string
 from repro.repository import SqlRepository, ddl, graph_statistics
-from repro.struql import SqlQueryEngine, order_conditions, parse
+from repro.struql import order_conditions, parse
 from repro.struql.eval import Metrics, QueryEngine, evaluate
 from repro.workloads import build_mediator
 
 from .reference_eval import WrittenOrderEngine, reference_evaluate
+from .test_sql_backend import PushdownSqlEngine
 
 WHERE = 'where C(p), p -> "r" -> b, b -> l -> v'
 
@@ -107,7 +108,7 @@ def two_hop_blocks(draw):
     return text, splits
 
 
-class WrittenOrderSqlEngine(SqlQueryEngine):
+class WrittenOrderSqlEngine(PushdownSqlEngine):
     """The SQL engine with its planner off: the prefix still pushes down."""
 
     def _plan(self, conditions, bound):
@@ -137,9 +138,9 @@ def _engines(mem, sql):
         (QueryEngine(mem), mem,
          lambda conditions, bound: order_conditions(conditions, bound, mem_stats)),
         (WrittenOrderEngine(mem), mem, written),
-        (SqlQueryEngine(sql, pushdown_cutoff=0.0), sql,
+        (PushdownSqlEngine(sql), sql,
          lambda conditions, bound: order_conditions(conditions, bound, sql_stats)),
-        (WrittenOrderSqlEngine(sql, pushdown_cutoff=0.0), sql, written),
+        (WrittenOrderSqlEngine(sql), sql, written),
     ]
 
 

@@ -41,15 +41,28 @@ from repro.workloads import (
     bibliography_graph,
     build_mediator,
     homepage_templates,
+    news_graph,
 )
 from repro.wrappers import DdlWrapper
 
 from .reference_eval import reference_bindings
 
 
-def _bindings(graph, text, **kwargs):
+class PushdownSqlEngine(SqlQueryEngine):
+    """The SQL engine with pushdown forced on, whatever the cost."""
+
+    pushdown_cutoff = 0.0
+
+
+class InMemorySqlEngine(SqlQueryEngine):
+    """The SQL engine with pushdown off: every query falls back."""
+
+    pushdown_cutoff = float("inf")
+
+
+def _bindings(graph, text, factory=make_engine):
     clear_plan_cache()
-    engine = make_engine(graph, **kwargs)
+    engine = factory(graph)
     return engine.bindings(parse_query(text).where), engine
 
 
@@ -143,7 +156,7 @@ def test_replay_equivalence(mem):
         )
         assert reference_bindings(baseline, plan) == want, text
         clear_plan_cache()
-        engine = SqlQueryEngine(sql, pushdown_cutoff=0.0)
+        engine = PushdownSqlEngine(sql)
         got = engine.bindings(conditions)
         assert got == want, text  # rows AND order
         pushdowns += engine.metrics.sql_pushdowns
@@ -391,9 +404,8 @@ def corner_pair():
 def test_regular_path_and_negation_corners(corner_pair, text):
     mem, sql = corner_pair
     want, _ = _bindings(mem, text)
-    got, engine = _bindings(sql, text, pushdown_cutoff=0.0)
+    got, _ = _bindings(sql, text, PushdownSqlEngine)
     assert got == want
-    assert isinstance(engine, SqlQueryEngine)
 
 
 @pytest.mark.parametrize(
@@ -407,26 +419,39 @@ def test_repeated_variable_takes_one_value(text):
     repository = SqlRepository()
     repository.store("r", mem)
     assert _bindings(mem, text)[0] == []
-    got, engine = _bindings(repository.fetch("r"), text, pushdown_cutoff=0.0)
+    got, _ = _bindings(repository.fetch("r"), text, PushdownSqlEngine)
     assert got == []
-    assert isinstance(engine, SqlQueryEngine)
 
 
 def test_pushdown_actually_happens(corner_pair):
     _, sql = corner_pair
-    _, engine = _bindings(
-        sql, 'where Pool(P), P -> "year" -> Y', pushdown_cutoff=0.0
-    )
+    _, engine = _bindings(sql, 'where Pool(P), P -> "year" -> Y', PushdownSqlEngine)
     assert engine.metrics.sql_pushdowns == 1
     assert engine.metrics.sql_pushed_conditions == 2
     assert engine.metrics.sql_fallbacks == 0
     assert "SQL[2 pushed]" in str(engine.last_operator_stats[0])
 
 
+def test_a_path_runs_in_memory_after_the_pushed_prefix():
+    """Above the cost cutoff the membership and edge prefix is one
+    SELECT, and the star path is its own in-memory operator."""
+    mem = news_graph(200, seed=0)
+    repository = SqlRepository()
+    repository.store("n", mem)
+    text = 'where Articles(a), a -> "related" -> b, a -> ("related")* -> b'
+    want, _ = _bindings(mem, text)
+    got, engine = _bindings(repository.fetch("n"), text)
+    assert got == want
+    assert [op.condition for op in engine.last_operator_stats] == [
+        "SQL[2 pushed]",
+        'a -> "related"* -> b',
+    ]
+
+
 def test_fallback_reasons(corner_pair):
     _, sql = corner_pair
     text = 'where Pool(P), P -> "year" -> Y'
-    _, engine = _bindings(sql, text, pushdown_cutoff=float("inf"))
+    _, engine = _bindings(sql, text, InMemorySqlEngine)
     assert engine.metrics.sql_pushdowns == 0
     assert engine.metrics.sql_fallbacks == 1
     assert engine.last_pushdown.fallback_reason == "below cost cutoff"
@@ -449,7 +474,7 @@ def test_residue_after_pushdown_checks_deadline(corner_pair, monkeypatch):
         return rows
 
     monkeypatch.setattr(sql._store, "query_named", slow_select)
-    engine = SqlQueryEngine(sql, pushdown_cutoff=0.0)
+    engine = PushdownSqlEngine(sql)
     conditions = parse_query(
         'where Pool(P), P -> "year" -> Y, isAnyYear(Y), Y != 2000'
     ).where
@@ -468,7 +493,7 @@ def test_residue_after_pushdown_checks_deadline(corner_pair, monkeypatch):
 def test_warm_plan_cache_hits(corner_pair):
     _, sql = corner_pair
     conditions = parse_query('where Pool(P), P -> "year" -> Y').where
-    engine = SqlQueryEngine(sql, pushdown_cutoff=0.0)
+    engine = PushdownSqlEngine(sql)
     first = engine.bindings(conditions)
     assert engine.bindings(conditions) == first
     assert engine.plan_cache.stats()["sql_hits"] >= 1

@@ -23,6 +23,7 @@ from repro.resilience import WrapPolicy
 from repro.wrappers import (
     BibtexWrapper,
     DdlWrapper,
+    ForeignKey,
     HtmlSiteWrapper,
     RelationalWrapper,
     StructuredFileWrapper,
@@ -49,11 +50,24 @@ class Kind:
     granular: bool = True
     #: a record that leaves the whole source unparsable, or None
     breaks_source: Optional[str] = None
+    #: rows admitted beside the records (a table the records reference)
+    referenced: int = 0
 
 
 def _csv(records: List[str]) -> Wrapper:
     text = "\n".join(["id,title,year"] + records) + "\n"
     return RelationalWrapper([Table.from_csv("t", text)], source_name=SOURCE)
+
+
+def _foreign_keys(records: List[str]) -> Wrapper:
+    people = Table.from_csv("People", "id,name\na,Ann\nb,Bob\n")
+    papers = Table.from_csv("Papers", "\n".join(["id,title,author"] + records) + "\n")
+    return RelationalWrapper(
+        [people, papers],
+        key_columns={"People": "id", "Papers": "id"},
+        foreign_keys={"Papers": [ForeignKey("author", "People", "id")]},
+        source_name=SOURCE,
+    )
 
 
 DDL_BAD = 'object bad {\n  year 1999\n}'
@@ -71,6 +85,13 @@ KINDS = {
         make=_csv,
         records=[f"p{i},Title {i},{1990 + i}" for i in range(RECORDS)],
         bad="ragged,row",
+    ),
+    "foreign-key": Kind(
+        make=_foreign_keys,
+        records=[f"p{i},Title {i},{'ab'[i % 2]}" for i in range(RECORDS)],
+        # shares its key with records[0]: dropping it must keep that node
+        bad="p0,Dangling,zz",
+        referenced=2,
     ),
     "structured": Kind(
         make=lambda records: StructuredFileWrapper(
@@ -132,7 +153,7 @@ def test_clean_input_wraps_alike(name):
     tolerant = kind.make(kind.records)
     expected = ddl.dumps(strict.wrap())
     assert ddl.dumps(tolerant.wrap(WrapPolicy.tolerant())) == expected
-    records = len(kind.records) if kind.granular else 1
+    records = len(kind.records) + kind.referenced if kind.granular else 1
     for wrapper in (strict, tolerant):
         assert wrapper.last_quarantine.admitted == records
         assert wrapper.last_quarantine.ok
@@ -158,7 +179,7 @@ def test_tolerant_graph_is_strict_graph_without_the_record(name):
     tolerant = kind.make(_with_bad(kind))
     graph = tolerant.wrap(WrapPolicy.tolerant())
     assert ddl.dumps(graph) == ddl.dumps(kind.make(kind.records).wrap())
-    assert tolerant.last_quarantine.admitted == len(kind.records)
+    assert tolerant.last_quarantine.admitted == len(kind.records) + kind.referenced
 
 
 @pytest.mark.parametrize("name", GRANULAR)
@@ -179,7 +200,7 @@ def test_many_bad_records_are_each_quarantined_once(name, data):
     tolerant = kind.make(source(bad))
     graph = tolerant.wrap(WrapPolicy.tolerant())
     report = tolerant.last_quarantine
-    assert report.admitted + report.count == count
+    assert report.admitted + report.count == count + kind.referenced
     expected = []
     for index in sorted(bad):
         with pytest.raises(WrapperError) as caught:
