@@ -296,6 +296,7 @@ class ServeCore:
                     "pages_added": report.pages_added,
                     "pages_retained": report.pages_retained,
                     "fragments_rendered": report.fragments_rendered,
+                    "rejoined": report.rejoined,
                 }
             edit(self.data_graph)
             maybe_fail("serve.refresh.publish")

@@ -27,7 +27,12 @@ shares bytes with its top-level fragment ``(oid, ())``, in both
 directions.  The pass cache holds bytes, not reads: one
 :class:`~repro.struql.footprint.RecordingView` recording around a pass
 still sees every read, because a cache hit's reads were made earlier in
-that recording.  The cache is dropped when the pass ends.
+that recording.  The cache is dropped when the pass ends.  Embedded
+output is copied verbatim: what :meth:`Renderer.render_embedded`
+returns is joined, delimited or wrapped in ``<li>`` as it is, never
+inspected, and embeds are called in output order.  The selective
+regenerator relies on that to re-join a page from the literal text
+between its fragments.
 """
 
 from __future__ import annotations

@@ -11,6 +11,11 @@ The contracts under test:
   edited one is rendered again);
 * a fragment that embeds a fragment: an edit to the inner one
   re-renders the outer one and the page that embeds it;
+* a page or fragment stale only through the fragments it embeds is
+  re-joined from its skeleton, captured the first time it was stale that
+  way, and a render whose own reads met the delta drops its skeleton;
+  pages equal a fresh render and the page-granular reference throughout,
+  and a render that raised mid-pass does not break the next edit;
 * known defects, pinned: a publication moved into an existing category
   lands at the end of that category page's ``SFOR`` list, while a fresh
   build lists it in object order; two page names that sanitize alike
@@ -21,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import RegeneratingSite
-from repro.graph import Graph, Oid, string
+from repro.graph import Graph, Oid, integer, string
 from repro.struql import evaluate, parse
 from repro.template import TemplateSet, generate_site
 from repro.workloads import HOMEPAGE_QUERY, bibliography_graph, homepage_templates
@@ -145,6 +150,165 @@ def test_a_nested_fragment_edit_re_renders_its_embedders():
         assert f"Nested Author {index}" in regen.pages["index.html"]
         report = regen.last_report
         assert (report.pages_rerendered, report.fragments_rendered) == (1, 2)
+
+
+def _assert_fresh(regen, templates=homepage_templates):
+    fresh = generate_site(regen.maintainer.site_graph, templates(), ROOTS)
+    assert regen.pages == fresh.pages
+
+
+def _skeleton_pages(regen):
+    """The filenames of the pages that keep a skeleton."""
+    return {regen.site.filenames[key] for key in regen._skeletons if isinstance(key, Oid)}
+
+
+#: the list pages that embed ``bibliography_graph(60, seed=3)``'s pub15
+#: (year 1991, category languages)
+PUB15_LIST_PAGES = {"AbstractsPage.html", "YearPage_1991.html", "CategoryPage_languages.html"}
+
+
+def test_a_second_author_edit_re_joins_the_list_pages():
+    data = bibliography_graph(60, seed=3)
+    regen = RegeneratingSite(HOMEPAGE_QUERY, data, homepage_templates(), ROOTS)
+    pub = _publications(data)[7]
+    reports = []
+    for author in ("A. First", "B. Second"):
+        regen.add_edge(pub, "author", string(author))
+        _assert_fresh(regen)
+        reports.append(regen.last_report)
+    # the three list pages and the abstract page; the presentation and
+    # the abstract fragments -- a re-join counts as a render
+    assert [(r.pages_rerendered, r.fragments_rendered) for r in reports] == [(4, 2), (4, 2)]
+    # the first edit walks the list pages once more, keeping their
+    # skeletons; the second only joins the new fragments in
+    assert [r.rejoined for r in reports] == [0, 3]
+    assert _skeleton_pages(regen) == PUB15_LIST_PAGES
+
+
+def test_a_category_move_re_renders_a_re_joined_page_directly():
+    data = bibliography_graph(60, seed=3)
+    regen = RegeneratingSite(HOMEPAGE_QUERY, data, homepage_templates(), ROOTS)
+    moved, neighbour = _publications(data)[7], _publications(data)[16]
+    assert data.targets(neighbour, "category") == [string("web")]
+    for pub, author in ((moved, "A. First"), (moved, "B. Second"), (neighbour, "C. Third")):
+        regen.add_edge(pub, "author", string(author))
+    assert "CategoryPage_web.html" in _skeleton_pages(regen)
+    regen.add_edge(moved, "category", string("web"))
+    _assert_fresh(regen)
+    # the web page read its own Paper edges, which the move changed: it is
+    # walked afresh and keeps no skeleton; the other list pages re-join
+    assert regen.last_report.rejoined == 3
+    assert _skeleton_pages(regen) == PUB15_LIST_PAGES | {"YearPage_1995.html"}
+    regen.add_edge(moved, "author", string("D. Fourth"))
+    _assert_fresh(regen)
+    assert regen.last_report.rejoined == 3
+    assert _skeleton_pages(regen) == PUB15_LIST_PAGES | {
+        "YearPage_1995.html", "CategoryPage_web.html",
+    }
+
+
+def test_a_slot_character_in_the_data_keeps_no_skeleton():
+    data = bibliography_graph(60, seed=3)
+    regen = RegeneratingSite(HOMEPAGE_QUERY, data, homepage_templates(), ROOTS)
+    pub = _publications(data)[7]
+    odd = string("odd\udfffcategory")
+    regen.add_edge(pub, "category", odd)
+    # in an author name the character sits inside an embedded fragment,
+    # which a re-join copies like any other
+    for author in ("A. \udfff", "B. Second"):
+        regen.add_edge(pub, "author", string(author))
+        _assert_fresh(regen)
+    site = regen.maintainer.site_graph
+    (odd_page,) = [
+        oid for oid in site.collection("CategoryPages") if site.attribute(oid, "Category") == odd
+    ]
+    assert odd_page not in regen._skeletons
+    assert _skeleton_pages(regen) == PUB15_LIST_PAGES
+    assert regen.last_report.rejoined == 3
+
+
+def test_an_edit_after_a_render_that_raised_still_runs():
+    """A render that raises mid-pass can leave a transitively stale
+    fragment recorded but not cached (here the section, whose skeleton's
+    join fails); the next edit, which stales that section directly, must
+    still run, and a rebuild restores the pages."""
+    data = bibliography_graph(12, seed=3)
+    regen = RegeneratingSite(NESTED_QUERY, data, _nested_templates(), ROOTS)
+    pub = _publications(data)[0]
+    (category,) = data.targets(pub, "category")
+    other = next(p for p in _publications(data) if category not in data.targets(p, "category"))
+    joins = []
+
+    def join_failing_second(literals, slots):
+        joins.append(slots)
+        if len(joins) == 2:
+            raise RuntimeError("render failed")
+        return RegeneratingSite._join(regen, literals, slots)
+
+    regen._join = join_failing_second
+    with pytest.raises(RuntimeError):
+        regen.add_edge(pub, "author", string("First"))
+    del regen._join
+    regen.add_edge(other, "category", category)
+    regen.rebuild()
+    _assert_fresh(regen, _nested_templates)
+
+
+_repeated_steps = st.one_of(
+    st.tuples(st.just("author"), st.integers(0, 3), st.integers(0, 4)),
+    st.tuples(st.just("author"), st.integers(0, 3), st.integers(0, 4)),
+    st.tuples(st.just("abstract"), st.integers(0, 3), st.integers(0, 4)),
+    st.tuples(st.just("category"), st.integers(0, 3),
+              st.sampled_from(["languages", "web", "brand-new"])),
+    st.tuples(st.just("year"), st.integers(0, 3), st.sampled_from([1991, 2031])),
+    st.tuples(st.just("insert"), st.integers(0, 4)),
+)
+
+
+def _apply_typed(regen, step):
+    """:func:`_apply`, with years the integers the BibTeX wrapper makes:
+    a string ``"1991"`` names a second ``YearPage_1991`` page, whose
+    suffix a fresh render can assign differently (ROADMAP item 17)."""
+    op = step[0]
+    if op == "insert":
+        regen.add_object("Publications", [
+            ("title", string(f"Inserted {step[1]}")),
+            ("author", string(f"Author {step[1]}")),
+            ("year", integer(1995)),
+            ("category", string("web")),
+        ])
+    elif op == "year":
+        regen.add_edge(_publications(regen.maintainer.data_graph)[step[1]], "year", integer(step[2]))
+    else:
+        _apply(regen, step)
+
+
+@pytest.mark.parametrize("query, templates", [
+    (HOMEPAGE_QUERY, homepage_templates),
+    (NESTED_QUERY, _nested_templates),
+], ids=["homepage", "nested"])
+def test_re_joined_pages_equal_a_fresh_render(query, templates):
+    """Repeated edits to a few publications stale pages, and fragments
+    (in the nested site, a section that embeds an entry), through their
+    embedded fragments alone; other steps stale them directly."""
+    rejoined = []
+
+    @given(st.lists(_repeated_steps, min_size=2, max_size=10))
+    @settings(max_examples=15, deadline=None)
+    def run(script):
+        regen = RegeneratingSite(query, bibliography_graph(30, seed=6), templates(), ROOTS)
+        reference = PageGranularSite(query, bibliography_graph(30, seed=6), templates(), ROOTS)
+        for step in script:
+            _apply_typed(regen, step)
+            _apply_typed(reference, step)
+            _assert_fresh(regen, templates)
+            assert regen.pages == reference.pages, step
+            report, expected = regen.last_report, reference.last_report
+            assert report.pages_rerendered == expected.pages_rerendered
+            rejoined.append(report.rejoined)
+
+    run()
+    assert sum(rejoined) > 0
 
 
 def test_fragment_cache_starts_empty_after_a_coarse_rebuild():

@@ -136,6 +136,20 @@ class TestGenerationCache:
         for path in full.paths():
             assert after.lookup(path) == full.lookup(path), path
 
+    def test_edit_result_counts_re_joined_pages(self, setup):
+        core = _fresh_core(setup)
+        first = core.apply_edit(_late_author_edit)
+        second = core.apply_edit(
+            lambda regen: regen.add_edge(
+                regen.maintainer.data_graph.collection("Publications")[0], "author", "Later Author"
+            )
+        )
+        # the first edit keeps the list pages' skeletons, the second
+        # re-joins them; the counts of renders do not change
+        assert first["rejoined"] == 0 < second["rejoined"]
+        assert second["rejoined"] <= second["pages_rerendered"] == first["pages_rerendered"]
+        assert second["fragments_rendered"] == first["fragments_rendered"] == 2
+
 
 class TestAdmissionControl:
     def test_sheds_over_limit(self):
